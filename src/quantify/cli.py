@@ -32,12 +32,12 @@ from .core import (
     score_dataset,
 )
 from .estimators import (
+    _variance_from_scores,
     classify_and_count,
     em_estimate,
     multiclass_ratio,
     ratio_ci,
     ratio_estimate,
-    ratio_variance,
 )
 from .regression import cc_regress, ratio_regress
 from .rkhs import KernelSpec, RkhsSelection, select_g
@@ -179,16 +179,7 @@ def _cmd_estimate(args) -> None:
     if args.method == "ratio":
         est = ratio_estimate(scored, min_denom=args.min_denom)
         if args.ci is not None:
-            n0, n1 = scored.class_counts
-            est = ratio_variance(
-                est,
-                n_total=scored.n_unlabeled + n0 + n1,
-                n_labeled=n0 + n1,
-                n0=n0,
-                n1=n1,
-                regime=args.regime,
-            )
-            est = ratio_ci(est, level=args.ci)
+            est = ratio_ci(_variance_from_scores(est, scored, args.regime), level=args.ci)
     elif args.method == "cc":
         est = classify_and_count(scored, threshold=args.threshold)
     else:

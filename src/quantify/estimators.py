@@ -79,15 +79,25 @@ class ThetaEstimate:
         return payload
 
 
-def _group_stats(scores: ScoredDataset) -> tuple[float, float, float, float]:
-    g0 = scores.classes[0].ravel()
-    g1 = scores.classes[1].ravel()
+def _group_stats(g0: np.ndarray, g1: np.ndarray) -> tuple[float, float, float, float]:
+    g0 = g0.ravel()
+    g1 = g1.ravel()
     mu0, mu1 = float(g0.mean()), float(g1.mean())
     # 1/n normalization: keeps the plug-in identities with the kernel
     # objective exact and is harmless at the sample sizes quantification uses.
     var0 = float(np.mean((g0 - mu0) ** 2))
     var1 = float(np.mean((g1 - mu1) ** 2))
     return mu0, mu1, var0, var1
+
+
+def _separation(mu0: float, mu1: float, min_denom: float) -> float:
+    """mu1 - mu0, or EstimationError when it is too small to divide by."""
+    denom = mu1 - mu0
+    if abs(denom) <= min_denom:
+        raise EstimationError(
+            f"separability violated: |mu1 - mu0| = {abs(denom):.3e} <= {min_denom:.3e}"
+        )
+    return denom
 
 
 def ratio_estimate(scores: ScoredDataset, min_denom: float = DEFAULT_MIN_DENOM) -> ThetaEstimate:
@@ -103,12 +113,8 @@ def ratio_estimate(scores: ScoredDataset, min_denom: float = DEFAULT_MIN_DENOM) 
         raise EstimationError("ratio_estimate is binary; use multiclass_ratio for k > 1")
     if scores.n_unlabeled == 0:
         raise EstimationError("no unlabeled scores")
-    mu0, mu1, var0, var1 = _group_stats(scores)
-    denom = mu1 - mu0
-    if abs(denom) <= min_denom:
-        raise EstimationError(
-            f"separability violated: |mu1 - mu0| = {abs(denom):.3e} <= {min_denom:.3e}"
-        )
+    mu0, mu1, var0, var1 = _group_stats(scores.classes[0], scores.classes[1])
+    denom = _separation(mu0, mu1, min_denom)
     mean_unlabeled = float(scores.unlabeled.mean())
     theta_raw = (mean_unlabeled - mu0) / denom
     return ThetaEstimate(
@@ -179,6 +185,14 @@ def ratio_variance(
     return dataclasses.replace(est, variance=float(variance))
 
 
+def _variance_from_scores(est: ThetaEstimate, scores: ScoredDataset, regime: str) -> ThetaEstimate:
+    """:func:`ratio_variance` with the sample counts taken from the scored data."""
+    n0, n1 = scores.class_counts
+    return ratio_variance(
+        est, n_total=scores.n_unlabeled + n0 + n1, n_labeled=n0 + n1, n0=n0, n1=n1, regime=regime
+    )
+
+
 def ratio_ci(est: ThetaEstimate, level: float = 0.95) -> ThetaEstimate:
     """Attach a symmetric normal confidence interval, deliberately untrimmed.
 
@@ -196,16 +210,8 @@ def ratio_ci(est: ThetaEstimate, level: float = 0.95) -> ThetaEstimate:
 def _empirical_mse_from_groups(
     g0: np.ndarray, g1: np.ndarray, theta: float, min_denom: float = DEFAULT_MIN_DENOM
 ) -> float:
-    g0 = np.asarray(g0, dtype=float).ravel()
-    g1 = np.asarray(g1, dtype=float).ravel()
-    mu0, mu1 = float(g0.mean()), float(g1.mean())
-    var0 = float(np.mean((g0 - mu0) ** 2))
-    var1 = float(np.mean((g1 - mu1) ** 2))
-    denom = mu1 - mu0
-    if abs(denom) <= min_denom:
-        raise EstimationError(
-            f"separability violated: |mu1 - mu0| = {abs(denom):.3e} <= {min_denom:.3e}"
-        )
+    mu0, mu1, var0, var1 = _group_stats(g0, g1)
+    denom = _separation(mu0, mu1, min_denom)
     n_labeled = g0.size + g1.size
     p0 = g0.size / n_labeled
     p1 = g1.size / n_labeled

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EstimationError, RawDataset, ScoreFunction
-from .estimators import DEFAULT_MIN_DENOM
+from .estimators import DEFAULT_MIN_DENOM, _separation
 
 
 def nadaraya_watson(
@@ -154,11 +154,7 @@ def ratio_regress(
         raise EstimationError("both labeled classes must be nonempty")
     mu0 = float(g.scores(data.features[labeled0]).mean())
     mu1 = float(g.scores(data.features[labeled1]).mean())
-    denom = mu1 - mu0
-    if abs(denom) <= min_denom:
-        raise EstimationError(
-            f"separability violated: |mu1 - mu0| = {abs(denom):.3e} <= {min_denom:.3e}"
-        )
+    denom = _separation(mu0, mu1, min_denom)
     z, values, bandwidth = _unlabeled_pairs(data, g, bandwidth)
     smoothed = nadaraya_watson(z, values, bandwidth, grid)
     curve = np.clip((smoothed - mu0) / denom, 0.0, 1.0)

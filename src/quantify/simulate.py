@@ -20,10 +20,12 @@ import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import (
+    DataError,
     EstimationError,
     ExternalScore,
     RawDataset,
@@ -33,13 +35,14 @@ from .core import (
     score_dataset,
 )
 from .estimators import (
+    CombinedEstimate,
+    _variance_from_scores,
     classify_and_count,
     combined_estimate,
     em_estimate,
     multiclass_ratio,
     ratio_ci,
     ratio_estimate,
-    ratio_variance,
 )
 from .regression import cc_regress, ratio_regress
 from .shift_test import shift_test
@@ -391,18 +394,62 @@ def _mean_and_halfwidth(values: np.ndarray) -> tuple[float, float]:
     return mean, half
 
 
-def _study_estimate(method: str, scored: ScoredDataset, spec: ScenarioSpec) -> float:
-    if method == "ratio":
-        return ratio_estimate(scored).theta
-    if method == "cc":
-        # threshold at the midpoint of the labeled class score means: the
-        # natural plug-in decision boundary for a one-dimensional score.
-        mid = (float(scored.classes[0].mean()) + float(scored.classes[1].mean())) / 2.0
-        return classify_and_count(scored, threshold=mid).theta
-    if method == "em":
-        n0, n1 = scored.class_counts
-        return em_estimate(scored, theta_train=n1 / (n0 + n1)).theta
-    raise EstimationError(f"unknown method {method!r}")
+def _child_seed(seed: int, *path: int) -> int:
+    """A fresh 63-bit seed derived deterministically from (seed, path)."""
+    return int(rng_from(seed, *path).integers(0, 2**63 - 1))
+
+
+def _threads() -> int:
+    """Worker processes for a study: QUANTIFY_THREADS (0 or unset: every CPU),
+    capped by the CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    raw = os.environ.get("QUANTIFY_THREADS", "0")
+    try:
+        requested = int(raw)
+    except ValueError:
+        raise DataError(f"QUANTIFY_THREADS must be an integer, got {raw!r}") from None
+    return cpus if requested <= 0 else min(requested, cpus)
+
+
+def _run_cells(cells: list[ScenarioSpec], replicate, replicates: int, seed: int) -> list[list]:
+    """Outcomes of ``replicate(cells[c], (seed, c, r))``, per cell in replicate order.
+
+    All cells share one pool of up to ``_threads()`` processes.  ``replicate``
+    must pickle (a module-level function, or a partial of one), and the seed
+    path must be all the randomness it uses.
+    """
+    payloads = [(cell, (seed, c, r)) for c, cell in enumerate(cells) for r in range(replicates)]
+    workers = min(_threads(), len(payloads))
+    if workers <= 1:
+        outcomes = [replicate(*payload) for payload in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, len(payloads) // (4 * workers))
+            outcomes = list(pool.map(replicate, *zip(*payloads), chunksize=chunksize))
+    return [outcomes[c * replicates : (c + 1) * replicates] for c in range(len(cells))]
+
+
+_SCORE = ExternalScore(columns=(0,))
+
+
+def _scored(cell: ScenarioSpec, path: tuple[int, ...]) -> ScoredDataset:
+    """Generate the replicate's dataset and score it by feature column 0."""
+    return score_dataset(generate(cell, seed=_child_seed(*path)), _SCORE)
+
+
+def _mse_replicate(cell: ScenarioSpec, path: tuple[int, ...], methods: list[str]) -> list[float]:
+    scored = _scored(cell, path)
+    n0, n1 = scored.class_counts
+    # cc thresholds at the midpoint of the labeled class score means: the
+    # natural plug-in decision boundary for a one-dimensional score.
+    mid = (float(scored.classes[0].mean()) + float(scored.classes[1].mean())) / 2.0
+    estimators = {
+        "ratio": lambda: ratio_estimate(scored),
+        "cc": lambda: classify_and_count(scored, threshold=mid),
+        "em": lambda: em_estimate(scored, theta_train=n1 / (n0 + n1)),
+    }
+    return [estimators[method]().theta for method in methods]
 
 
 def run_mse_study(
@@ -421,16 +468,13 @@ def run_mse_study(
     for method in methods:
         if method not in ("ratio", "cc", "em"):
             raise EstimationError(f"unknown method {method!r}")
-    score = ExternalScore(columns=(0,))
+    cells = [dataclasses.replace(spec, theta=float(theta)) for theta in thetas]
+    outcomes = _run_cells(cells, partial(_mse_replicate, methods=methods), replicates, seed)
     rows, raw = [], []
-    for t_index, theta in enumerate(thetas):
-        cell_spec = dataclasses.replace(spec, theta=float(theta))
+    for theta, estimates in zip(thetas, outcomes):
         errors: dict[str, list[float]] = {m: [] for m in methods}
-        for r in range(replicates):
-            data = generate(cell_spec, seed=_child_seed(seed, t_index, r))
-            scored = score_dataset(data, score)
-            for method in methods:
-                estimate = _study_estimate(method, scored, cell_spec)
+        for r, replicate in enumerate(estimates):
+            for method, estimate in zip(methods, replicate):
                 errors[method].append((estimate - theta) ** 2)
                 raw.append((spec.kind, method, float(theta), r, estimate))
         for method in methods:
@@ -447,6 +491,15 @@ def run_mse_study(
     )
 
 
+def _coverage_replicate(
+    cell: ScenarioSpec, path: tuple[int, ...], level: float, regime: str
+) -> tuple[float, float, float]:
+    scored = _scored(cell, path)
+    est = ratio_ci(_variance_from_scores(ratio_estimate(scored), scored, regime), level=level)
+    lo, hi, _ = est.ci
+    return est.theta, lo, hi
+
+
 def run_coverage_study(
     spec: ScenarioSpec,
     thetas,
@@ -456,37 +509,17 @@ def run_coverage_study(
     regime: str = "auto",
 ) -> ExperimentReport:
     """Coverage of the normal interval for the ratio estimate, per prevalence."""
-    score = ExternalScore(columns=(0,))
+    cells = [dataclasses.replace(spec, theta=float(theta)) for theta in thetas]
+    replicate = partial(_coverage_replicate, level=level, regime=regime)
     rows, raw = [], []
-    for t_index, theta in enumerate(thetas):
-        cell_spec = dataclasses.replace(spec, theta=float(theta))
+    for theta, intervals in zip(thetas, _run_cells(cells, replicate, replicates, seed)):
         hits, widths = [], []
-        for r in range(replicates):
-            data = generate(cell_spec, seed=_child_seed(seed, t_index, r))
-            scored = score_dataset(data, score)
-            est = ratio_estimate(scored)
-            n0, n1 = scored.class_counts
-            est = ratio_variance(
-                est,
-                n_total=scored.n_unlabeled + n0 + n1,
-                n_labeled=n0 + n1,
-                n0=n0,
-                n1=n1,
-                regime=regime,
-            )
-            lo, hi, _ = ratio_ci(est, level=level).ci
+        for r, (estimate, lo, hi) in enumerate(intervals):
             covered = 1 if lo <= theta <= hi else 0
             hits.append(float(covered))
             widths.append(hi - lo)
-            raw.append((spec.kind, float(theta), r, est.theta, lo, hi, covered))
-        rows.append(
-            (
-                float(theta),
-                replicates,
-                float(np.mean(hits)),
-                float(np.mean(widths)),
-            )
-        )
+            raw.append((spec.kind, float(theta), r, estimate, lo, hi, covered))
+        rows.append((float(theta), replicates, float(np.mean(hits)), float(np.mean(widths))))
     return ExperimentReport(
         study="coverage",
         columns=("theta", "replicates", "coverage", "mean_width"),
@@ -498,36 +531,17 @@ def run_coverage_study(
     )
 
 
-def _child_seed(seed: int, *path: int) -> int:
-    """A fresh 63-bit seed derived deterministically from (seed, path)."""
-    return int(rng_from(seed, *path).integers(0, 2**63 - 1))
-
-
-def _power_replicate(payload) -> tuple[float, float]:
-    spec, test_replicates, grid_size, data_seed, test_seed = payload
-    data = generate(spec, seed=data_seed)
-    scored = score_dataset(data, ExternalScore(columns=(0,)))
-    result = shift_test(scored, replicates=test_replicates, seed=test_seed, grid_size=grid_size)
-    return result.p_value, result.statistic
-
-
-def _threads() -> int:
-    raw = os.environ.get("QUANTIFY_THREADS", "0")
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = 0
-    if requested <= 0:
-        requested = os.cpu_count() or 1
-    return max(1, requested)
-
-
-def _parallel_map(func, payloads: list) -> list:
-    workers = min(_threads(), len(payloads)) if payloads else 1
-    if workers <= 1:
-        return [func(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, payloads, chunksize=max(1, len(payloads) // (4 * workers))))
+def _power_replicate(
+    cell: ScenarioSpec, path: tuple[int, ...], alpha: float, test_replicates: int, grid_size: int
+) -> tuple[float, float, int]:
+    """The shift test's statistic and p-value, and whether it rejects at ``alpha``."""
+    result = shift_test(
+        _scored(cell, path),
+        replicates=test_replicates,
+        seed=_child_seed(*path, 1),
+        grid_size=grid_size,
+    )
+    return result.statistic, result.p_value, 1 if result.p_value <= alpha else 0
 
 
 def run_power_study(
@@ -548,34 +562,16 @@ def run_power_study(
     """
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0, 1), got {alpha}")
+    cells = [dataclasses.replace(spec, gamma=float(gamma)) for gamma in gammas]
+    replicate = partial(
+        _power_replicate, alpha=alpha, test_replicates=test_replicates, grid_size=grid_size
+    )
     rows, raw = [], []
-    for g_index, gamma in enumerate(gammas):
-        cell_spec = dataclasses.replace(spec, gamma=float(gamma))
-        payloads = [
-            (
-                cell_spec,
-                test_replicates,
-                grid_size,
-                _child_seed(seed, g_index, r),
-                _child_seed(seed, g_index, r, 1),
-            )
-            for r in range(replicates)
-        ]
-        outcomes = _parallel_map(_power_replicate, payloads)
-        rejected = [1 if p <= alpha else 0 for p, _ in outcomes]
-        raw.extend(
-            (spec.kind, float(gamma), r, stat, p, rej)
-            for r, ((p, stat), rej) in enumerate(zip(outcomes, rejected))
-        )
-        rows.append(
-            (
-                float(gamma),
-                replicates,
-                test_replicates,
-                float(np.mean(rejected)),
-                1.0 if float(gamma) == null_gamma(cell_spec) else 0.0,
-            )
-        )
+    for cell, outcomes in zip(cells, _run_cells(cells, replicate, replicates, seed)):
+        raw.extend((spec.kind, cell.gamma, r, *outcome) for r, outcome in enumerate(outcomes))
+        rate = float(np.mean([rejected for _, _, rejected in outcomes]))
+        is_null = 1.0 if cell.gamma == null_gamma(cell) else 0.0
+        rows.append((cell.gamma, replicates, test_replicates, rate, is_null))
     return ExperimentReport(
         study="power",
         columns=("gamma", "replicates", "test_replicates", "rejection_rate", "is_null"),
@@ -585,6 +581,19 @@ def run_power_study(
         raw_columns=("scenario", "gamma", "replicate", "statistic", "p_value", "rejected"),
         raw_rows=tuple(raw),
     )
+
+
+def _combined_replicate(
+    cell: ScenarioSpec, path: tuple[int, ...], label_counts: list[int], regime: str
+) -> tuple[float, list[CombinedEstimate | None]]:
+    """The ratio estimate, and its blend with the first m target labels (None at m = 0)."""
+    data = generate(cell, seed=_child_seed(*path))
+    scored = score_dataset(data, _SCORE)
+    est = _variance_from_scores(ratio_estimate(scored), scored, regime)
+    unlabeled_labels = data.labels[data.unlabeled_indices()]
+    return est.theta, [
+        combined_estimate(est, unlabeled_labels[:m]) if m else None for m in label_counts
+    ]
 
 
 def run_combined_study(
@@ -600,48 +609,28 @@ def run_combined_study(
     carried by the generator) play the role of a labeled subsample of the
     target population.  ``m = 0`` reports the ratio arm alone.
     """
-    score = ExternalScore(columns=(0,))
     theta = spec.theta
     label_counts = [int(m) for m in label_counts]
     if any(m < 0 or m > spec.n_unlabeled for m in label_counts):
         raise EstimationError("label counts must lie in [0, n_unlabeled]")
-    errors: dict[int, dict[str, list[float]]] = {
-        m: {"ratio": [], "labels": [], "combined": []} for m in label_counts
-    }
+    replicate = partial(_combined_replicate, label_counts=label_counts, regime=regime)
+    (outcomes,) = _run_cells([spec], replicate, replicates, seed)
     raw = []
-    for r in range(replicates):
-        data = generate(spec, seed=_child_seed(seed, 0, r))
-        scored = score_dataset(data, score)
-        est = ratio_estimate(scored)
-        n0, n1 = scored.class_counts
-        est = ratio_variance(
-            est,
-            n_total=scored.n_unlabeled + n0 + n1,
-            n_labeled=n0 + n1,
-            n0=n0,
-            n1=n1,
-            regime=regime,
-        )
-        unlabeled_labels = data.labels[data.unlabeled_indices()]
-        for m in label_counts:
-            errors[m]["ratio"].append((est.theta - theta) ** 2)
-            raw.append((spec.kind, "ratio", m, r, est.theta))
-            if m == 0:
-                continue
-            combined = combined_estimate(est, unlabeled_labels[:m])
-            errors[m]["labels"].append((combined.theta_labels - theta) ** 2)
-            errors[m]["combined"].append((combined.theta - theta) ** 2)
-            raw.append((spec.kind, "labels", m, r, combined.theta_labels))
-            raw.append((spec.kind, "combined", m, r, combined.theta))
+    for r, (theta_ratio, arms) in enumerate(outcomes):
+        for m, arm in zip(label_counts, arms):
+            raw.append((spec.kind, "ratio", m, r, theta_ratio))
+            if arm is not None:
+                raw.append((spec.kind, "labels", m, r, arm.theta_labels))
+                raw.append((spec.kind, "combined", m, r, arm.theta))
+
+    def mse(method: str, m: int) -> float:
+        errors = [(row[4] - theta) ** 2 for row in raw if row[1] == method and row[2] == m]
+        return _mean_and_halfwidth(np.array(errors))[0]
+
     rows = []
     for m in label_counts:
-        mse_ratio, _ = _mean_and_halfwidth(np.array(errors[m]["ratio"]))
-        if m == 0:
-            rows.append((m, replicates, mse_ratio, None, None))
-        else:
-            mse_labels, _ = _mean_and_halfwidth(np.array(errors[m]["labels"]))
-            mse_combined, _ = _mean_and_halfwidth(np.array(errors[m]["combined"]))
-            rows.append((m, replicates, mse_ratio, mse_labels, mse_combined))
+        arms = (mse("labels", m), mse("combined", m)) if m else (None, None)
+        rows.append((m, replicates, mse("ratio", m), *arms))
     return ExperimentReport(
         study="combined",
         columns=("target_labels", "replicates", "mse_ratio", "mse_labels", "mse_combined"),
@@ -650,6 +639,18 @@ def run_combined_study(
         meta=spec.meta(),
         raw_columns=("scenario", "method", "target_labels", "replicate", "estimate"),
         raw_rows=tuple(raw),
+    )
+
+
+def _multiclass_replicate(
+    cell: ScenarioSpec, path: tuple[int, ...], truth: np.ndarray
+) -> tuple[float, float]:
+    """Squared errors of the raw and the simplex-projected prior vector."""
+    data = generate(cell, seed=_child_seed(*path))
+    result = multiclass_ratio(score_dataset(data, fit_logistic_ovr(data)))
+    return (
+        float(np.sum((result.theta_raw - truth) ** 2)),
+        float(np.sum((result.theta - truth) ** 2)),
     )
 
 
@@ -672,26 +673,23 @@ def run_multiclass_study(
     base = np.asarray(spec.n_class, dtype=float)
     priors_labeled = tuple(base / base.sum())
     truth = np.asarray(spec.target_priors, dtype=float)
-    rows, raw = [], []
-    for s_index, size in enumerate(sizes):
+    cells = []
+    for size in sizes:
         counts = _proportional_counts(int(size), priors_labeled)
         if np.any(counts < 1):
             raise EstimationError(f"ladder size {size} leaves an empty class")
-        cell_spec = dataclasses.replace(
-            spec, n_class=tuple(int(c) for c in counts), n_unlabeled=int(size)
-        )
-        raw_errors, proj_errors = [], []
-        for r in range(replicates):
-            data = generate(cell_spec, seed=_child_seed(seed, s_index, r))
-            scores = score_dataset(data, fit_logistic_ovr(data))
-            result = multiclass_ratio(scores)
-            raw_errors.append(float(np.sum((result.theta_raw - truth) ** 2)))
-            proj_errors.append(float(np.sum((result.theta - truth) ** 2)))
-            raw.append((spec.kind, "raw", int(size), r, raw_errors[-1]))
-            raw.append((spec.kind, "projected", int(size), r, proj_errors[-1]))
-        mse_raw, half_raw = _mean_and_halfwidth(np.array(raw_errors))
-        mse_proj, half_proj = _mean_and_halfwidth(np.array(proj_errors))
-        rows.append((int(size), replicates, mse_raw, half_raw, mse_proj, half_proj))
+        n_class = tuple(int(c) for c in counts)
+        cells.append(dataclasses.replace(spec, n_class=n_class, n_unlabeled=int(size)))
+    outcomes = _run_cells(cells, partial(_multiclass_replicate, truth=truth), replicates, seed)
+    rows, raw = [], []
+    for cell, errors in zip(cells, outcomes):
+        size = cell.n_unlabeled
+        for r, (raw_error, proj_error) in enumerate(errors):
+            raw.append((spec.kind, "raw", size, r, raw_error))
+            raw.append((spec.kind, "projected", size, r, proj_error))
+        mse_raw, half_raw = _mean_and_halfwidth(np.array([e[0] for e in errors]))
+        mse_proj, half_proj = _mean_and_halfwidth(np.array([e[1] for e in errors]))
+        rows.append((size, replicates, mse_raw, half_raw, mse_proj, half_proj))
     return ExperimentReport(
         study="multiclass",
         columns=(
@@ -707,6 +705,20 @@ def run_multiclass_study(
         meta=spec.meta(),
         raw_columns=("scenario", "method", "size", "replicate", "sq_error"),
         raw_rows=tuple(raw),
+    )
+
+
+def _regression_replicate(
+    cell: ScenarioSpec, path: tuple[int, ...], grid: np.ndarray, truth: np.ndarray, threshold: float
+) -> tuple[float, float, float]:
+    """Integrated squared errors of the ratio and cc curves, and their sup gap."""
+    data = generate(cell, seed=_child_seed(*path))
+    ratio_curve = ratio_regress(data, _SCORE, grid)
+    cc_curve = cc_regress(data, _SCORE, grid, threshold=threshold)
+    return (
+        float(np.mean((ratio_curve.values - truth) ** 2)),
+        float(np.mean((cc_curve.values - truth) ** 2)),
+        float(np.max(np.abs(ratio_curve.values - cc_curve.values))),
     )
 
 
@@ -727,17 +739,10 @@ def run_regression_study(
         raise EstimationError("regression study needs the regression_sine kind")
     grid = np.asarray(grid, dtype=float)
     truth = 0.5 * (np.sin(2.0 * np.pi * grid * spec.cycles) + 1.0)
-    score = ExternalScore(columns=(0,))
-    raw = []
-    for r in range(replicates):
-        data = generate(spec, seed=_child_seed(seed, 0, r))
-        ratio_curve = ratio_regress(data, score, grid)
-        cc_curve = cc_regress(data, score, grid, threshold=threshold)
-        mise_ratio = float(np.mean((ratio_curve.values - truth) ** 2))
-        mise_cc = float(np.mean((cc_curve.values - truth) ** 2))
-        sup_gap = float(np.max(np.abs(ratio_curve.values - cc_curve.values)))
-        raw.append((spec.kind, r, mise_ratio, mise_cc, sup_gap))
-    table = np.asarray([row[2:] for row in raw], dtype=float)
+    replicate = partial(_regression_replicate, grid=grid, truth=truth, threshold=threshold)
+    (outcomes,) = _run_cells([spec], replicate, replicates, seed)
+    raw = [(spec.kind, r, *errors) for r, errors in enumerate(outcomes)]
+    table = np.asarray(outcomes, dtype=float)
     mise_r, half_r = _mean_and_halfwidth(table[:, 0])
     mise_c, half_c = _mean_and_halfwidth(table[:, 1])
     summary = (

@@ -4,10 +4,13 @@ Counts and layouts are asserted exactly; law checks use moment bounds a
 few standard errors wide so seeds stay interchangeable.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from quantify import (
+    DataError,
     EstimationError,
     ExperimentReport,
     RawDataset,
@@ -23,6 +26,8 @@ from quantify import (
     symmetric_gaussian,
     table_scenario,
 )
+from quantify import simulate
+from quantify.cli import main
 from quantify.simulate import _child_seed, _mean_and_halfwidth, _proportional_counts
 
 
@@ -323,6 +328,70 @@ class TestHelpers:
         assert len(seeds) == 25
 
 
+SMALL_STUDIES = {
+    "mse": lambda: run_mse_study(
+        table_scenario("beta", n_unlabeled=60, n_class=(30, 30)),
+        thetas=[0.2, 0.5], methods=["ratio", "cc", "em"], replicates=3, seed=4),
+    "coverage": lambda: run_coverage_study(
+        symmetric_gaussian(0.3, 60, (30, 30)), thetas=[0.3, 0.6], level=0.9,
+        replicates=3, seed=1),
+    "power": lambda: run_power_study(
+        table_scenario("gaussian", n_unlabeled=80, n_class=(40, 40)), gammas=[0.0, -2.0],
+        alpha=0.05, replicates=2, test_replicates=11, seed=6, grid_size=51),
+    "combined": lambda: run_combined_study(
+        symmetric_gaussian(0.3, 60, (30, 30)), label_counts=[0, 10, 10], replicates=3, seed=2),
+    "multiclass": lambda: run_multiclass_study(
+        ScenarioSpec(kind="multiclass_gaussian", n_unlabeled=90, n_class=(30, 30, 30)),
+        sizes=[60, 90], replicates=2, seed=1),
+    "regression": lambda: run_regression_study(
+        ScenarioSpec(kind="regression_sine", n_unlabeled=200, n_class=(60, 60), mu=2.0),
+        grid=np.linspace(0, 1, 11), replicates=3, seed=9),
+}
+
+
+class TestStudyDriver:
+    @pytest.mark.parametrize("study", sorted(SMALL_STUDIES))
+    def test_worker_count_does_not_change_results(self, monkeypatch, study):
+        pools = []
+
+        class CountingPool(simulate.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("QUANTIFY_THREADS", "1")
+        serial = SMALL_STUDIES[study]()
+        assert pools == []
+        monkeypatch.setenv("QUANTIFY_THREADS", "2")
+        pooled = SMALL_STUDIES[study]()
+        assert pools == [2]
+        assert serial.rows == pooled.rows
+        assert serial.raw_rows == pooled.raw_rows
+
+    @pytest.mark.parametrize(
+        "value, cpus, expected",
+        [(None, 4, 4), ("0", 4, 4), ("-3", 4, 4), ("1", 4, 1), ("3", 4, 3), ("5000", 4, 4),
+         ("2", 1, 1)],
+    )
+    def test_worker_count_is_capped_by_usable_cpus(self, monkeypatch, value, cpus, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        if value is None:
+            monkeypatch.delenv("QUANTIFY_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("QUANTIFY_THREADS", value)
+        assert simulate._threads() == expected
+
+    @pytest.mark.parametrize("value", ["two", "1.5", ""])
+    def test_non_integer_worker_count_fails_loudly(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("QUANTIFY_THREADS", value)
+        with pytest.raises(DataError, match="QUANTIFY_THREADS"):
+            simulate._threads()
+        assert main(["simulate", "--study", "mse", "--replicates", "1", "--theta", "0.5"]) == 1
+        assert "QUANTIFY_THREADS" in capsys.readouterr().err
+
+
 class TestMseStudy:
     def test_layout_and_determinism(self):
         spec = table_scenario("gaussian", n_unlabeled=60, n_class=(30, 30))
@@ -412,14 +481,6 @@ class TestPowerStudy:
         b = run_power_study(self.SPEC, gammas=[0.0], alpha=0.05, replicates=3,
                             test_replicates=19, seed=5, grid_size=51)
         assert a.raw_rows == b.raw_rows
-
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        serial = run_power_study(self.SPEC, gammas=[-2.0], alpha=0.05, replicates=2,
-                                 test_replicates=11, seed=6, grid_size=51)
-        monkeypatch.setenv("QUANTIFY_THREADS", "2")
-        pooled = run_power_study(self.SPEC, gammas=[-2.0], alpha=0.05, replicates=2,
-                                 test_replicates=11, seed=6, grid_size=51)
-        assert serial.raw_rows == pooled.raw_rows
 
     def test_gross_shift_rejects(self):
         report = run_power_study(table_scenario("gaussian"), gammas=[-2.0],
