@@ -17,12 +17,29 @@ import numpy as np
 from .core import EstimationError, ScoredDataset, rng_from
 
 
-def ecdf_values(sample: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Right-continuous empirical CDF of ``sample`` evaluated at ``points``."""
-    sample = np.sort(np.asarray(sample, dtype=float).ravel())
-    if sample.size == 0:
-        raise EstimationError("empty sample has no ECDF")
-    return np.searchsorted(sample, points, side="right") / sample.size
+def _ecdf_gaps(
+    g0: np.ndarray, g1: np.ndarray, gu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``F0 - Fu`` and ``F1 - F0`` at each distinct pooled value, in sorted order.
+
+    One sort of the pooled sample; each ECDF is the cumulative count of its
+    group at the last copy of a value, divided by the group size, which is the
+    same integer-over-size quotient a ``searchsorted`` count gives.  The count
+    at the last copy includes every copy, so the sort need not be stable.
+    """
+    n0, n1 = g0.size, g1.size
+    pooled = np.concatenate([g0, g1, gu])
+    order = np.argsort(pooled)
+    ranked = pooled[order]
+    last = np.append(ranked[1:] != ranked[:-1], True)
+    # NaNs sort last and never compare equal; count them as one value, as np.unique does
+    last[np.searchsorted(ranked, np.nan) : -1] = False
+    labeled = np.cumsum(order < n0 + n1)[last]
+    c0 = np.cumsum(order < n0)[last]
+    f0 = c0 / n0
+    f1 = (labeled - c0) / n1
+    fu = (np.flatnonzero(last) + 1 - labeled) / gu.size
+    return f0 - fu, f1 - f0
 
 
 def t_statistic(scores: ScoredDataset, grid_size: int = 1001) -> tuple[float, float]:
@@ -30,8 +47,23 @@ def t_statistic(scores: ScoredDataset, grid_size: int = 1001) -> tuple[float, fl
 
     The sup over evaluation points is taken on the pooled observed values,
     which is exact because all three ECDFs are constant between them.  The
-    mixing weight ranges over an even grid on [0, 1]; ties go to the
-    smallest weight.
+    mixing weight ranges over an even grid w_0 < ... < w_{G-1} on [0, 1];
+    ties go to the smallest weight.
+
+    The distance f(j) = max_x |F0 - Fu + w_j (F1 - F0)| is a maximum of
+    absolute affine functions of w, so it is convex in w: once it rises
+    along the grid it never falls, and :func:`_first_minimum` finds its
+    first minimum by bisection.  Every f(j) is the same rounded float
+    expression a dense scan of the grid computes.  Its terms have magnitude
+    at most 1, so one rounded product and one rounded sum keep a computed
+    f(j) within e = eps (1 + eps) of the exact f(j) on the same inputs.  The
+    search tolerance tol = 4 G eps, at least 8 eps, covers the 4 e + eps / 2
+    that the search's rounding guard needs, so the result is the dense
+    scan's ``argmin``, bit for bit.  Where f is flat, as for identical class
+    samples, the search costs what the dense scan does.
+
+    Time is O(n log n) for the sort plus O(n log G) for the search, and
+    memory O(n), for n pooled values and G grid points.
     """
     if grid_size < 2:
         raise EstimationError("mixture grid needs at least 2 points")
@@ -42,16 +74,60 @@ def t_statistic(scores: ScoredDataset, grid_size: int = 1001) -> tuple[float, fl
     gu = scores.unlabeled.ravel()
     if gu.size == 0:
         raise EstimationError("no unlabeled scores")
-    points = np.unique(np.concatenate([g0, g1, gu]))
-    f0 = ecdf_values(g0, points)
-    f1 = ecdf_values(g1, points)
-    fu = ecdf_values(gu, points)
-    base = f0 - fu
-    delta = f1 - f0
+    if g0.size == 0 or g1.size == 0:
+        raise EstimationError("empty sample has no ECDF")
+    base, delta = _ecdf_gaps(g0, g1, gu)
     weights = np.linspace(0.0, 1.0, grid_size)
-    distances = np.max(np.abs(base[None, :] + weights[:, None] * delta[None, :]), axis=1)
-    best = int(np.argmin(distances))
-    return float(distances[best]), float(weights[best])
+
+    def distances(start: int, stop: int) -> np.ndarray:
+        rows = weights[start:stop, None]
+        return np.max(np.abs(base[None, :] + rows * delta[None, :]), axis=1)
+
+    best, distance = _first_minimum(distances, grid_size, 4.0 * grid_size * np.finfo(float).eps)
+    return distance, float(weights[best])
+
+
+def _first_minimum(distances, size: int, tol: float) -> tuple[int, float]:
+    """Index and value of the first minimum of a sequence convex up to rounding.
+
+    ``distances(start, stop)`` returns the values at indices [start, stop).
+    Bisection finds a j* with f(j*) <= f(j* + 1) in O(log size) values.
+
+    Rounding guard: suppose each computed f(j) is within e of an exact
+    sequence that never falls once it has risen, and tol is at least 4 e
+    plus the rounding of f(j*) + tol.  A window grows outward from j*, in
+    doubling blocks, until each side holds a j with f(j) > f(j*) + tol or
+    meets the end.  The exact sequence has risen at such a j, so every index
+    beyond it computes above f(j*).  The window therefore holds every
+    candidate, and its first ``argmin`` is that of the whole sequence.
+    """
+    lo, hi = 0, size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        here, after = distances(mid, mid + 2)
+        if here <= after:
+            hi = mid
+        else:
+            lo = mid + 1
+    window = [distances(lo, lo + 1)]
+    limit = window[0][0] + tol
+    start, stop, width = lo, lo + 1, 1
+    grow_down, grow_up = start > 0, stop < size
+    while grow_down or grow_up:
+        if grow_down:
+            block = distances(max(0, start - width), start)
+            window.insert(0, block)
+            start -= block.size
+            grow_down = start > 0 and block.max() <= limit
+        if grow_up:
+            block = distances(stop, min(size, stop + width))
+            window.append(block)
+            stop += block.size
+            grow_up = stop < size and block.max() <= limit
+        width *= 2
+    values = np.concatenate(window)
+    best = int(np.argmin(values))
+    return start + best, float(values[best])
 
 
 @dataclass(frozen=True)

@@ -357,6 +357,19 @@ class TestSimulate:
         assert code == 0 and stdout == ""
         assert out.exists()
 
+    def test_repeated_method_exits_2(self, capsys):
+        code, stdout, err = run(self.MSE + ["--method", "cc", "--method", "cc"], capsys)
+        assert code == 2 and stdout == ""
+        assert "once" in err
+
+    def test_repeated_label_count_exits_2(self, capsys):
+        code, stdout, err = run(["simulate", "--study", "combined", "--label-count", "10",
+                                 "--label-count", "10", "--replicates", "1",
+                                 "--n-unlabeled", "30", "--n-class", "15", "--n-class", "15"],
+                                capsys)
+        assert code == 2 and stdout == ""
+        assert "once" in err
+
     def test_unknown_study_exits_via_argparse(self):
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--study", "anova"])

@@ -1,7 +1,11 @@
 """Mixture diagnostic tests: ECDF distance, KDE resampling, Monte Carlo p-value."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantify import (
     EstimationError,
@@ -11,13 +15,69 @@ from quantify import (
     shift_test,
     t_statistic,
 )
-from quantify.shift_test import ecdf_values
+from quantify.shift_test import _first_minimum
+
+# Derandomized, so every run checks the same examples and tier-1 stays deterministic.
+EXACTNESS = settings(derandomize=True, database=None, deadline=None, max_examples=400)
 
 
 def scored(unlabeled, class0, class1) -> ScoredDataset:
     return ScoredDataset(unlabeled=np.asarray(unlabeled, dtype=float),
                          classes=(np.asarray(class0, dtype=float),
                                   np.asarray(class1, dtype=float)))
+
+
+def ecdf_values(sample: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Right-continuous empirical CDF of ``sample`` evaluated at ``points``."""
+    sample = np.sort(np.asarray(sample, dtype=float).ravel())
+    if sample.size == 0:
+        raise EstimationError("empty sample has no ECDF")
+    return np.searchsorted(sample, points, side="right") / sample.size
+
+
+def dense_t(g0, g1, gu, grid_size):
+    """The full grid x points scan: the reference ``t_statistic`` must equal bit for bit."""
+    points = np.unique(np.concatenate([g0, g1, gu]))
+    f0 = ecdf_values(g0, points)
+    f1 = ecdf_values(g1, points)
+    fu = ecdf_values(gu, points)
+    base = f0 - fu
+    delta = f1 - f0
+    weights = np.linspace(0.0, 1.0, grid_size)
+    distances = np.max(np.abs(base[None, :] + weights[:, None] * delta[None, :]), axis=1)
+    best = int(np.argmin(distances))
+    return float(distances[best]), float(weights[best])
+
+
+@st.composite
+def score_samples(draw):
+    """Class 0, class 1 and unlabeled scores of 1-60 values each.
+
+    Values are gaussian or small integers (heavy ties); the groups are drawn
+    independently (unlabeled from a mixture), with identical class samples
+    (a flat distance, where ties must go to the smallest weight), or with
+    the unlabeled sample a copy of one class.
+    """
+    sizes = [draw(st.integers(1, 60)) for _ in range(3)]
+    tied = draw(st.booleans())
+    relation = draw(st.sampled_from(["independent", "identical classes", "copy of class 0",
+                                     "copy of class 1"]))
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    if tied:
+        levels = draw(st.integers(1, 5))
+        g0, g1, gu = (rng.integers(0, levels, n).astype(float) for n in sizes)
+    else:
+        shift = rng.uniform(0.0, 3.0)
+        g0 = rng.normal(0.0, 1.0, sizes[0])
+        g1 = rng.normal(shift, 1.0, sizes[1])
+        gu = rng.normal(0.0, 1.0, sizes[2]) + shift * (rng.random(sizes[2]) < rng.random())
+    if relation == "identical classes":
+        g1 = g0[rng.permutation(g0.size)]
+    elif relation == "copy of class 0":
+        gu = g0.copy()
+    elif relation == "copy of class 1":
+        gu = g1.copy()
+    return g0, g1, gu
 
 
 def oracle_t(g0, g1, gu, grid_size):
@@ -96,6 +156,45 @@ class TestTStatistic:
             np.testing.assert_allclose(t, t_ref, atol=1e-12)
             assert abs(p_star - p_ref) <= 1.0 / (grid_size - 1) + 1e-12
 
+    @EXACTNESS
+    @given(samples=score_samples(), grid_size=st.sampled_from([2, 3, 4, 11, 201, 1001]))
+    def test_equals_the_dense_grid_scan(self, samples, grid_size):
+        g0, g1, gu = samples
+        fast = t_statistic(scored(gu, g0, g1), grid_size=grid_size)
+        assert fast == dense_t(g0, g1, gu, grid_size)
+
+    def test_non_finite_scores_match_the_dense_grid_scan(self):
+        """np.unique counts every NaN as one value; the one-sort ECDFs must too."""
+        values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0])
+        rng = rng_from(64)
+        for _ in range(50):
+            g0, g1, gu = (rng.choice(values, rng.integers(1, 12)) for _ in range(3))
+            assert t_statistic(scored(gu, g0, g1), grid_size=11) == dense_t(g0, g1, gu, 11)
+
+    @EXACTNESS
+    @given(size=st.integers(2, 300), centre=st.floats(0.0, 1.0), flat=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rounding_guard_finds_the_first_minimum(self, size, centre, flat, seed):
+        """Noise as large as the slope puts false minima beside the true one;
+        with tol >= 4 x the noise the search still returns the first argmin."""
+        steps = np.abs(np.arange(size) - centre * size) - flat
+        values = 1e-3 * np.maximum(steps, 0.0) + 1e-3 * rng_from(seed).uniform(-1.0, 1.0, size)
+        found = _first_minimum(lambda start, stop: values[start:stop], size, tol=5e-3)
+        assert found == (int(np.argmin(values)), float(values.min()))
+
+    def test_memory_is_linear_in_the_pooled_sample(self):
+        """A grid x points matrix at n_u = 10 000 and G = 1001 would take 159 MiB."""
+        rng = rng_from(63)
+        rows = scored(rng.normal(1.0, 1.2, 10_000), rng.normal(0.0, 1.0, 150),
+                      rng.normal(2.0, 1.0, 150))
+        tracemalloc.start()
+        try:
+            t_statistic(rows, grid_size=1001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_ties_resolve_to_the_smallest_weight(self):
         """Identical class samples make every mixture equal; p_star is 0."""
         rows = scored([0.5, 1.5], [0.0, 1.0], [0.0, 1.0])
@@ -115,6 +214,8 @@ class TestTStatistic:
             t_statistic(rows, grid_size=1)
         with pytest.raises(EstimationError, match="no unlabeled"):
             t_statistic(scored(np.empty(0), [0.0], [1.0]))
+        with pytest.raises(EstimationError, match="empty sample"):
+            t_statistic(scored([0.5], [0.0], np.empty(0)))
         wide = ScoredDataset(unlabeled=np.zeros((2, 2)),
                              classes=(np.zeros((2, 2)), np.ones((2, 2))))
         with pytest.raises(EstimationError, match="single binary score"):

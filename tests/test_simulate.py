@@ -339,7 +339,7 @@ SMALL_STUDIES = {
         table_scenario("gaussian", n_unlabeled=80, n_class=(40, 40)), gammas=[0.0, -2.0],
         alpha=0.05, replicates=2, test_replicates=11, seed=6, grid_size=51),
     "combined": lambda: run_combined_study(
-        symmetric_gaussian(0.3, 60, (30, 30)), label_counts=[0, 10, 10], replicates=3, seed=2),
+        symmetric_gaussian(0.3, 60, (30, 30)), label_counts=[0, 10, 20], replicates=3, seed=2),
     "multiclass": lambda: run_multiclass_study(
         ScenarioSpec(kind="multiclass_gaussian", n_unlabeled=90, n_class=(30, 30, 30)),
         sizes=[60, 90], replicates=2, seed=1),
@@ -423,6 +423,14 @@ class TestMseStudy:
         spec = table_scenario("gaussian", n_unlabeled=10, n_class=(5, 5))
         with pytest.raises(EstimationError, match="unknown method"):
             run_mse_study(spec, thetas=[0.5], methods=["pcc"], replicates=1, seed=0)
+
+    def test_repeated_method(self):
+        """A method given twice would pool two copies of its errors into one
+        half-width, which comes out sqrt(2) too narrow."""
+        spec = table_scenario("gaussian", n_unlabeled=10, n_class=(5, 5))
+        with pytest.raises(EstimationError, match="once"):
+            run_mse_study(spec, thetas=[0.5], methods=["cc", "ratio", "cc"], replicates=1,
+                          seed=0)
 
 
 class TestCoverageStudy:
@@ -518,6 +526,11 @@ class TestCombinedStudy:
             run_combined_study(spec, label_counts=[31], replicates=1, seed=0)
         with pytest.raises(EstimationError, match="label counts"):
             run_combined_study(spec, label_counts=[-1], replicates=1, seed=0)
+
+    def test_repeated_label_count(self):
+        spec = symmetric_gaussian(0.3, 30, (10, 10))
+        with pytest.raises(EstimationError, match="once"):
+            run_combined_study(spec, label_counts=[10, 0, 10], replicates=1, seed=0)
 
 
 class TestMulticlassStudy:
