@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import csv
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -154,22 +158,146 @@ class CsvSchema:
     covariate_column: str | None = None
 
 
+@contextmanager
+def _csv_records(path: str):
+    """Open ``path`` with :func:`csv.reader`; yield the reader and the header record."""
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            yield reader, header
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """The cell index of each column role in a record of ``width`` cells."""
+
+    width: int
+    features: tuple[int, ...]
+    set: int
+    label: int | None
+    covariate: int | None
+
+    def columns(self, rows: list[list[str]]):
+        """Features, labels, set indicators and covariate, converted a column at a time.
+
+        Raises :class:`ValueError` if any record fails a check; it does not say which.
+        """
+        n, m = len(rows), len(self.features)
+        if set(map(len, rows)) - {self.width}:
+            raise ValueError("ragged record")
+        cells = map(itemgetter(*self.features), rows)
+        if m > 1:  # itemgetter returns a tuple only for two or more indices
+            cells = chain.from_iterable(cells)
+        features = np.fromiter(map(float, cells), float, count=n * m).reshape(n, m)
+        sets = _decode(rows, self.set, _set_code)
+        if self.label is None:
+            labels, blank = np.full(n, -1), np.ones(n, dtype=bool)
+        else:
+            labels = _decode(rows, self.label, _label_code)
+            blank = _decode(rows, self.label, lambda cell: not cell.strip()).astype(bool)
+        covariate = None
+        if self.covariate is not None:
+            covariate = np.fromiter(map(float, map(itemgetter(self.covariate), rows)), float, count=n)
+        if np.any(blank & (sets == 1)):
+            raise ValueError("labeled row without a label")
+        if not np.all(np.isfinite(features)):
+            raise ValueError("non-finite feature value")
+        if covariate is not None and not np.all(np.isfinite(covariate)):
+            raise ValueError("non-finite covariate value")
+        return features, labels, sets, covariate
+
+    def problem(self, row: list[str]) -> str | None:
+        """What is wrong with one record, or ``None``.
+
+        The checks run in a fixed order, so a record with several faults is
+        always reported by its first.
+        """
+        if len(row) != self.width:
+            return f"expected {self.width} cells, got {len(row)}"
+        try:
+            features = [float(row[i]) for i in self.features]
+        except ValueError:
+            return "non-numeric feature value"
+        raw_set = row[self.set].strip()
+        if raw_set not in ("0", "1"):
+            return f"set indicator must be 0 or 1, got {raw_set!r}"
+        raw_label = row[self.label].strip() if self.label is not None else ""
+        if raw_label == "":
+            if raw_set == "1":
+                return "labeled row (set indicator 1) has no label"
+        else:
+            try:
+                int(raw_label)
+            except ValueError:
+                return f"non-integer label {raw_label!r}"
+        covariate = 0.0
+        if self.covariate is not None:
+            try:
+                covariate = float(row[self.covariate])
+            except ValueError:
+                return "non-numeric covariate value"
+        if not all(map(math.isfinite, features)):
+            return "non-finite feature value"
+        if not math.isfinite(covariate):
+            return "non-finite covariate value"
+        return None
+
+
+def _decode(rows: list[list[str]], index: int, code) -> np.ndarray:
+    """Cell ``index`` of every row as an int array, calling ``code`` once per distinct cell."""
+    cells = list(map(itemgetter(index), rows))
+    table = {cell: code(cell) for cell in set(cells)}
+    return np.fromiter(map(table.__getitem__, cells), int, count=len(cells))
+
+
+def _set_code(cell: str) -> int:
+    cell = cell.strip()
+    if cell not in ("0", "1"):
+        raise ValueError("set indicator outside {0, 1}")
+    return int(cell)
+
+
+def _label_code(cell: str) -> int:
+    cell = cell.strip()
+    return int(cell) if cell else -1
+
+
+def _raise_first_bad_row(path: str, layout: _Layout) -> NoReturn:
+    """Re-read ``path`` and raise the :class:`DataError` of its first bad record."""
+    with _csv_records(path) as (reader, _):
+        for row in filter(None, reader):
+            problem = layout.problem(row)
+            if problem is not None:
+                raise DataError(f"{path}:{reader.line_num}: {problem}")
+    raise DataError(f"{path}: file changed while it was being read")
+
+
 def load_csv(path: str, schema: CsvSchema) -> RawDataset:
     """Read a CSV file into a :class:`RawDataset` according to ``schema``.
 
-    Raises :class:`DataError` for a missing file, unknown schema columns,
-    non-numeric feature entries, labeled rows without a label, or set
-    indicators outside {0, 1}.
+    The first record is the header and blank lines are skipped.  Raises
+    :class:`DataError` for a missing or empty file, a column named twice in
+    the header, or an unknown schema column.  It also raises, naming
+    ``path:line`` of the first such record, for a record whose cell count
+    differs from the header's, a non-numeric or non-finite feature or
+    covariate value, a set indicator outside {0, 1}, a labeled row without
+    a label, and a non-integer label.  A record that spans lines (a quoted
+    cell holding a newline) is reported at its last line.
     """
-    try:
-        with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None:
-                raise DataError(f"{path}: empty file")
-            fieldnames = list(reader.fieldnames)
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    with _csv_records(path) as (reader, fieldnames):
+        header_line = reader.line_num
+        rows = list(filter(None, reader))  # skip blank records
+
+    seen = set()
+    for column in fieldnames:
+        if column in seen:
+            raise DataError(f"{path}:{header_line}: duplicate column {column!r}")
+        seen.add(column)
 
     claimed = {schema.set_column}
     for column in (schema.set_column, schema.label_column, schema.covariate_column):
@@ -193,37 +321,18 @@ def load_csv(path: str, schema: CsvSchema) -> RawDataset:
     if not feature_names:
         raise DataError(f"{path}: no feature columns left after applying the schema")
 
-    n = len(rows)
-    features = np.empty((n, len(feature_names)))
-    labels = np.empty(n, dtype=int)
-    sets = np.empty(n, dtype=int)
-    covariate = np.empty(n) if schema.covariate_column else None
-    for i, row in enumerate(rows):
-        line = i + 2  # header is line 1
-        try:
-            features[i] = [float(row[c]) for c in feature_names]
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{line}: non-numeric feature value") from exc
-        raw_set = (row.get(schema.set_column) or "").strip()
-        if raw_set not in ("0", "1"):
-            raise DataError(f"{path}:{line}: set indicator must be 0 or 1, got {raw_set!r}")
-        sets[i] = int(raw_set)
-        raw_label = (row.get(schema.label_column) or "").strip() if schema.label_column else ""
-        if raw_label == "":
-            if sets[i] == 1:
-                raise DataError(f"{path}:{line}: labeled row (set indicator 1) has no label")
-            labels[i] = -1
-        else:
-            try:
-                labels[i] = int(raw_label)
-            except ValueError as exc:
-                raise DataError(f"{path}:{line}: non-integer label {raw_label!r}") from exc
-        if covariate is not None:
-            try:
-                covariate[i] = float(row[schema.covariate_column])
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{line}: non-numeric covariate value") from exc
-
+    index = {column: i for i, column in enumerate(fieldnames)}
+    layout = _Layout(
+        width=len(fieldnames),
+        features=tuple(index[c] for c in feature_names),
+        set=index[schema.set_column],
+        label=index[schema.label_column] if schema.label_column else None,
+        covariate=index[schema.covariate_column] if schema.covariate_column else None,
+    )
+    try:
+        features, labels, sets, covariate = layout.columns(rows)
+    except ValueError:
+        _raise_first_bad_row(path, layout)
     return RawDataset(
         features=features,
         labels=labels,

@@ -138,6 +138,20 @@ class TestEstimate:
         assert code == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("text, where", [
+        ("s,y,g,y\n1,0,0.1,0\n", ":1: duplicate column 'y'"),
+        ("s,y,g\n1,0,0.1\n1,1,0.9,7\n", ":3: expected 3 cells, got 4"),
+        ("s,y,g\n1,0,0.1\n\n1,1\n", ":4: expected 3 cells, got 2"),
+        ("s,y,g\n1,0,0.1\n1,1,inf\n", ":3: non-finite feature value"),
+    ])
+    def test_malformed_file_exits_1_naming_the_line(self, tmp_path, capsys, text, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, out, err = run(["estimate", str(path), "--set-col", "s", "--label-col", "y",
+                              "--score-col", "g"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}{where}\n"
+
     def test_separability_violation_exits_2(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("s,y,g\n1,0,0.5\n1,0,0.5\n1,1,0.5\n1,1,0.5\n0,,0.5\n0,,0.5\n")
@@ -246,6 +260,13 @@ class TestRegress:
         values = [point["theta"] for point in payload["curve"]]
         assert values[0] < 0.05 and values[-1] > 0.95
         assert all(0.0 <= v <= 1.0 for v in values)
+
+    def test_non_finite_covariate_exits_1_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("s,y,g,z\n1,0,0.0,0.5\n0,,1.0,nan\n")
+        code, out, err = run(["regress", str(path)] + self.BASE, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}:3: non-finite covariate value\n"
 
     def test_default_grid_has_101_points(self, curve_csv, capsys):
         payload = run_json(["regress", curve_csv] + self.BASE, capsys)

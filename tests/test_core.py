@@ -1,8 +1,14 @@
 """Data model tests: dataset validation, CSV ingestion, score functions."""
 
+import csv
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quantify import core
 from quantify import (
     CsvSchema,
     DataError,
@@ -20,6 +26,163 @@ from quantify import (
     rng_from,
     score_dataset,
 )
+
+
+# Derandomized, so every run checks the same examples and tier-1 stays deterministic.
+EXACTNESS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+def reference_load_csv(path: str, schema: CsvSchema) -> RawDataset:
+    """A dict per row and a Python loop over the rows: ``load_csv`` must give the same
+    arrays bit for bit, and the same message for the first bad row."""
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None:
+                raise DataError(f"{path}: empty file")
+            fieldnames = list(reader.fieldnames)
+            rows = list(reader)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+    claimed = {schema.set_column}
+    for column in (schema.set_column, schema.label_column, schema.covariate_column):
+        if column is not None and column not in fieldnames:
+            raise DataError(f"{path}: column {column!r} not found")
+    if schema.label_column:
+        claimed.add(schema.label_column)
+    if schema.covariate_column:
+        claimed.add(schema.covariate_column)
+
+    if schema.feature_columns is None:
+        feature_names = [c for c in fieldnames if c not in claimed]
+    else:
+        feature_names = list(schema.feature_columns)
+    for column in schema.score_columns:
+        if column not in feature_names:
+            feature_names.append(column)
+    for column in feature_names:
+        if column not in fieldnames:
+            raise DataError(f"{path}: column {column!r} not found")
+    if not feature_names:
+        raise DataError(f"{path}: no feature columns left after applying the schema")
+
+    n = len(rows)
+    features = np.empty((n, len(feature_names)))
+    labels = np.empty(n, dtype=int)
+    sets = np.empty(n, dtype=int)
+    covariate = np.empty(n) if schema.covariate_column else None
+    for i, row in enumerate(rows):
+        line = i + 2  # header is line 1
+        try:
+            features[i] = [float(row[c]) for c in feature_names]
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{line}: non-numeric feature value") from exc
+        raw_set = (row.get(schema.set_column) or "").strip()
+        if raw_set not in ("0", "1"):
+            raise DataError(f"{path}:{line}: set indicator must be 0 or 1, got {raw_set!r}")
+        sets[i] = int(raw_set)
+        raw_label = (row.get(schema.label_column) or "").strip() if schema.label_column else ""
+        if raw_label == "":
+            if sets[i] == 1:
+                raise DataError(f"{path}:{line}: labeled row (set indicator 1) has no label")
+            labels[i] = -1
+        else:
+            try:
+                labels[i] = int(raw_label)
+            except ValueError as exc:
+                raise DataError(f"{path}:{line}: non-integer label {raw_label!r}") from exc
+        if covariate is not None:
+            try:
+                covariate[i] = float(row[schema.covariate_column])
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{line}: non-numeric covariate value") from exc
+
+    return RawDataset(
+        features=features,
+        labels=labels,
+        set_indicator=sets,
+        covariate=covariate,
+        feature_names=tuple(feature_names),
+    )
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: f"{v:.3e}"),
+    st.integers(-999, 999).map(str),
+    st.tuples(st.integers(1, 9), st.integers(0, 99)).map(lambda p: f"{p[0]}_{p[1]}"),
+    st.sampled_from(["-0.0", "+1.5", ".5", "1E-3"]),
+)
+BAD_CELLS = {
+    "s": st.sampled_from(["2", "", "x", "-0"]),
+    "y": st.sampled_from(["", "x", "1.5", "-1", "2", "1_0"]),
+}
+BAD_NUMBERS = st.sampled_from(["oops", "", "1.0.0", "1__0", "0x1"])
+
+
+@st.composite
+def decorated(draw, cells):
+    """A cell as written: bare, padded, quoted, or quoted across two lines."""
+    text = draw(cells)
+    style = draw(st.sampled_from(["bare", "bare", "bare", "padded", "quoted", "multiline"]))
+    return {"bare": text, "padded": f" {text} ", "quoted": f'"{text}"',
+            "multiline": f'"{text}\n"'}[style]
+
+
+@st.composite
+def csv_cases(draw):
+    """CSV text (unique header names, one cell per header column in every row) and a schema.
+
+    Rows are valid until up to two cells are overwritten with bad values.
+    """
+    xs = [f"x{j}" for j in range(1, draw(st.integers(1, 3)) + 1)]
+    label, score, covariate = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    columns = draw(st.permutations(
+        ["s", *xs] + ["y"] * label + ["g"] * score + ["z"] * covariate))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        s = draw(st.sampled_from(["0", "1"] if label else ["0"]))
+        classes = ["0", "1", " 1 "] if s == "1" else ["", "", "0", "1"]
+        valid = {"s": st.sampled_from([s, f" {s}", f"{s} "]), "y": st.sampled_from(classes)}
+        rows.append([draw(decorated(valid.get(c, NUMBER_CELLS))) for c in columns])
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):  # corrupt up to two cells
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(columns) - 1))
+        rows[i][j] = draw(decorated(BAD_CELLS.get(columns[j], BAD_NUMBERS)))
+    feature_columns = None
+    if draw(st.booleans()):
+        feature_columns = tuple(draw(st.lists(st.sampled_from(xs + ["s"]), min_size=1, max_size=3)))
+    schema = CsvSchema(
+        set_column="s",
+        label_column="y" if label else None,
+        feature_columns=feature_columns,
+        score_columns=("g",) if score and draw(st.booleans()) else (),
+        covariate_column="z" if covariate and draw(st.booleans()) else None,
+    )
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(columns), *map(",".join, rows)]
+    blanks = draw(st.lists(st.integers(1, len(lines)), max_size=2, unique=True))
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at, "")
+    return end.join(lines) + end, schema, bool(blanks)
+
+
+def load_outcome(load, path, schema):
+    """The dataset, or the message of the :class:`DataError` that refused the file."""
+    try:
+        return load(path, schema)
+    except DataError as exc:
+        return str(exc)
+
+
+def bits(arr):
+    return None if arr is None else (arr.dtype, arr.shape, arr.view(np.int64).tolist())
+
+
+def assert_same_dataset(actual: RawDataset, expected: RawDataset) -> None:
+    assert actual.feature_names == expected.feature_names
+    for name in ("features", "labels", "set_indicator", "covariate"):
+        assert bits(getattr(actual, name)) == bits(getattr(expected, name)), name
 
 
 def small_dataset() -> RawDataset:
@@ -193,6 +356,74 @@ class TestLoadCsv:
         path = self.write(tmp_path, "")
         with pytest.raises(DataError, match="empty"):
             load_csv(path, CsvSchema(set_column="s"))
+
+    def test_blank_line_does_not_shift_the_line_number(self, tmp_path):
+        path = self.write(tmp_path, "x,y,s\n1.0,0,1\n\noops,1,1\n")
+        with pytest.raises(DataError, match=r"data\.csv:4: non-numeric feature value$"):
+            load_csv(path, CsvSchema(set_column="s", label_column="y"))
+
+    def test_quoted_multiline_cell_does_not_shift_the_line_number(self, tmp_path):
+        path = self.write(tmp_path, 'x,y,s\n"1.0\n",0,1\noops,1,1\n')
+        with pytest.raises(DataError, match=r"data\.csv:4: non-numeric feature value$"):
+            load_csv(path, CsvSchema(set_column="s", label_column="y"))
+
+    def test_first_bad_row_in_file_order_is_named(self, tmp_path):
+        path = self.write(tmp_path, "x,y,s\n1.0,0,1\n2.0,1,7\n3.0,0,1\noops,1,1\n")
+        with pytest.raises(DataError, match=r":3: set indicator must be 0 or 1, got '7'$"):
+            load_csv(path, CsvSchema(set_column="s", label_column="y"))
+
+    def test_duplicate_header_name(self, tmp_path):
+        path = self.write(tmp_path, "x,y,s,x\n1.0,0,1,2.0\n")
+        with pytest.raises(DataError, match=r"data\.csv:1: duplicate column 'x'$"):
+            load_csv(path, CsvSchema(set_column="s", label_column="y"))
+
+    @pytest.mark.parametrize("row, count", [("1.0,0,1,9", 4), ("1.0,1", 2)])
+    def test_ragged_row(self, tmp_path, row, count):
+        path = self.write(tmp_path, f"x,y,s\n2.0,1,1\n{row}\n")
+        with pytest.raises(DataError, match=rf"data\.csv:3: expected 3 cells, got {count}$"):
+            load_csv(path, CsvSchema(set_column="s", label_column="y"))
+
+    @pytest.mark.parametrize("x, z, role", [("nan", "0.5", "feature"), ("1.0", "-inf", "covariate")])
+    def test_non_finite_cell_names_the_row(self, tmp_path, x, z, role):
+        path = self.write(tmp_path, f"x,z,y,s\n2.0,0.1,1,1\n{x},{z},0,1\n")
+        schema = CsvSchema(set_column="s", label_column="y", covariate_column="z")
+        with pytest.raises(DataError, match=rf"data\.csv:3: non-finite {role} value$"):
+            load_csv(path, schema)
+
+    def test_single_feature_column(self, tmp_path):
+        path = self.write(tmp_path, "s,y,x\n1,0,0.25\n0,,-3e2\n")
+        data = load_csv(path, CsvSchema(set_column="s", label_column="y"))
+        np.testing.assert_array_equal(data.features, [[0.25], [-300.0]])
+
+    def test_file_that_changes_between_passes(self, tmp_path, monkeypatch):
+        def refuse(self, rows):
+            raise ValueError
+
+        path = self.write(tmp_path, "x,y,s\n1.0,0,1\n")
+        monkeypatch.setattr(core._Layout, "columns", refuse)
+        with pytest.raises(DataError, match="changed while it was being read"):
+            load_csv(path, CsvSchema(set_column="s", label_column="y"))
+
+
+class TestLoadCsvMatchesReference:
+    """``load_csv`` against the row-by-row reference loader on generated CSV text."""
+
+    @EXACTNESS
+    @given(case=csv_cases())
+    def test_same_dataset_or_same_message(self, tmp_path_factory, case):
+        text, schema, blank_lines = case
+        path = str(tmp_path_factory.mktemp("csv") / "data.csv")
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+        expected = load_outcome(reference_load_csv, path, schema)
+        actual = load_outcome(load_csv, path, schema)
+        if isinstance(expected, RawDataset):
+            assert isinstance(actual, RawDataset), actual
+            assert_same_dataset(actual, expected)
+        else:
+            if blank_lines or "\n\"" in text:  # the reference counts rows, not lines
+                expected, actual = (re.sub(r":\d+:", ":", m) for m in (expected, actual))
+            assert actual == expected
 
 
 class TestScoreDataset:
