@@ -160,16 +160,37 @@ class CsvSchema:
 
 @contextmanager
 def _csv_records(path: str):
-    """Open ``path`` with :func:`csv.reader`; yield the reader and the header record."""
+    """Open ``path`` as UTF-8 with :func:`csv.reader`; yield the reader and the header record."""
     try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            yield reader, header
+        try:
+            with open(path, newline="", encoding="utf-8") as handle:
+                reader = csv.reader(handle)
+                header = next(reader, None)
+                if header is None:
+                    raise DataError(f"{path}: empty file")
+                yield reader, header
+        except UnicodeDecodeError:
+            raise DataError(_first_undecodable_byte(path)) from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _first_undecodable_byte(path: str) -> str:
+    """``path:line: ...`` naming the first byte of ``path`` that is not UTF-8.
+
+    The decoder reports offsets within the chunk it was given, so the file is
+    read again as bytes; lines end at LF, CR or CRLF, as :func:`csv.reader`
+    counts them.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+    return f"{path}: file changed while it was being read"
 
 
 @dataclass(frozen=True)
@@ -232,9 +253,11 @@ class _Layout:
                 return "labeled row (set indicator 1) has no label"
         else:
             try:
-                int(raw_label)
+                label = int(raw_label)
             except ValueError:
                 return f"non-integer label {raw_label!r}"
+            if label not in _LABEL_RANGE:
+                return f"label {raw_label!r} out of range"
         covariate = 0.0
         if self.covariate is not None:
             try:
@@ -262,9 +285,17 @@ def _set_code(cell: str) -> int:
     return int(cell)
 
 
+_LABEL_RANGE = range(np.iinfo(int).min, np.iinfo(int).max + 1)
+
+
 def _label_code(cell: str) -> int:
     cell = cell.strip()
-    return int(cell) if cell else -1
+    if not cell:
+        return -1
+    label = int(cell)
+    if label not in _LABEL_RANGE:
+        raise ValueError("label does not fit the label array")
+    return label
 
 
 def _raise_first_bad_row(path: str, layout: _Layout) -> NoReturn:
@@ -286,8 +317,10 @@ def load_csv(path: str, schema: CsvSchema) -> RawDataset:
     ``path:line`` of the first such record, for a record whose cell count
     differs from the header's, a non-numeric or non-finite feature or
     covariate value, a set indicator outside {0, 1}, a labeled row without
-    a label, and a non-integer label.  A record that spans lines (a quoted
-    cell holding a newline) is reported at its last line.
+    a label, and a non-integer label or one outside the 64-bit range.  A
+    record that spans lines (a quoted cell holding a newline) is reported at
+    its last line.  The file must be UTF-8; the line of the first byte that
+    is not is named.
     """
     with _csv_records(path) as (reader, fieldnames):
         header_line = reader.line_num

@@ -143,10 +143,24 @@ class TestEstimate:
         ("s,y,g\n1,0,0.1\n1,1,0.9,7\n", ":3: expected 3 cells, got 4"),
         ("s,y,g\n1,0,0.1\n\n1,1\n", ":4: expected 3 cells, got 2"),
         ("s,y,g\n1,0,0.1\n1,1,inf\n", ":3: non-finite feature value"),
+        ("s,y,g\n1,0,0.1\n1,99999999999999999999,0.9\n0,,0.5\n",
+         ":3: label '99999999999999999999' out of range"),
     ])
     def test_malformed_file_exits_1_naming_the_line(self, tmp_path, capsys, text, where):
         path = tmp_path / "bad.csv"
         path.write_text(text)
+        code, out, err = run(["estimate", str(path), "--set-col", "s", "--label-col", "y",
+                              "--score-col", "g"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}{where}\n"
+
+    @pytest.mark.parametrize("data, where", [
+        (b"s,y,g\n1,0,0.1\n1,1,0.9\n0,,0.\xff5\n", ":4: byte 0xff is not UTF-8 (invalid start byte)"),
+        (b"s,y,g\r\n1,0,0.1\r1,\xe2\x82,0.9\r\n", ":3: byte 0xe2 is not UTF-8 (invalid continuation byte)"),
+    ])
+    def test_non_utf8_file_exits_1_naming_the_line(self, tmp_path, capsys, data, where):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
         code, out, err = run(["estimate", str(path), "--set-col", "s", "--label-col", "y",
                               "--score-col", "g"], capsys)
         assert (code, out) == (1, "")

@@ -1,7 +1,11 @@
 """Prevalence-curve tests: local averaging, bandwidth choice, both correctors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantify import (
     EstimationError,
@@ -15,8 +19,66 @@ from quantify import (
     ratio_regress,
     rng_from,
 )
+from quantify.regression import _cv_errors
 
 SCORE = ExternalScore(columns=(0,))
+
+# Derandomized, so every run checks the same examples and tier-1 stays deterministic.
+EXACTNESS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+def reference_cv_errors(z, values, hs) -> list[float]:
+    """Leave-one-out squared error per bandwidth, one candidate at a time.
+
+    The earlier implementation of ``cv_bandwidth``: 512-row chunks against
+    every column, so each symmetric weight is computed twice.
+    """
+    errors = []
+    for h in hs:
+        err = 0.0
+        for start in range(0, z.size, 512):
+            stop = min(start + 512, z.size)
+            local = np.arange(stop - start)
+            weights = np.exp(-0.5 * ((z[start:stop, None] - z[None, :]) / h) ** 2)
+            weights[local, local + start] = 0.0
+            totals = weights.sum(axis=1)
+            preds = np.divide(weights @ values, totals, out=np.zeros(stop - start), where=totals > 0)
+            empty = totals == 0.0
+            if np.any(empty):
+                gaps = np.abs(z[start:stop, None] - z[None, :])
+                gaps[local, local + start] = np.inf
+                preds[empty] = values[gaps.argmin(axis=1)[empty]]
+            err += float(np.sum((preds - values[start:stop]) ** 2))
+        errors.append(err)
+    return errors
+
+
+@st.composite
+def cv_problems(draw):
+    """(z, values, sorted distinct candidates) covering several block pairs,
+    sizes off the block size, tied z, constant values, and candidates so
+    small that every row's weights underflow."""
+    n = draw(st.one_of(st.integers(3, 40), st.integers(200, 1200),
+                       st.sampled_from([255, 256, 257, 512, 513])))
+    rng = rng_from(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["uniform", "distinct grid", "repeated grid", "rounded"]))
+    if layout == "uniform":
+        z = rng.random(n)
+    elif layout == "distinct grid":  # every inner point has two nearest neighbours
+        z = rng.permutation(n) * 0.25
+    elif layout == "repeated grid":
+        z = rng.integers(0, max(2, n // 3), n) * 0.25
+    else:
+        z = np.round(rng.random(n), 1)
+    if draw(st.booleans()):
+        values = np.full(n, draw(st.floats(-3.0, 3.0)))
+    else:
+        values = np.sin(6.0 * z) + rng.normal(0.0, draw(st.sampled_from([0.01, 1.0])), n)
+    spread = float(np.std(z, ddof=1))
+    base = spread * n ** (-0.2) if spread > 0 else 1.0
+    factors = draw(st.lists(st.sampled_from([1e-4, 1e-3, 0.25, 0.5, 1.0, 2.0, 4.0]),
+                            min_size=1, max_size=5, unique=True))
+    return z, values, sorted(base * f for f in factors)
 
 
 def covariate_dataset(z_u, g_u, class0=(0.0, 0.0), class1=(1.0, 1.0)) -> RawDataset:
@@ -117,6 +179,43 @@ class TestCvBandwidth:
         candidates = [0.02, 0.5]
         assert cv_bandwidth(z, wiggly, candidates) == 0.02
         assert cv_bandwidth(z, flat, candidates) == 0.5
+
+    @EXACTNESS
+    @given(cv_problems())
+    def test_errors_equal_the_per_candidate_loop(self, problem):
+        """Every kernel weight has the reference's bits; only the order of the
+        sums differs.  Constant values make every error itself rounding noise,
+        which the absolute term (n times the square of an n-term sum's
+        rounding bound) covers."""
+        z, values, hs = problem
+        reference = reference_cv_errors(z, values, hs)
+        atol = z.size * (z.size * np.finfo(float).eps * np.max(np.abs(values))) ** 2
+        np.testing.assert_allclose(_cv_errors(z, values, hs), reference, rtol=1e-12, atol=atol)
+        ordered = np.sort(reference)
+        if len(hs) == 1 or ordered[1] - ordered[0] > 1e-9 * ordered[1] + 2 * atol:
+            assert cv_bandwidth(z, values, hs) == hs[int(np.argmin(reference))]
+
+    def test_all_underflow_rows_fall_back_to_the_first_nearest_neighbour(self):
+        """Point 1 has two neighbours at equal distance and takes the lower index."""
+        z = np.array([0.0, 1.0, 2.0, 10.0])
+        values = np.array([1.0, 2.0, 4.0, 8.0])
+        # nearest neighbours, self excluded: 1, 0, 1, 2
+        expected = (2.0 - 1.0) ** 2 + (1.0 - 2.0) ** 2 + (2.0 - 4.0) ** 2 + (4.0 - 8.0) ** 2
+        assert _cv_errors(z, values, [1e-3]).tolist() == [expected]
+        assert reference_cv_errors(z, values, [1e-3]) == [expected]
+
+    def test_memory_is_linear_in_the_sample(self):
+        """The chunked per-candidate loop held 512 x 5000 temporaries of 20 MiB each."""
+        rng = rng_from(20)
+        z = rng.random(5000)
+        values = np.sin(6.0 * z) + 0.1 * rng.standard_normal(5000)
+        tracemalloc.start()
+        try:
+            cv_bandwidth(z, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_guards(self):
         with pytest.raises(EstimationError, match="at least 3"):
