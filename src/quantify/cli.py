@@ -24,7 +24,6 @@ from .core import (
     DataError,
     EstimationError,
     ExternalScore,
-    KernelScore,
     RawDataset,
     ScoreFunction,
     fit_logistic,
@@ -110,7 +109,13 @@ def _resolve_score(args, data: RawDataset) -> ScoreFunction:
             raise DataError(f"cannot read {args.weights}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise DataError(f"{args.weights} is not valid JSON: {exc}") from exc
-        selection = RkhsSelection.from_dict(payload)
+        try:
+            selection = RkhsSelection.from_dict(payload)
+            if selection.anchors.shape[1] != data.n_features:
+                raise DataError(f"anchors have {selection.anchors.shape[1]} features, "
+                                f"the data {data.n_features}")
+        except DataError as exc:
+            raise DataError(f"{args.weights}: {exc}") from None
         return selection.score_function()
     if args.score_col:
         return ExternalScore.from_names(args.score_col, data)

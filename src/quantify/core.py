@@ -387,26 +387,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class ScoreFunction:
     """Maps a feature matrix to an ``(n, m)`` block of score values."""
 
-    kind = "abstract"
-
     def scores(self, features: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-    @staticmethod
-    def from_dict(payload: dict) -> "ScoreFunction":
-        kinds = {
-            "external": ExternalScore,
-            "logistic": LogisticScore,
-            "rkhs": KernelScore,
-        }
-        try:
-            cls = kinds[payload["kind"]]
-        except KeyError as exc:
-            raise DataError(f"unknown score function kind {payload.get('kind')!r}") from exc
-        return cls._from_dict(payload)
 
 
 @dataclass(frozen=True)
@@ -414,7 +396,6 @@ class ExternalScore(ScoreFunction):
     """Score columns that were computed outside the package."""
 
     columns: tuple[int, ...]
-    kind = "external"
 
     @staticmethod
     def from_names(names: Sequence[str], data: RawDataset) -> "ExternalScore":
@@ -434,13 +415,6 @@ class ExternalScore(ScoreFunction):
             raise DataError(f"score column index {bad[0]} out of range")
         return features[:, list(self.columns)]
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "columns": list(self.columns)}
-
-    @classmethod
-    def _from_dict(cls, payload: dict) -> "ExternalScore":
-        return cls(columns=tuple(int(c) for c in payload["columns"]))
-
 
 @dataclass(frozen=True)
 class LogisticScore(ScoreFunction):
@@ -452,61 +426,12 @@ class LogisticScore(ScoreFunction):
 
     coef: np.ndarray
     intercept: np.ndarray
-    kind = "logistic"
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         features = _as_2d_float(features, "features")
         coef = np.atleast_2d(np.asarray(self.coef, dtype=float))
         intercept = np.atleast_1d(np.asarray(self.intercept, dtype=float))
         return _sigmoid(features @ coef.T + intercept)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "coef": np.atleast_2d(self.coef).tolist(),
-            "intercept": np.atleast_1d(self.intercept).tolist(),
-        }
-
-    @classmethod
-    def _from_dict(cls, payload: dict) -> "LogisticScore":
-        return cls(
-            coef=np.asarray(payload["coef"], dtype=float),
-            intercept=np.asarray(payload["intercept"], dtype=float),
-        )
-
-
-@dataclass(frozen=True)
-class KernelScore(ScoreFunction):
-    """Kernel expansion g(x) = sum_i w_i K(x, anchor_i) over labeled anchors."""
-
-    weights: np.ndarray
-    anchors: np.ndarray
-    kernel: "object"  # KernelSpec; typed loosely to avoid a circular import
-
-    kind = "rkhs"
-
-    def scores(self, features: np.ndarray) -> np.ndarray:
-        features = _as_2d_float(features, "features")
-        gram = self.kernel.matrix(features, self.anchors)
-        return (gram @ np.asarray(self.weights, dtype=float)).reshape(-1, 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "weights": np.asarray(self.weights, dtype=float).tolist(),
-            "anchors": np.asarray(self.anchors, dtype=float).tolist(),
-            "kernel": self.kernel.to_dict(),
-        }
-
-    @classmethod
-    def _from_dict(cls, payload: dict) -> "KernelScore":
-        from .rkhs import KernelSpec
-
-        return cls(
-            weights=np.asarray(payload["weights"], dtype=float),
-            anchors=np.asarray(payload["anchors"], dtype=float),
-            kernel=KernelSpec.from_dict(payload["kernel"]),
-        )
 
 
 def score_dataset(data: RawDataset, g: ScoreFunction) -> ScoredDataset:
@@ -533,12 +458,7 @@ def _logistic_nll(beta: np.ndarray, design: np.ndarray, y: np.ndarray, ridge: fl
     return float(np.sum(softplus - y * eta) + 0.5 * ridge * beta @ beta)
 
 
-def fit_logistic(
-    data: RawDataset,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-    _targets: np.ndarray | None = None,
-) -> LogisticScore:
+def fit_logistic(data: RawDataset, max_iter: int = 100, tol: float = 1e-6) -> LogisticScore:
     """Fit a binary logistic model on the labeled rows by damped Newton steps.
 
     A small ridge penalty (1e-6) keeps the Hessian invertible on separable
@@ -549,10 +469,10 @@ def fit_logistic(
     labeled = np.flatnonzero(data.set_indicator == 1)
     if labeled.size == 0:
         raise EstimationError("no labeled rows to fit on")
-    x = data.features[labeled]
-    y = data.labels[labeled].astype(float) if _targets is None else _targets
-    if _targets is None and data.n_classes != 2:
+    if data.n_classes != 2:
         raise EstimationError(f"binary logistic fit needs 2 classes, found {data.n_classes}")
+    x = data.features[labeled]
+    y = data.labels[labeled].astype(float)
     if np.all(y == y[0]):
         raise EstimationError("labels are all identical; logistic fit is degenerate")
 
@@ -591,11 +511,10 @@ def fit_logistic_ovr(data: RawDataset, max_iter: int = 100, tol: float = 1e-6) -
     k_plus_one = data.n_classes
     if k_plus_one < 2:
         raise EstimationError("one-vs-rest fit needs at least two classes")
-    labeled = np.flatnonzero(data.set_indicator == 1)
-    labels = data.labels[labeled]
     coefs, intercepts = [], []
     for target in range(k_plus_one - 1):
-        fit = fit_logistic(data, max_iter=max_iter, tol=tol, _targets=(labels == target).astype(float))
+        labels = np.where(data.labels >= 0, data.labels == target, -1)
+        fit = fit_logistic(RawDataset(data.features, labels, data.set_indicator), max_iter, tol)
         coefs.append(fit.coef[0])
         intercepts.append(fit.intercept[0])
     return LogisticScore(coef=np.array(coefs), intercept=np.array(intercepts))

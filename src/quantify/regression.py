@@ -46,6 +46,14 @@ def nadaraya_watson(
 _CV_BLOCK = 256
 
 
+def _rule_of_thumb(z: np.ndarray) -> float:
+    """The default bandwidth sd(z) * n^(-1/5)."""
+    spread = float(np.std(z, ddof=1)) if z.size > 1 else 0.0
+    if spread <= 0.0:
+        raise EstimationError("covariate has no spread; pass a bandwidth explicitly")
+    return spread * z.size ** (-0.2)
+
+
 def cv_bandwidth(z: np.ndarray, values: np.ndarray, candidates=None) -> float:
     """Leave-one-out cross-validated bandwidth for the local average.
 
@@ -60,14 +68,13 @@ def cv_bandwidth(z: np.ndarray, values: np.ndarray, candidates=None) -> float:
     values = np.asarray(values, dtype=float).ravel()
     if z.size < 3 or z.size != values.size:
         raise EstimationError("cross-validation needs at least 3 matching pairs")
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(values))):
+        raise EstimationError("cross-validation needs finite covariate and values")
     if candidates is None:
-        spread = float(np.std(z, ddof=1))
-        if spread <= 0.0:
-            raise EstimationError("covariate has no spread; pass a bandwidth explicitly")
-        base = spread * z.size ** (-0.2)
+        base = _rule_of_thumb(z)
         candidates = [base * factor for factor in (0.25, 0.5, 1.0, 2.0, 4.0)]
     candidates = [float(h) for h in candidates]
-    if not candidates or any(h <= 0 for h in candidates):
+    if not candidates or not all(h > 0 for h in candidates):
         raise EstimationError("bandwidth candidates must be positive")
     hs = sorted(set(candidates))
     best_h, best_err = None, np.inf
@@ -168,10 +175,7 @@ def _unlabeled_pairs(
     elif isinstance(bandwidth, str):
         raise EstimationError(f"bandwidth must be a positive number or 'cv', got {bandwidth!r}")
     elif bandwidth is None:
-        spread = float(np.std(z, ddof=1)) if z.size > 1 else 0.0
-        if spread <= 0.0:
-            raise EstimationError("covariate has no spread; pass a bandwidth explicitly")
-        bandwidth = spread * z.size ** (-0.2)
+        bandwidth = _rule_of_thumb(z)
     return z, values, float(bandwidth)
 
 

@@ -18,16 +18,23 @@ import numpy as np
 from .core import (
     DataError,
     EstimationError,
-    KernelScore,
     RawDataset,
     ScoredDataset,
     ScoreFunction,
+    _as_2d_float,
     fit_logistic,
     rng_from,
 )
 from .estimators import DEFAULT_MIN_DENOM, _empirical_mse_from_groups, ratio_estimate
 
 DEFAULT_GAMMA_GRID = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
+
+
+def _squared_distances(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|x_i - z_j|^2 per row pair, clipped at 0; pass one array twice for numpy's symmetric x x'."""
+    sq = np.sum(x**2, axis=1)[:, None] + np.sum(z**2, axis=1)[None, :] - 2.0 * (x @ z.T)
+    np.clip(sq, 0.0, None, out=sq)
+    return sq
 
 
 @dataclass(frozen=True)
@@ -40,8 +47,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in ("linear", "gaussian"):
             raise DataError(f"unknown kernel family {self.family!r}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise DataError("kernel bandwidth must be positive")
+        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
+            raise DataError("kernel bandwidth must be positive and finite")
 
     def matrix(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -50,13 +57,7 @@ class KernelSpec:
             return x @ z.T
         if self.bandwidth is None:
             raise EstimationError("gaussian kernel used before its bandwidth was resolved")
-        sq = (
-            np.sum(x**2, axis=1)[:, None]
-            + np.sum(z**2, axis=1)[None, :]
-            - 2.0 * (x @ z.T)
-        )
-        np.clip(sq, 0.0, None, out=sq)
-        return np.exp(-sq / (2.0 * self.bandwidth**2))
+        return np.exp(-_squared_distances(x, z) / (2.0 * self.bandwidth**2))
 
     def to_dict(self) -> dict:
         return {"family": self.family, "bandwidth": self.bandwidth}
@@ -66,17 +67,26 @@ class KernelSpec:
         return KernelSpec(family=payload["family"], bandwidth=payload.get("bandwidth"))
 
 
+@dataclass(frozen=True)
+class KernelScore(ScoreFunction):
+    """Kernel expansion g(x) = sum_i w_i K(x, anchor_i); saved only inside a selection JSON."""
+
+    weights: np.ndarray
+    anchors: np.ndarray
+    kernel: KernelSpec
+
+    def scores(self, features: np.ndarray) -> np.ndarray:
+        features = _as_2d_float(features, "features")
+        gram = self.kernel.matrix(features, self.anchors)
+        return (gram @ np.asarray(self.weights, dtype=float)).reshape(-1, 1)
+
+
 def median_bandwidth(features: np.ndarray) -> float:
     """Median pairwise Euclidean distance, the usual gaussian-width default."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
     if x.shape[0] < 2:
         raise EstimationError("median bandwidth needs at least two points")
-    sq = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(x**2, axis=1)[None, :]
-        - 2.0 * (x @ x.T)
-    )
-    np.clip(sq, 0.0, None, out=sq)
+    sq = _squared_distances(x, x)
     upper = np.sqrt(sq[np.triu_indices(x.shape[0], k=1)])
     value = float(np.median(upper))
     if value <= 0.0:
@@ -86,9 +96,11 @@ def median_bandwidth(features: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class KernelMatrices:
-    """Quadratic forms of the selection objective over one labeled sample."""
+    """Quadratic forms of the selection objective over one labeled sample.
 
-    m_sep: np.ndarray  # rank-one separation matrix (m1 - m0)(m1 - m0)'
+    The rank-one separation matrix is (mean1 - mean0)(mean1 - mean0)'; it is never formed.
+    """
+
     n_spread: np.ndarray  # prevalence-weighted within-class covariance
     mean0: np.ndarray  # kernel mean embedding of class 0 at the anchors
     mean1: np.ndarray
@@ -104,7 +116,8 @@ def build_matrices(
     row averages of the Gram matrix within each class, spreads the within-
     class covariances of its columns (a single-row class contributes zero
     spread).  ``theta_pilot`` weighs the class spreads the way the target
-    population would.
+    population would.  No n x n matrix is built beyond the Gram matrix and
+    the two class covariances.
     """
     if data.n_classes != 2:
         raise EstimationError("objective matrices are defined for binary data")
@@ -125,31 +138,29 @@ def build_matrices(
         counts.append(rows.shape[0])
     p0 = counts[0] / labeled.size
     p1 = counts[1] / labeled.size
-    diff = means[1] - means[0]
-    m_sep = np.outer(diff, diff)
     n_spread = (theta_pilot**2 / p1) * covs[1] + ((1.0 - theta_pilot) ** 2 / p0) * covs[0]
-    return KernelMatrices(m_sep=m_sep, n_spread=n_spread, mean0=means[0], mean1=means[1])
+    return KernelMatrices(n_spread=n_spread, mean0=means[0], mean1=means[1])
 
 
 def solve_weights(
-    m_sep: np.ndarray,
-    n_spread: np.ndarray,
-    mean0: np.ndarray,
-    mean1: np.ndarray,
-    gamma: float,
+    n_spread: np.ndarray, mean0: np.ndarray, mean1: np.ndarray, gamma: float
 ) -> np.ndarray:
     """Top generalized eigenvector of (M, N + gamma I), unit norm.
 
-    M is rank one, so the eigenvector is (N + gamma I)^{-1} (mean1 - mean0)
-    up to scale.  The sign is fixed so w'(mean1 - mean0) > 0.
+    M = (mean1 - mean0)(mean1 - mean0)' is rank one, so the eigenvector is
+    (N + gamma I)^{-1} (mean1 - mean0) up to scale.  The sign is fixed so
+    w'(mean1 - mean0) > 0.  ``n_spread`` must be d x d for means of length d.
     """
     if gamma < 0:
         raise EstimationError("regularization gamma must be nonnegative")
-    m_sep = np.asarray(m_sep, dtype=float)
     n_spread = np.asarray(n_spread, dtype=float)
-    if m_sep.shape != n_spread.shape:
-        raise EstimationError("separation and spread matrices must share a shape")
-    direction = np.asarray(mean1, dtype=float) - np.asarray(mean0, dtype=float)
+    mean0 = np.asarray(mean0, dtype=float)
+    mean1 = np.asarray(mean1, dtype=float)
+    if mean1.ndim != 1 or mean0.shape != mean1.shape or n_spread.shape != (mean1.size,) * 2:
+        raise EstimationError(
+            f"spread matrix {n_spread.shape} does not fit means {mean0.shape}, {mean1.shape}"
+        )
+    direction = mean1 - mean0
     if np.linalg.norm(direction) == 0.0:
         raise EstimationError("class kernel means coincide; no direction to solve along")
     regularized = n_spread + gamma * np.eye(n_spread.shape[0])
@@ -192,14 +203,24 @@ class RkhsSelection:
 
     @staticmethod
     def from_dict(payload: dict) -> "RkhsSelection":
-        return RkhsSelection(
-            weights=np.asarray(payload["weights"], dtype=float),
-            anchors=np.asarray(payload["anchors"], dtype=float),
-            kernel=KernelSpec.from_dict(payload["kernel"]),
-            gamma=float(payload["gamma"]),
-            objective=float(payload["objective"]),
-            theta_pilot=float(payload["theta_pilot"]),
-        )
+        """Read what :meth:`to_dict` wrote: every field, finite weights, one
+        per row of a finite 2-d anchor matrix.  :class:`DataError` if malformed."""
+        if not isinstance(payload, dict):
+            raise DataError(f"selection must be a JSON object, got {type(payload).__name__}")
+        try:
+            weights = np.asarray(payload["weights"], dtype=float)
+            anchors = np.asarray(payload["anchors"], dtype=float)
+            kernel = KernelSpec.from_dict(payload["kernel"])
+            scalars = [float(payload[key]) for key in ("gamma", "objective", "theta_pilot")]
+        except KeyError as exc:
+            raise DataError(f"selection has no {exc} field") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed selection: {exc}") from None
+        if weights.ndim != 1 or anchors.ndim != 2 or anchors.shape[0] != weights.size:
+            raise DataError(f"weights {weights.shape} do not match anchors {anchors.shape}")
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(anchors))):
+            raise DataError("selection weights and anchors must be finite")
+        return RkhsSelection(weights, anchors, kernel, *scalars)
 
 
 def stratified_split(
@@ -290,9 +311,7 @@ def select_g(
     best: tuple[float, float, np.ndarray] | None = None
     for gamma in gammas:
         try:
-            w = solve_weights(
-                matrices.m_sep, matrices.n_spread, matrices.mean0, matrices.mean1, gamma
-            )
+            w = solve_weights(matrices.n_spread, matrices.mean0, matrices.mean1, gamma)
             objective = _empirical_mse_from_groups(
                 eval_gram0 @ w, eval_gram1 @ w, theta_pilot, min_denom
             )

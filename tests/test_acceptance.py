@@ -136,7 +136,7 @@ class TestAcceptance:
             root = rng.normal(0.0, 1.0, (dim, dim))
             n_spread = root @ root.T
             gamma = float(rng.uniform(1e-6, 1.0))
-            w = solve_weights(m_sep, n_spread, mean0, mean1, gamma)
+            w = solve_weights(n_spread, mean0, mean1, gamma)
             reg = n_spread + gamma * np.eye(dim)
             lam = float(w @ m_sep @ w) / float(w @ reg @ w)
             max_residual = max(

@@ -252,6 +252,34 @@ class TestSelectG:
                            capsys)
         assert payload["kernel"]["family"] == "linear"
 
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda sel: {k: v for k, v in sel.items() if k != "weights"},
+                     id="missing-weights"),
+        pytest.param(lambda sel: [sel], id="list-not-object"),
+        pytest.param(lambda sel: {**sel, "weights": sel["weights"][:-3]}, id="three-weights-short"),
+        pytest.param(lambda sel: {**sel, "anchors": [row[:1] for row in sel["anchors"]]},
+                     id="one-column-anchors"),
+        pytest.param(lambda sel: {**sel, "weights": [float("nan")] * len(sel["weights"])},
+                     id="nan-weights"),
+        pytest.param(lambda sel: {**sel, "kernel": {"family": "cubic"}}, id="unknown-kernel"),
+        pytest.param(lambda sel: {**sel, "kernel": {"family": "gaussian", "bandwidth": float("nan")}},
+                     id="nan-bandwidth"),
+        pytest.param(lambda sel: {**sel, "gamma": "small"}, id="non-numeric-gamma"),
+    ])
+    def test_malformed_weights_file_exits_1_naming_it(self, blobs_csv, tmp_path, capsys,
+                                                     corrupt):
+        """Each file starts from a real select-g output on the same 2-feature data."""
+        good = str(tmp_path / "selection.json")
+        run_json(["select-g", blobs_csv] + self.BASE + ["--out", good], capsys)
+        with open(good) as handle:
+            selection = json.load(handle)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(corrupt(selection)))
+        code, out, err = run(["estimate", blobs_csv] + self.BASE + ["--weights", str(bad)],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
     def test_bad_weights_file_exits_1(self, eight_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -14,9 +14,6 @@ from quantify import (
     DataError,
     EstimationError,
     ExternalScore,
-    KernelScore,
-    KernelSpec,
-    LogisticScore,
     RawDataset,
     ScoredDataset,
     ScoreFunction,
@@ -606,35 +603,7 @@ class TestFitLogisticOvr:
 
 
 class TestScoreFunctionSerialization:
-    """to_dict / from_dict round trips for every score kind."""
-
-    def test_external_round_trip(self):
-        g = ExternalScore(columns=(1, 0))
-        clone = ScoreFunction.from_dict(g.to_dict())
-        assert isinstance(clone, ExternalScore)
-        assert clone.columns == (1, 0)
-
-    def test_logistic_round_trip(self):
-        g = LogisticScore(coef=np.array([[0.5, -1.0]]), intercept=np.array([0.25]))
-        clone = ScoreFunction.from_dict(g.to_dict())
-        x = rng_from(4).standard_normal((6, 2))
-        np.testing.assert_allclose(clone.scores(x), g.scores(x))
-
-    def test_rkhs_round_trip(self):
-        g = KernelScore(
-            weights=np.array([0.6, -0.8]),
-            anchors=np.array([[0.0], [1.0]]),
-            kernel=KernelSpec(family="gaussian", bandwidth=0.7),
-        )
-        payload = g.to_dict()
-        assert payload["kind"] == "rkhs"
-        clone = ScoreFunction.from_dict(payload)
-        x = np.linspace(-1.0, 2.0, 7).reshape(-1, 1)
-        np.testing.assert_allclose(clone.scores(x), g.scores(x))
-
-    def test_unknown_kind(self):
-        with pytest.raises(DataError, match="unknown score function kind"):
-            ScoreFunction.from_dict({"kind": "forest"})
+    """Checks on score functions built from names and column indices."""
 
     def test_external_column_out_of_range(self):
         g = ExternalScore(columns=(3,))

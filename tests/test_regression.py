@@ -222,8 +222,21 @@ class TestCvBandwidth:
             cv_bandwidth(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         with pytest.raises(EstimationError, match="positive"):
             cv_bandwidth(np.linspace(0, 1, 5), np.zeros(5), candidates=[0.0])
+        with pytest.raises(EstimationError, match="positive"):
+            cv_bandwidth(np.linspace(0, 1, 5), np.zeros(5), candidates=[np.nan])
         with pytest.raises(EstimationError, match="no spread"):
             cv_bandwidth(np.zeros(5), np.arange(5.0))
+
+    @pytest.mark.parametrize("candidates", [None, [0.1, 0.3]])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["z", "values"])
+    def test_non_finite_input(self, where, bad, candidates):
+        """One NaN value once ended in TypeError; a NaN covariate with explicit
+        candidates silently returned one of them."""
+        arrays = {"z": np.linspace(0.0, 1.0, 8), "values": np.arange(8.0)}
+        arrays[where][3] = bad
+        with pytest.raises(EstimationError, match="finite"):
+            cv_bandwidth(arrays["z"], arrays["values"], candidates)
 
 
 class TestRatioRegress:

@@ -67,8 +67,9 @@ class TestKernelSpec:
             KernelSpec(family="polynomial")
 
     def test_nonpositive_bandwidth(self):
-        with pytest.raises(DataError, match="positive"):
-            KernelSpec(family="gaussian", bandwidth=0.0)
+        for bandwidth in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(DataError, match="positive"):
+                KernelSpec(family="gaussian", bandwidth=bandwidth)
 
     def test_gaussian_needs_a_resolved_bandwidth(self):
         k = KernelSpec(family="gaussian")
@@ -103,8 +104,7 @@ class TestBuildMatrices:
         out = build_matrices(data, KernelSpec(family="linear"), theta_pilot=0.5)
         np.testing.assert_allclose(out.mean0, [0.0, 0.5, 1.0, 1.5])
         np.testing.assert_allclose(out.mean1, [0.0, 2.5, 5.0, 7.5])
-        diff = out.mean1 - out.mean0
-        np.testing.assert_allclose(out.m_sep, np.outer(diff, diff), atol=1e-12)
+        np.testing.assert_allclose(out.mean1 - out.mean0, [0.0, 2.0, 4.0, 6.0], atol=1e-12)
         # both class covariances equal outer(v, v) with v = (0, .5, 1, 1.5),
         # and the 0.5^2 / 0.5 prevalence weights sum them back to one copy
         v = np.array([0.0, 0.5, 1.0, 1.5])
@@ -115,7 +115,7 @@ class TestBuildMatrices:
         out = build_matrices(data, KernelSpec(family="linear"), theta_pilot=0.5)
         np.testing.assert_allclose(out.mean0, [1.0, 2.0])
         np.testing.assert_allclose(out.mean1, [2.0, 4.0])
-        np.testing.assert_allclose(out.m_sep, [[1.0, 2.0], [2.0, 4.0]])
+        np.testing.assert_allclose(out.mean1 - out.mean0, [1.0, 2.0])
         np.testing.assert_allclose(out.n_spread, 0.0, atol=1e-15)
 
     def test_identical_features_within_classes_zero_the_spread(self):
@@ -134,10 +134,14 @@ class TestBuildMatrices:
             out = build_matrices(
                 data, KernelSpec(family="gaussian", bandwidth=1.0), float(rng.random())
             )
-            np.testing.assert_allclose(out.m_sep, out.m_sep.T, atol=1e-12)
-            eigs = np.sort(np.linalg.eigvalsh(out.m_sep))
+            diff = out.mean1 - out.mean0
+            m_sep = np.outer(diff, diff)
+            np.testing.assert_allclose(m_sep, m_sep.T, atol=1e-12)
+            eigs = np.sort(np.linalg.eigvalsh(m_sep))
             assert eigs[0] > -1e-10
             assert np.all(np.abs(eigs[:-1]) < 1e-10)
+            np.testing.assert_allclose(out.n_spread, out.n_spread.T, atol=1e-12)
+            assert np.linalg.eigvalsh(out.n_spread)[0] > -1e-10
 
     def test_missing_class(self):
         data = RawDataset(
@@ -157,14 +161,14 @@ class TestSolveWeights:
 
     def test_identity_metric_returns_the_normalized_direction(self):
         v = np.array([3.0, 4.0])
-        w = solve_weights(np.outer(v, v), np.zeros((2, 2)), np.zeros(2), v, gamma=1.0)
+        w = solve_weights(np.zeros((2, 2)), np.zeros(2), v, gamma=1.0)
         np.testing.assert_allclose(w, [0.6, 0.8], atol=1e-12)
 
     def test_diagonal_metric_hand_case(self):
         """(N + I) = diag(2, 1) against direction (1, 1) tilts toward axis 2."""
         n_spread = np.diag([1.0, 0.0])
         v = np.array([1.0, 1.0])
-        w = solve_weights(np.outer(v, v), n_spread, np.zeros(2), v, gamma=1.0)
+        w = solve_weights(n_spread, np.zeros(2), v, gamma=1.0)
         expected = np.array([0.5, 1.0]) / np.linalg.norm([0.5, 1.0])
         np.testing.assert_allclose(w, expected, atol=1e-12)
         np.testing.assert_allclose(w, [0.4472, 0.8944], atol=1e-4)
@@ -178,7 +182,7 @@ class TestSolveWeights:
             n_spread = a @ a.T
             v = rng.standard_normal(dim)
             gamma = float(rng.uniform(0.05, 1.0))
-            w = solve_weights(np.outer(v, v), n_spread, np.zeros(dim), v, gamma)
+            w = solve_weights(n_spread, np.zeros(dim), v, gamma)
 
             regularized = n_spread + gamma * np.eye(dim)
             values, vectors = np.linalg.eig(np.linalg.solve(regularized, np.outer(v, v)))
@@ -197,7 +201,7 @@ class TestSolveWeights:
         gamma = 0.1
         m_sep = np.outer(v, v)
         regularized = n_spread + gamma * np.eye(6)
-        w = solve_weights(m_sep, n_spread, np.zeros(6), v, gamma)
+        w = solve_weights(n_spread, np.zeros(6), v, gamma)
         best = (w @ m_sep @ w) / (w @ regularized @ w)
         directions = rng.standard_normal((1000, 6))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -217,7 +221,7 @@ class TestSolveWeights:
             gamma = float(rng.uniform(0.01, 1.0))
             m_sep = np.outer(v, v)
             regularized = n_spread + gamma * np.eye(5)
-            w = solve_weights(m_sep, n_spread, np.zeros(5), v, gamma)
+            w = solve_weights(n_spread, np.zeros(5), v, gamma)
             lam = (w @ m_sep @ w) / (w @ regularized @ w)
             residual = np.linalg.norm(m_sep @ w - lam * (regularized @ w))
             assert residual < 1e-8
@@ -227,33 +231,39 @@ class TestSolveWeights:
         a = rng.standard_normal((4, 4))
         n_spread = a @ a.T
         v = rng.standard_normal(4)
-        w = solve_weights(np.outer(v, v), n_spread, np.zeros(4), v, gamma=0.2)
+        w = solve_weights(n_spread, np.zeros(4), v, gamma=0.2)
         for c in (0.001, 7.0, 4096.0):
-            scaled = solve_weights(
-                c * np.outer(v, v), c * n_spread, np.zeros(4), c * v / c, gamma=c * 0.2
-            )
+            scaled = solve_weights(c * n_spread, np.zeros(4), c * v / c, gamma=c * 0.2)
             np.testing.assert_allclose(scaled, w, atol=1e-9)
 
     def test_sign_convention(self):
         v = np.array([-2.0, 1.0])
-        w = solve_weights(np.outer(v, v), np.zeros((2, 2)), np.zeros(2), v, gamma=0.5)
+        w = solve_weights(np.zeros((2, 2)), np.zeros(2), v, gamma=0.5)
         assert w @ v > 0.0
 
     def test_negative_gamma(self):
         with pytest.raises(EstimationError, match="nonnegative"):
-            solve_weights(np.eye(2), np.eye(2), np.zeros(2), np.ones(2), gamma=-1.0)
+            solve_weights(np.eye(2), np.zeros(2), np.ones(2), gamma=-1.0)
 
     def test_singular_system(self):
         with pytest.raises(EstimationError, match="singular"):
-            solve_weights(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), np.ones(2), gamma=0.0)
+            solve_weights(np.zeros((2, 2)), np.zeros(2), np.ones(2), gamma=0.0)
 
     def test_coincident_means(self):
         with pytest.raises(EstimationError, match="coincide"):
-            solve_weights(np.zeros((2, 2)), np.eye(2), np.ones(2), np.ones(2), gamma=0.1)
+            solve_weights(np.eye(2), np.ones(2), np.ones(2), gamma=0.1)
 
     def test_shape_mismatch(self):
-        with pytest.raises(EstimationError, match="share a shape"):
-            solve_weights(np.eye(3), np.eye(2), np.zeros(2), np.ones(2), gamma=0.1)
+        """The spread matrix must be d x d for means of length d."""
+        for n_spread, mean0, mean1 in [
+            (np.eye(3), np.zeros(2), np.ones(2)),
+            (np.eye(2), np.zeros(3), np.ones(3)),
+            (np.eye(2), np.zeros(2), np.ones(3)),
+            (np.ones(2), np.zeros(2), np.ones(2)),
+            (np.eye(2), np.zeros((1, 2)), np.ones((1, 2))),
+        ]:
+            with pytest.raises(EstimationError, match="does not fit means"):
+                solve_weights(n_spread, mean0, mean1, gamma=0.1)
 
 
 class TestCandidateGammas:
