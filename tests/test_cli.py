@@ -1,10 +1,15 @@
 """End-to-end command line tests: everything runs in-process via main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quantify
 from quantify import rng_from
 from quantify.cli import main
 
@@ -145,6 +150,8 @@ class TestEstimate:
         ("s,y,g\n1,0,0.1\n1,1,inf\n", ":3: non-finite feature value"),
         ("s,y,g\n1,0,0.1\n1,99999999999999999999,0.9\n0,,0.5\n",
          ":3: label '99999999999999999999' out of range"),
+        pytest.param('s,y,g\n1,0,0.1\n1,1,"0.9\n' + "0,,0.5\n" * 20000,
+                     ":18728: field larger than field limit (131072)", id="unterminated-quote"),
     ])
     def test_malformed_file_exits_1_naming_the_line(self, tmp_path, capsys, text, where):
         path = tmp_path / "bad.csv"
@@ -165,6 +172,30 @@ class TestEstimate:
                               "--score-col", "g"], capsys)
         assert (code, out) == (1, "")
         assert err == f"error: {path}{where}\n"
+
+    def test_header_only_file_writes_nothing_but_the_error(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("s,y,g\n")
+        src = str(Path(quantify.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-m", "quantify.cli", *ESTIMATE, str(path)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: need at least two observed classes to quantify\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_reads_a_pipe(self, tmp_path, capsys):
+        rng = rng_from(5)
+        rows = [f"{i % 2},{i // 2 % 2 if i % 2 else ''},{rng.random()!r}" for i in range(2000)]
+        text = "s,y,g\n" + "\n".join(rows) + "\n"  # several read buffers long
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        expected = run([*ESTIMATE, str(path)], capsys)
+        src = str(Path(quantify.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-m", "quantify.cli", *ESTIMATE, "/dev/stdin"],
+                              input=text, capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout, done.stderr) == expected
 
     def test_separability_violation_exits_2(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"

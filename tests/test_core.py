@@ -2,6 +2,7 @@
 
 import csv
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,36 +120,71 @@ BAD_NUMBERS = st.sampled_from(["oops", "", "1.0.0", "1__0", "0x1"])
 
 
 @st.composite
-def decorated(draw, cells):
-    """A cell as written: bare, padded, quoted, or quoted across two lines."""
+def decorated(draw, cells, hazards=False):
+    """A cell as written: bare, padded, quoted, or quoted across two lines.
+
+    With ``hazards``, also padded with Unicode whitespace, or quoted in ways that
+    ``csv.reader`` reads as text around the quotes.
+    """
     text = draw(cells)
-    style = draw(st.sampled_from(["bare", "bare", "bare", "padded", "quoted", "multiline"]))
+    styles = ["bare", "bare", "bare", "padded", "quoted", "multiline"]
+    style = draw(st.sampled_from(styles + ["unicode", "space-quote", "quote-space"] * hazards))
+    if style == "unicode":
+        pad = draw(st.sampled_from(UNICODE_SPACES))
+        return f"{pad}{text}{pad}"
     return {"bare": text, "padded": f" {text} ", "quoted": f'"{text}"',
-            "multiline": f'"{text}\n"'}[style]
+            "multiline": f'"{text}\n"', "space-quote": f' "{text}"',
+            "quote-space": f'"{text}" '}[style]
+
+
+# Cells and lines on which numpy's reader and csv.reader + float() may part ways.
+UNICODE_SPACES = ["\xa0", "\u2003", "\u3000", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+HAZARD_NUMBERS = st.sampled_from(
+    ["1e400", "-1e400", "1e-400", "4.9e-324", "0x1p3", "1_0", "inf", "nan", "\u0661", "1d5", "1,5"])
+HAZARD_CELLS = {
+    "s": st.sampled_from(["1.0", "+1", "01", "0.0", "1e0", "\u0661"]),
+    "y": st.sampled_from(["9007199254740992", "9007199254740993", "-9007199254740993",
+                          "18446744073709551616", "1.0", "-0", "+1", "\u0661"]),
+}
+HAZARD_LINES = st.sampled_from([" ", "\t", "\xa0", "#", "# note", "#1,0,1", "\x0c", '""', ","])
+TEXT_CELLS = st.sampled_from(["abc", "", "1.5", "#", "n/a"])
 
 
 @st.composite
-def csv_cases(draw):
+def csv_cases(draw, hazards=False):
     """CSV text (unique header names, one cell per header column in every row) and a schema.
 
-    Rows are valid until up to two cells are overwritten with bad values.
+    Rows are valid until up to two cells are overwritten with bad values.  With
+    ``hazards``, those two cells, the lines between records, one record's cell
+    count and the line endings also draw on what numpy's reader may treat
+    differently from ``csv.reader``, and a text column ``t`` may appear.
     """
     xs = [f"x{j}" for j in range(1, draw(st.integers(1, 3)) + 1)]
     label, score, covariate = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    text = hazards and draw(st.sampled_from([False, False, True]))
     columns = draw(st.permutations(
-        ["s", *xs] + ["y"] * label + ["g"] * score + ["z"] * covariate))
+        ["s", *xs] + ["y"] * label + ["g"] * score + ["z"] * covariate + ["t"] * text))
+    cells = NUMBER_CELLS.filter(lambda cell: "_" not in cell) if hazards else NUMBER_CELLS
+    bad_numbers = st.one_of(BAD_NUMBERS, HAZARD_NUMBERS, cells) if hazards else BAD_NUMBERS
     rows = []
-    for _ in range(draw(st.integers(0, 8))):
+    n_rows = st.sampled_from(range(9)) if hazards else st.integers(0, 8)
+    for _ in range(draw(n_rows)):
         s = draw(st.sampled_from(["0", "1"] if label else ["0"]))
         classes = ["0", "1", " 1 "] if s == "1" else ["", "", "0", "1"]
-        valid = {"s": st.sampled_from([s, f" {s}", f"{s} "]), "y": st.sampled_from(classes)}
-        rows.append([draw(decorated(valid.get(c, NUMBER_CELLS))) for c in columns])
+        valid = {"s": st.sampled_from([s, f" {s}", f"{s} "]), "y": st.sampled_from(classes),
+                 "t": TEXT_CELLS}
+        rows.append([draw(decorated(valid.get(c, cells))) for c in columns])
+    bad = {c: st.one_of(BAD_CELLS[c], HAZARD_CELLS[c]) if hazards else BAD_CELLS[c] for c in "sy"}
     for _ in range(draw(st.integers(0, 2)) if rows else 0):  # corrupt up to two cells
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(columns) - 1))
-        rows[i][j] = draw(decorated(BAD_CELLS.get(columns[j], BAD_NUMBERS)))
+        rows[i][j] = draw(decorated(bad.get(columns[j], bad_numbers), hazards))
+    if hazards and rows and draw(st.integers(0, 3)) == 0:  # a ragged record or a trailing delimiter
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = draw(st.sampled_from([rows[i] + ["0"], rows[i][:-1], rows[i] + [""]]))
     feature_columns = None
     if draw(st.booleans()):
-        feature_columns = tuple(draw(st.lists(st.sampled_from(xs + ["s"]), min_size=1, max_size=3)))
+        choices = xs + ["s"] + ["y"] * (hazards and label)
+        feature_columns = tuple(draw(st.lists(st.sampled_from(choices), min_size=1, max_size=3)))
     schema = CsvSchema(
         set_column="s",
         label_column="y" if label else None,
@@ -156,12 +192,17 @@ def csv_cases(draw):
         score_columns=("g",) if score and draw(st.booleans()) else (),
         covariate_column="z" if covariate and draw(st.booleans()) else None,
     )
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n"] + ["\r"] * hazards))
     lines = [",".join(columns), *map(",".join, rows)]
     blanks = draw(st.lists(st.integers(1, len(lines)), max_size=2, unique=True))
     for at in sorted(blanks, reverse=True):
-        lines.insert(at, "")
+        lines.insert(at, draw(HAZARD_LINES) if hazards and draw(st.booleans()) else "")
     return end.join(lines) + end, schema, bool(blanks)
+
+
+def decline(*args):
+    """Stands in for ``core._fast_columns`` so that ``load_csv`` takes its exact path."""
+    return None
 
 
 def load_outcome(load, path, schema):
@@ -172,8 +213,23 @@ def load_outcome(load, path, schema):
         return str(exc)
 
 
+def assert_same_outcome_both_ways(path, schema):
+    """``load_csv`` gives the dataset or message it gives with its numpy reader switched off."""
+    actual = load_outcome(load_csv, path, schema)
+    with mock.patch.object(core, "_fast_columns", decline):
+        expected = load_outcome(load_csv, path, schema)
+    if isinstance(expected, RawDataset):
+        assert isinstance(actual, RawDataset), actual
+        assert_same_dataset(actual, expected)
+    else:
+        assert actual == expected
+
+
 def bits(arr):
-    return None if arr is None else (arr.dtype, arr.shape, arr.view(np.int64).tolist())
+    """Everything that can change a later result: BLAS sums in another order over another layout."""
+    if arr is None:
+        return None
+    return arr.dtype, arr.shape, arr.flags.c_contiguous, arr.view(np.int64).tolist()
 
 
 def assert_same_dataset(actual: RawDataset, expected: RawDataset) -> None:
@@ -392,11 +448,28 @@ class TestLoadCsv:
         data = load_csv(path, CsvSchema(set_column="s", label_column="y"))
         np.testing.assert_array_equal(data.features, [[0.25], [-300.0]])
 
+    def test_plain_file_takes_the_fast_path(self, tmp_path, monkeypatch):
+        def refuse(self, rows):
+            raise AssertionError("the exact path ran")
+
+        rng = rng_from(3)
+        lines = ["s,y,x1,x2,g,z"]
+        for i in range(100):
+            s, y = i % 2, (i // 2) % 2
+            x1, x2, g, z = rng.normal(size=4).tolist()
+            lines.append(f"{s},{y if s else ''},{x1!r},{x2:.6f},{g:.3e},{z!r}")
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        schema = CsvSchema(set_column="s", label_column="y", score_columns=("g",), covariate_column="z")
+        expected = reference_load_csv(path, schema)
+        monkeypatch.setattr(core._Layout, "columns", refuse)
+        assert_same_dataset(load_csv(path, schema), expected)
+
     def test_file_that_changes_between_passes(self, tmp_path, monkeypatch):
         def refuse(self, rows):
             raise ValueError
 
         path = self.write(tmp_path, "x,y,s\n1.0,0,1\n")
+        monkeypatch.setattr(core, "_fast_columns", decline)
         monkeypatch.setattr(core._Layout, "columns", refuse)
         with pytest.raises(DataError, match="changed while it was being read"):
             load_csv(path, CsvSchema(set_column="s", label_column="y"))
@@ -421,6 +494,76 @@ class TestLoadCsvMatchesReference:
             if blank_lines or "\n\"" in text:  # the reference counts rows, not lines
                 expected, actual = (re.sub(r":\d+:", ":", m) for m in (expected, actual))
             assert actual == expected
+
+
+LABELED, PLAIN = CsvSchema("s", label_column="y"), CsvSchema("s")
+
+
+class TestLoadCsvFastPath:
+    """The numpy reader against the exact path on text built to tell them apart."""
+
+    @EXACTNESS
+    @given(case=csv_cases(hazards=True), limit=st.sampled_from([None, None, None, 8, 24]))
+    def test_same_dataset_or_same_message(self, tmp_path_factory, case, limit):
+        text, schema, _ = case
+        path = str(tmp_path_factory.mktemp("csv") / "data.csv")
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.write(text)
+        default = csv.field_size_limit()
+        try:
+            if limit is not None:  # cells longer than the limit: csv.reader refuses them
+                csv.field_size_limit(limit)
+            assert_same_outcome_both_ways(path, schema)
+        finally:
+            csv.field_size_limit(default)
+
+    def test_cell_longer_than_the_csv_field_limit(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("s,x\n0,1" + " " * csv.field_size_limit() + "\n0,2\n")
+        with pytest.raises(DataError, match=r"data\.csv:2: field larger than field limit \(\d+\)$"):
+            load_csv(str(path), PLAIN)
+
+    @pytest.mark.parametrize("text, schema", [
+        ("s,y,x\n1,0,1\n1,1,2\n0,9007199254740993,3\n", LABELED),
+        ("s,y,x\n1,0,1\n1,1,2\n0,-9007199254740993,3\n", LABELED),
+        ("s,y,x\n1,0,1\n1,1,2\n0,9007199254740992,3\n", LABELED),
+        ("s,x\n0,\x1c1\n", PLAIN),
+        ("s,x\n0,1\x1f\n", PLAIN),
+        ("s,y\n1,0\n1,1\n0,\n", CsvSchema("s", label_column="y", feature_columns=("y",))),
+        ("s,y\n1,-0\n1,1\n", CsvSchema("s", label_column="y", feature_columns=("y",))),
+        ("s,y\n1,0\n1,1\n", CsvSchema("s", label_column="y", feature_columns=("y",))),
+        ("s,y,x\n1,0,1\n0,1,2\n", CsvSchema("s", label_column="y", covariate_column="y")),
+        ("s,x\n1,1\n0,2\n", CsvSchema("s", label_column="s")),
+        ("s,y,x\n1,0,1\n1,,2\n", LABELED),
+        ("s,y,x\n1,0,nan\n", LABELED),
+        ("s,y,x\n1,0,1e400\n", LABELED),
+        ("s,x,z\n0,1,-inf\n", CsvSchema("s", covariate_column="z")),
+        ("s,x\n0,1\n#\n0,2\n", PLAIN),
+        ("s,x\n0,1#\n", PLAIN),
+        ("s,x\n0,1\n \n", PLAIN),
+        ("s,x\n0,1\n\x0c\n", PLAIN),
+        ('s,x\n0,1\n""\n', PLAIN),
+        ("s,x\r0,1\r\r0,2\r", PLAIN),
+        ("s,x\r\n0,1\r\n", PLAIN),
+        ("s,x\n0,\xa01\xa0\n0,\u20032\n", PLAIN),
+        ("s,x\n0,1,2\n", PLAIN),
+        ("s,x\n0,1\n0\n", PLAIN),
+        ("s,x\n0,1,\n", PLAIN),
+        ("s,x\n1.0,1\n", PLAIN),
+        ("s,x\n +1,1\n", PLAIN),
+        ("s,x,t\n0,1,abc\n", CsvSchema("s", feature_columns=("x",))),
+        ("s,x\n", PLAIN),
+        ("s,x\n0,1_0\n", PLAIN),
+        ("s,x\n0,0x1p3\n", PLAIN),
+        ('s,x\n0,"1\n"\n0,"2\r\n"\n', PLAIN),
+        ('s,x\n0,"1" \n0, "2"\n', PLAIN),
+        ("\ufeffs,x\n0,1\n", PLAIN),
+        ("s,x\n0,\u0661\n", PLAIN),
+    ])
+    def test_hand_cases(self, tmp_path, text, schema):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert_same_outcome_both_ways(str(path), schema)
 
 
 class TestScoreDataset:
