@@ -75,9 +75,9 @@ class RawDataset:
             raise DataError("labels must be -1 (missing) or nonnegative")
         if np.any((sets == 1) & (labels < 0)):
             raise DataError("labeled rows must carry a class label")
-        observed = np.unique(labels[labels >= 0])
-        if observed.size and not np.array_equal(observed, np.arange(observed.size)):
-            raise DataError(f"non-contiguous labels {observed.tolist()}; classes must be 0..k")
+        observed = np.sort(labels[labels >= 0])  # not np.unique: its first call imports numpy.ma
+        if observed.size and (observed[0] != 0 or np.any(np.diff(observed) > 1)):
+            raise DataError(f"non-contiguous labels {np.unique(observed).tolist()}; classes must be 0..k")
         covariate = self.covariate
         if covariate is not None:
             covariate = np.asarray(covariate, dtype=float)
@@ -308,13 +308,15 @@ def _label_code(cell: str) -> int:
     return label
 
 
-def _raise_first_bad_row(path: str, layout: _Layout) -> NoReturn:
-    """Re-read ``path`` and raise the :class:`DataError` of its first bad record."""
-    with _csv_records(path) as (reader, _):
-        for row in filter(None, reader):
-            problem = layout.problem(row)
-            if problem is not None:
-                raise DataError(f"{path}:{reader.line_num}: {problem}")
+def _raise_first_bad_row(path: str, layout: _Layout, numbered=None) -> NoReturn:
+    """Raise the :class:`DataError` of the first bad (line, record) in ``numbered``, or in ``path`` read again."""
+    if numbered is None:
+        with _csv_records(path) as (reader, _):
+            _raise_first_bad_row(path, layout, ((reader.line_num, row) for row in filter(None, reader)))
+    for line, row in numbered:
+        problem = layout.problem(row)
+        if problem is not None:
+            raise DataError(f"{path}:{line}: {problem}")
     raise DataError(f"{path}: file changed while it was being read")
 
 
@@ -458,11 +460,13 @@ def load_csv(path: str, schema: CsvSchema) -> RawDataset:
             raise
         columns = _fast_columns(path, header_line, layout)
         if columns is None:
-            rows = list(filter(None, reader))  # skip blank records
+            # blank records are skipped; a pipe cannot be read again to find a bad record's line
+            numbered = None if os.path.isfile(path) else [(reader.line_num, row) for row in reader if row]
+            rows = list(filter(None, reader)) if numbered is None else [row for _, row in numbered]
             try:
                 columns = layout.columns(rows)
             except ValueError:
-                _raise_first_bad_row(path, layout)
+                _raise_first_bad_row(path, layout, numbered)
     features, labels, sets, covariate = columns
     return RawDataset(
         features=features,

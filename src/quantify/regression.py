@@ -9,6 +9,7 @@ gives the uncorrected classify-and-count curve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ def nadaraya_watson(
 
 
 _CV_BLOCK = 256
+_CV_REACH = 40.0  # bandwidths; farther apart, -0.5 * (d / h) ** 2 < -800 and exp gives 0.0
 
 
 def _rule_of_thumb(z: np.ndarray) -> float:
@@ -60,9 +62,10 @@ def cv_bandwidth(z: np.ndarray, values: np.ndarray, candidates=None) -> float:
     Each candidate is scored by the mean squared error of predicting every
     point from all the others; ties go to the smallest candidate.  The
     default candidates scale sd(z) * n^(-1/5) by powers of two.  For n points
-    and k distinct candidates it takes O(n^2/2 * k) time, computing each
-    symmetric kernel weight once per candidate, and O(block^2 + k * n)
-    memory, with 256 x 256 blocks.
+    and k distinct candidates it takes at most O(n^2/2 * k) time, computing
+    each symmetric kernel weight once per candidate with the smoother's bits,
+    and O(block^2 + k * n) memory, with 256 x 256 blocks of the points sorted
+    by z; block pairs more than 40 bandwidths apart (all weights 0.0) are skipped.
     """
     z = np.asarray(z, dtype=float).ravel()
     values = np.asarray(values, dtype=float).ravel()
@@ -84,50 +87,73 @@ def cv_bandwidth(z: np.ndarray, values: np.ndarray, candidates=None) -> float:
     return float(best_h)
 
 
+def _shared_bases(hs: list[float]) -> tuple[list[float], list[float]]:
+    """Per candidate, the base b and factor f of its exponent f * (d / b) ** 2: min(hs) and
+    -0.5 * 4**-k if every h is exactly min(hs) * 2**k with k <= 64, else h and -0.5."""
+    h0 = min(hs)
+    ratios = [math.ldexp(1.0, math.frexp(h / h0)[1] - 1) for h in hs]
+    if any(h0 * r != h or r > 2.0**64 for h, r in zip(hs, ratios)):
+        return list(hs), [-0.5] * len(hs)
+    return [h0] * len(hs), [-0.5 / r**2 for r in ratios]
+
+
 def _cv_errors(z: np.ndarray, values: np.ndarray, hs: list[float]) -> np.ndarray:
     """Leave-one-out sum of squared errors of the local average, per bandwidth.
 
-    The weight matrix is symmetric, so only the block pairs (I, J) with
-    J >= I are evaluated: each block adds its rows to the sums of rows I and,
-    off the diagonal, its columns to the sums of rows J.  The difference
-    block is shared by every bandwidth.
+    Points are sorted by z (stably), and the sums put back in input order.
+    Only block pairs (I, J >= I) are evaluated, adding rows to the sums of I
+    and, off the diagonal, columns to those of J.  A candidate with (first z
+    of J - last z of I) / h > 40 skips the pair (every weight 0.0), and once
+    all do, the rest of the row.  Candidates h0 * 2**k share (d / h0) ** 2 per
+    block, scaled by -0.5 * 4**-k, exactly: in the normal range a power of two
+    commutes with each correctly rounded step; below it both arguments are
+    under 2**-1021 in size and exp gives 1.0; where d / h0 or its square
+    overflows, k <= 64 keeps d / h above 40 and both weights are 0.0.
     """
     n = z.size
-    numer = np.zeros((len(hs), n))
-    total = np.zeros((len(hs), n))
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
+    columns = np.column_stack([values[order], np.ones(n)])  # weights @ columns: numerator, total
+    sums = np.zeros((len(hs), n, 2))
+    bases, factors = _shared_bases(hs)
     # flat buffers, so that every block view of them is contiguous
     diff_buf = np.empty(_CV_BLOCK * _CV_BLOCK)
+    square_buf = np.empty(_CV_BLOCK * _CV_BLOCK)
     weight_buf = np.empty(_CV_BLOCK * _CV_BLOCK)
     for i0 in range(0, n, _CV_BLOCK):
         rows = slice(i0, min(i0 + _CV_BLOCK, n))
         for j0 in range(i0, n, _CV_BLOCK):
             cols = slice(j0, min(j0 + _CV_BLOCK, n))
+            gap = zs[j0] - zs[rows.stop - 1] if j0 != i0 else 0.0
+            active = [c for c, h in enumerate(hs) if not gap / h > _CV_REACH]
+            if not active:
+                break
             shape = (rows.stop - i0, cols.stop - j0)
             size = shape[0] * shape[1]
-            diff = np.subtract(z[rows, None], z[None, cols], out=diff_buf[:size].reshape(shape))
+            # z_j - z_i is exactly -(z_i - z_j), so this block also serves the pairs (j, i)
+            diff = np.subtract(zs[rows, None], zs[None, cols], out=diff_buf[:size].reshape(shape))
+            square = square_buf[:size].reshape(shape)
             weights = weight_buf[:size].reshape(shape)
-            for c, h in enumerate(hs):
-                # exp(-0.5 * ((z_i - z_j) / h) ** 2) step by step, so each
-                # weight has the smoother's bits; z_j - z_i is exactly
-                # -(z_i - z_j), so this block also serves the pairs (j, i)
-                np.divide(diff, h, out=weights)
-                np.square(weights, out=weights)
-                np.multiply(weights, -0.5, out=weights)
+            base = None
+            for c in active:
+                if bases[c] != base:
+                    base = bases[c]
+                    np.square(np.divide(diff, base, out=square), out=square)
+                np.multiply(square, factors[c], out=weights)
                 np.exp(weights, out=weights)
                 if i0 == j0:
                     np.fill_diagonal(weights, 0.0)
-                numer[c, rows] += weights @ values[cols]
-                total[c, rows] += weights.sum(axis=1)
+                sums[c, rows] += weights @ columns[cols]
                 if i0 != j0:
-                    numer[c, cols] += values[rows] @ weights
-                    total[c, cols] += weights.sum(axis=0)
+                    sums[c, cols] += weights.T @ columns[rows]
+    numer, total = np.moveaxis(sums[:, np.argsort(order)], 2, 0)  # back in input order
     errors = np.empty(len(hs))
     for c in range(len(hs)):
         preds = np.divide(numer[c], total[c], out=np.zeros(n), where=total[c] > 0)
         empty = np.flatnonzero(total[c] == 0.0)
         # an all-underflow row falls back to its nearest neighbour, as the
         # smoother itself would; predicting the held-out value would declare
-        # every vanishing bandwidth perfect
+        # every vanishing bandwidth perfect; in input order, so ties go as there
         step = max(1, _CV_BLOCK * _CV_BLOCK // n)  # about a block of gaps at a time
         for start in range(0, empty.size, step):
             stranded = empty[start:start + step]

@@ -28,13 +28,32 @@ from .core import (
 from .estimators import DEFAULT_MIN_DENOM, _empirical_mse_from_groups, ratio_estimate
 
 DEFAULT_GAMMA_GRID = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
+_GRAM_ROWS = 128  # rows per block of the in-place passes over a Gram matrix
 
 
-def _squared_distances(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """|x_i - z_j|^2 per row pair, clipped at 0; pass one array twice for numpy's symmetric x x'."""
-    sq = np.sum(x**2, axis=1)[:, None] + np.sum(z**2, axis=1)[None, :] - 2.0 * (x @ z.T)
-    np.clip(sq, 0.0, None, out=sq)
-    return sq
+def _squared_distances(x: np.ndarray, z: np.ndarray, bandwidth: float | None = None) -> np.ndarray:
+    """|x_i - z_j|^2 per row pair, clipped at 0, or with a bandwidth the gaussian kernel; pass one
+    array twice for numpy's symmetric x x'.  x @ z' is made whole (BLAS bits depend on how rows
+    are grouped), then turned into the result in place by blocks of rows, bit for bit."""
+    out = x @ z.T
+    sx = np.sum(x**2, axis=1)[:, None]
+    sz = np.sum(z**2, axis=1)
+    for start in range(0, out.shape[0], _GRAM_ROWS):
+        block = out[start : start + _GRAM_ROWS]
+        np.multiply(block, 2.0, out=block)
+        np.subtract(sx[start : start + _GRAM_ROWS] + sz, block, out=block)
+        np.clip(block, 0.0, None, out=block)
+        if bandwidth is not None:
+            np.divide(block, -2.0 * bandwidth**2, out=block)  # the bits of -block / (2 h^2)
+            np.exp(block, out=block)
+    return out
+
+
+def _middle(values: np.ndarray) -> np.ndarray:
+    """What np.median averages: the middle one or two of ``values``, or a NaN; partitions in place."""
+    lo, hi = (values.size - 1) // 2, values.size // 2
+    values.partition([lo, hi, -1])
+    return values[-1:] if np.isnan(values[-1]) else values[lo : hi + 1]
 
 
 @dataclass(frozen=True)
@@ -57,7 +76,7 @@ class KernelSpec:
             return x @ z.T
         if self.bandwidth is None:
             raise EstimationError("gaussian kernel used before its bandwidth was resolved")
-        return np.exp(-_squared_distances(x, z) / (2.0 * self.bandwidth**2))
+        return _squared_distances(x, z, self.bandwidth)
 
     def to_dict(self) -> dict:
         return {"family": self.family, "bandwidth": self.bandwidth}
@@ -87,8 +106,8 @@ def median_bandwidth(features: np.ndarray) -> float:
     if x.shape[0] < 2:
         raise EstimationError("median bandwidth needs at least two points")
     sq = _squared_distances(x, x)
-    upper = np.sqrt(sq[np.triu_indices(x.shape[0], k=1)])
-    value = float(np.median(upper))
+    upper = np.concatenate([row[i + 1 :] for i, row in enumerate(sq)])
+    value = float(np.mean(np.sqrt(_middle(upper))))  # sqrt is monotone and correctly rounded
     if value <= 0.0:
         raise EstimationError("median pairwise distance is zero; features are degenerate")
     return value
@@ -249,7 +268,7 @@ def candidate_gammas(n_spread: np.ndarray, grid=None) -> tuple[float, ...]:
     else:
         values = list(DEFAULT_GAMMA_GRID)
         eigenvalues = np.linalg.eigvalsh(n_spread)
-        median = float(np.median(eigenvalues))
+        median = float(np.mean(_middle(eigenvalues)))
         if np.isfinite(median) and median > 0.0:
             values.append(median)
     unique = sorted(set(values))

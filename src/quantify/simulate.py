@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -424,6 +423,7 @@ def _run_cells(cells: list[ScenarioSpec], replicate, replicates: int, seed: int)
     if workers <= 1:
         outcomes = [replicate(*payload) for payload in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here, so the CLI loads no multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, len(payloads) // (4 * workers))
             outcomes = list(pool.map(replicate, *zip(*payloads), chunksize=chunksize))

@@ -197,6 +197,16 @@ class TestEstimate:
                               env={**os.environ, "PYTHONPATH": src})
         assert (done.returncode, done.stdout, done.stderr) == expected
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_bad_record_in_a_pipe_exits_1_naming_the_line(self):
+        """The pipe cannot be read again to find the line; it was reported as empty."""
+        src = str(Path(quantify.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-m", "quantify.cli", *ESTIMATE, "/dev/stdin"],
+                              input="s,y,g\n1,0,0.1\n1,1,oops\n", capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: /dev/stdin:3: non-numeric feature value\n"
+
     def test_separability_violation_exits_2(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("s,y,g\n1,0,0.5\n1,0,0.5\n1,1,0.5\n1,1,0.5\n0,,0.5\n0,,0.5\n")
@@ -473,3 +483,27 @@ class TestSimulate:
         code, _, err = run(self.MSE + ["--out", "/no/such/dir/x.csv"], capsys)
         assert code == 1
         assert "cannot write" in err
+
+
+@pytest.mark.parametrize("command", ["import", "estimate", "estimate-fit", "select-g", "regress"])
+def test_commands_load_neither_multiprocessing_nor_numpy_ma(command, eight_csv, blobs_csv,
+                                                             curve_csv, tmp_path):
+    """Each costs 10-40 ms of start-up: the pool is imported where a study uses
+    it, and np.unique and np.median import numpy.ma on their first call."""
+    weights = str(tmp_path / "g.json")
+    runs = {
+        "import": [],
+        "estimate": [[*ESTIMATE, eight_csv, "--ci", "0.95"]],
+        "estimate-fit": [["estimate", blobs_csv, "--set-col", "s", "--label-col", "y"]],
+        "select-g": [["select-g", blobs_csv, *TestSelectG.BASE, "--out", weights],
+                     ["estimate", blobs_csv, *TestSelectG.BASE, "--weights", weights]],
+        "regress": [["regress", curve_csv, *TestRegress.BASE, "--bandwidth", "cv"]],
+    }[command]
+    script = "import sys\nfrom quantify.cli import main\n"
+    script += "".join(f"assert main({argv!r}) == 0\n" for argv in runs)
+    script += "print(sorted({'multiprocessing', 'numpy.ma'} & set(sys.modules)))\n"
+    src = str(Path(quantify.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

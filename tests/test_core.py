@@ -311,6 +311,19 @@ class TestRawDataset:
         with pytest.raises(DataError, match="non-contiguous"):
             RawDataset(features=[[1.0], [2.0]], labels=[0, 2], set_indicator=[1, 1])
 
+    @pytest.mark.parametrize("labels, observed", [
+        ([2, 0, 2, 5, -1], [0, 2, 5]), ([1, 1], [1]), ([3, 1, 2], [1, 2, 3]), ([0, 0, 2**62], [0, 2**62]),
+    ])
+    def test_non_contiguous_labels_are_listed(self, labels, observed):
+        with pytest.raises(DataError) as info:
+            RawDataset(features=np.zeros((len(labels), 1)), labels=labels, set_indicator=np.zeros(len(labels)))
+        assert str(info.value) == f"non-contiguous labels {observed}; classes must be 0..k"
+
+    @pytest.mark.parametrize("labels", [[-1, -1], [0], [1, 0, 1, 2, 0, -1], [0, 1, 1, 1]])
+    def test_contiguous_labels_are_accepted(self, labels):
+        data = RawDataset(features=np.zeros((len(labels), 1)), labels=labels, set_indicator=np.zeros(len(labels)))
+        assert data.n_classes == max(labels) + 1
+
     def test_covariate_must_match_rows(self):
         with pytest.raises(DataError, match="covariate"):
             RawDataset(

@@ -1,5 +1,6 @@
 """Prevalence-curve tests: local averaging, bandwidth choice, both correctors."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,8 @@ from quantify import (
     ratio_regress,
     rng_from,
 )
-from quantify.regression import _cv_errors
+from quantify import regression
+from quantify.regression import _cv_errors, _shared_bases
 
 SCORE = ExternalScore(columns=(0,))
 
@@ -74,11 +76,29 @@ def cv_problems(draw):
         values = np.full(n, draw(st.floats(-3.0, 3.0)))
     else:
         values = np.sin(6.0 * z) + rng.normal(0.0, draw(st.sampled_from([0.01, 1.0])), n)
+    z = z * draw(st.sampled_from([1.0, 1.0, 1e-150, 1e-20, 1e20, 1e150]))
     spread = float(np.std(z, ddof=1))
     base = spread * n ** (-0.2) if spread > 0 else 1.0
-    factors = draw(st.lists(st.sampled_from([1e-4, 1e-3, 0.25, 0.5, 1.0, 2.0, 4.0]),
+    # factors 0.25 to 4.0 alone share one exponent per block; with 1e-4, 1e-3, 0.3, 1.7
+    # or 3.0 among them, each candidate takes its own
+    factors = draw(st.lists(st.sampled_from([1e-4, 1e-3, 0.25, 0.3, 0.5, 1.0, 1.7, 2.0, 3.0, 4.0]),
                             min_size=1, max_size=5, unique=True))
     return z, values, sorted(base * f for f in factors)
+
+
+@st.composite
+def power_of_two_families(draw):
+    """(differences, bandwidths h0 * 2**k) with |d| / h from 1e-160 to 1e3 for
+    each bandwidth, so squares reach the subnormal range, plus arbitrary
+    differences, some of them so large that d / h0 or its square overflows."""
+    h0 = draw(st.floats(1e-300, 1e280))
+    ks = draw(st.lists(st.integers(0, 64), min_size=1, max_size=6, unique=True))
+    hs = sorted(math.ldexp(h0, k) for k in ks)
+    quotients = draw(st.lists(st.floats(-160.0, 3.0), min_size=1, max_size=40))
+    diffs = [10.0**q * h for q in quotients for h in hs]
+    diffs += draw(st.lists(st.floats(0.0, 1e308), max_size=20)) + [0.0]
+    signs = np.where(rng_from(draw(st.integers(0, 2**32 - 1))).random(len(diffs)) < 0.5, -1.0, 1.0)
+    return signs * np.array(diffs), hs
 
 
 def covariate_dataset(z_u, g_u, class0=(0.0, 0.0), class1=(1.0, 1.0)) -> RawDataset:
@@ -195,6 +215,55 @@ class TestCvBandwidth:
         if len(hs) == 1 or ordered[1] - ordered[0] > 1e-9 * ordered[1] + 2 * atol:
             assert cv_bandwidth(z, values, hs) == hs[int(np.argmin(reference))]
 
+    @EXACTNESS
+    @given(power_of_two_families())
+    def test_shared_exponent_gives_every_weight_its_own_bits(self, family):
+        """(d / h0) ** 2 scaled by -0.5 * (h0 / h) ** 2 is exp'd to the bits of the
+        candidate's own expression, the one the smoother evaluates."""
+        d, hs = family
+        bases, factors = _shared_bases(hs)
+        assert bases == [hs[0]] * len(hs)
+        with np.errstate(over="ignore"):
+            for h, base, factor in zip(hs, bases, factors):
+                shared = np.exp(factor * (d / base) ** 2)
+                own = np.exp(-0.5 * ((d / h) ** 2))
+                assert np.array_equal(shared.view(np.int64), own.view(np.int64))
+
+    def test_other_candidate_sets_keep_their_own_exponent(self):
+        assert _shared_bases([0.25, 0.5, 4.0]) == ([0.25] * 3, [-0.5, -0.125, -0.5 / 256])
+        for hs in ([1.0, 3.0], [1.0, np.nextafter(2.0, 3.0)], [1.0, 2.0**65], [0.1, 0.3]):
+            assert _shared_bases(hs) == (hs, [-0.5, -0.5])
+
+    @EXACTNESS
+    @given(cv_problems())
+    def test_skipped_blocks_have_only_zero_weights(self, problem):
+        """Every pair of a block pair that the skip rule drops for a candidate has
+        weight exactly 0.0, so skipping leaves every sum's bits as they are."""
+        z, values, hs = problem
+        z_sorted = np.sort(z, kind="stable")
+        block, n = regression._CV_BLOCK, z.size
+        for i0 in range(0, n, block):
+            rows = z_sorted[i0 : i0 + block]
+            for j0 in range(i0 + block, n, block):
+                gap = z_sorted[j0] - rows[-1]
+                for h in hs:
+                    if gap / h > regression._CV_REACH:
+                        cols = z_sorted[j0 : j0 + block]
+                        assert not np.any(np.exp(-0.5 * ((rows[:, None] - cols[None, :]) / h) ** 2))
+
+    def test_skipping_changes_no_bit(self, monkeypatch):
+        """Sorted z far apart at the smallest candidates: the skip rule drops most
+        block pairs, and the errors keep every bit of the run that skips none."""
+        rng = rng_from(21)
+        z = np.concatenate([rng.random(700), 50.0 + rng.random(700), rng.random(200) * 100.0])
+        values = np.sin(z) + 0.1 * rng.standard_normal(z.size)
+        for candidates in ([1e-3, 0.01, 0.03, 0.5, 7.0], [1e-3 * 2.0**k for k in (0, 2, 5)]):
+            skipped = _cv_errors(z, values, candidates)
+            monkeypatch.setattr(regression, "_CV_REACH", np.inf)
+            every = _cv_errors(z, values, candidates)
+            monkeypatch.undo()
+            assert skipped.tobytes() == every.tobytes()
+
     def test_all_underflow_rows_fall_back_to_the_first_nearest_neighbour(self):
         """Point 1 has two neighbours at equal distance and takes the lower index."""
         z = np.array([0.0, 1.0, 2.0, 10.0])
@@ -203,6 +272,13 @@ class TestCvBandwidth:
         expected = (2.0 - 1.0) ** 2 + (1.0 - 2.0) ** 2 + (2.0 - 4.0) ** 2 + (4.0 - 8.0) ** 2
         assert _cv_errors(z, values, [1e-3]).tolist() == [expected]
         assert reference_cv_errors(z, values, [1e-3]) == [expected]
+        # input order decides the tie, not sorted order: point 2 (at 0.25) has
+        # neighbours 0 (at 0.5) and 1 (at 0.0), and 1 comes first once sorted
+        z = np.array([0.5, 0.0, 0.25])
+        values = np.array([1.0, 2.0, 4.0])
+        expected = (1.0 - 4.0) ** 2 + (2.0 - 4.0) ** 2 + (4.0 - 1.0) ** 2
+        assert _cv_errors(z, values, [1e-4]).tolist() == [expected]
+        assert reference_cv_errors(z, values, [1e-4]) == [expected]
 
     def test_memory_is_linear_in_the_sample(self):
         """The chunked per-candidate loop held 512 x 5000 temporaries of 20 MiB each."""

@@ -1,7 +1,11 @@
 """Kernel score selection tests: Gram algebra, the rank-1 solve, gamma search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quantify import (
     DataError,
@@ -18,7 +22,11 @@ from quantify import (
     solve_weights,
     stratified_split,
 )
-from quantify.rkhs import DEFAULT_GAMMA_GRID, candidate_gammas
+from quantify import rkhs
+from quantify.rkhs import DEFAULT_GAMMA_GRID, _middle, candidate_gammas
+
+# Derandomized, so every run checks the same examples and tier-1 stays deterministic.
+EXACTNESS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 def labeled_dataset(features, labels) -> RawDataset:
@@ -43,6 +51,23 @@ def two_class_sample(seed: int = 6, n: int = 20, n_u: int = 30) -> RawDataset:
     )
 
 
+def reference_squared_distances(x, z):
+    """The earlier whole-array expression, with its n x m temporaries."""
+    sq = np.sum(x**2, axis=1)[:, None] + np.sum(z**2, axis=1)[None, :] - 2.0 * (x @ z.T)
+    np.clip(sq, 0.0, None, out=sq)
+    return sq
+
+
+def reference_median_bandwidth(x):
+    """The earlier implementation: np.median over the sqrt of every i < j pair."""
+    sq = reference_squared_distances(x, x)
+    return float(np.median(np.sqrt(sq[np.triu_indices(x.shape[0], k=1)])))
+
+
+def bits(arr):
+    return np.asarray(arr, dtype=float).view(np.int64).tolist()
+
+
 class TestKernelSpec:
     def test_linear_kernel_is_the_dot_product(self):
         k = KernelSpec(family="linear")
@@ -61,6 +86,34 @@ class TestKernelSpec:
         x = np.array([[0.0]])
         z = np.array([[2.0]])
         np.testing.assert_allclose(wide.matrix(x, z), [[np.exp(-0.5)]])
+
+    @pytest.mark.parametrize("same", [False, True])
+    def test_gaussian_gram_has_the_whole_array_bits(self, same):
+        """Built in place a block of rows at a time, across block edges."""
+        rng = np.random.default_rng(8)
+        block = rkhs._GRAM_ROWS
+        anchors = rng.normal(size=(70, 3))
+        for rows in (1, block - 1, block, block + 1, 2 * block + 3):
+            x = rng.normal(size=(rows, 3)) * rng.choice([1e-3, 1.0, 30.0])
+            z = x if same else anchors
+            k = KernelSpec(family="gaussian", bandwidth=0.7)
+            expected = np.exp(-reference_squared_distances(x, z) / (2.0 * 0.7**2))
+            assert bits(k.matrix(x, z)) == bits(expected)
+
+    def test_kernel_scores_hold_one_gram_matrix(self):
+        """7000 x 1000 scores: one n x m array (53.4 MiB) plus block temporaries;
+        the whole-array expression held two."""
+        rng = np.random.default_rng(9)
+        features = rng.normal(size=(7000, 4))
+        score = KernelScore(weights=rng.normal(size=1000), anchors=features[:1000].copy(),
+                            kernel=KernelSpec(family="gaussian", bandwidth=1.3))
+        tracemalloc.start()
+        try:
+            score.scores(features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7000 * 1000 * 8 + 4 * 2**20
 
     def test_unknown_family(self):
         with pytest.raises(DataError, match="unknown kernel family"):
@@ -93,6 +146,35 @@ class TestMedianBandwidth:
     def test_needs_two_points(self):
         with pytest.raises(EstimationError, match="two points"):
             median_bandwidth([[1.0]])
+
+    @EXACTNESS
+    @given(st.integers(2, 60), st.sampled_from(["normal", "ties", "wide"]), st.integers(0, 2**32 - 1))
+    @example(2, "normal", 0)
+    @example(3, "normal", 0)
+    @example(4, "ties", 0)
+    def test_equals_the_triu_indices_median(self, n, layout, seed):
+        """Odd and even pair counts (n = 2 and 3 have 1 and 3 pairs, n = 4 has 6)
+        and tied distances from integer grids."""
+        rng = np.random.default_rng(seed)
+        if layout == "ties":
+            x = rng.integers(0, 3, size=(n, 2)).astype(float)
+        else:
+            x = rng.normal(size=(n, 3)) * (1e100 if layout == "wide" else 1.0)
+        expected = reference_median_bandwidth(x)
+        if expected > 0.0:
+            assert bits(median_bandwidth(x)) == bits(expected)
+        else:
+            with pytest.raises(EstimationError, match="degenerate"):
+                median_bandwidth(x)
+
+
+class TestMiddle:
+    @EXACTNESS
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=30))
+    def test_mean_is_np_median(self, values):
+        values = np.array(values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert bits(np.mean(_middle(values.copy()))) == bits(np.median(values))
 
 
 class TestBuildMatrices:

@@ -4,6 +4,7 @@ Counts and layouts are asserted exactly; law checks use moment bounds a
 few standard errors wide so seeds stay interchangeable.
 """
 
+import concurrent.futures
 import os
 
 import numpy as np
@@ -354,12 +355,12 @@ class TestStudyDriver:
     def test_worker_count_does_not_change_results(self, monkeypatch, study):
         pools = []
 
-        class CountingPool(simulate.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv("QUANTIFY_THREADS", "1")
         serial = SMALL_STUDIES[study]()
