@@ -308,11 +308,8 @@ def _label_code(cell: str) -> int:
     return label
 
 
-def _raise_first_bad_row(path: str, layout: _Layout, numbered=None) -> NoReturn:
-    """Raise the :class:`DataError` of the first bad (line, record) in ``numbered``, or in ``path`` read again."""
-    if numbered is None:
-        with _csv_records(path) as (reader, _):
-            _raise_first_bad_row(path, layout, ((reader.line_num, row) for row in filter(None, reader)))
+def _raise_first_bad_row(path: str, layout: _Layout, numbered) -> NoReturn:
+    """Raise the :class:`DataError` of the first bad record among the (line, record) pairs ``numbered``."""
     for line, row in numbered:
         problem = layout.problem(row)
         if problem is not None:
@@ -460,11 +457,10 @@ def load_csv(path: str, schema: CsvSchema) -> RawDataset:
             raise
         columns = _fast_columns(path, header_line, layout)
         if columns is None:
-            # blank records are skipped; a pipe cannot be read again to find a bad record's line
-            numbered = None if os.path.isfile(path) else [(reader.line_num, row) for row in reader if row]
-            rows = list(filter(None, reader)) if numbered is None else [row for _, row in numbered]
+            # blank records are skipped; lines are kept because a pipe cannot be read again
+            numbered = [(reader.line_num, row) for row in reader if row]
             try:
-                columns = layout.columns(rows)
+                columns = layout.columns([row for _, row in numbered])
             except ValueError:
                 _raise_first_bad_row(path, layout, numbered)
     features, labels, sets, covariate = columns

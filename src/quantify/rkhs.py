@@ -31,10 +31,10 @@ DEFAULT_GAMMA_GRID = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 _GRAM_ROWS = 128  # rows per block of the in-place passes over a Gram matrix
 
 
-def _squared_distances(x: np.ndarray, z: np.ndarray, bandwidth: float | None = None) -> np.ndarray:
-    """|x_i - z_j|^2 per row pair, clipped at 0, or with a bandwidth the gaussian kernel; pass one
-    array twice for numpy's symmetric x x'.  x @ z' is made whole (BLAS bits depend on how rows
-    are grouped), then turned into the result in place by blocks of rows, bit for bit."""
+def _squared_distances(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|x_i - z_j|^2 per row pair, clipped at 0; pass one array twice for numpy's symmetric x x'.
+    x @ z' is made whole (BLAS bits depend on how rows are grouped), then turned into the
+    result in place by blocks of rows, bit for bit."""
     out = x @ z.T
     sx = np.sum(x**2, axis=1)[:, None]
     sz = np.sum(z**2, axis=1)
@@ -43,9 +43,6 @@ def _squared_distances(x: np.ndarray, z: np.ndarray, bandwidth: float | None = N
         np.multiply(block, 2.0, out=block)
         np.subtract(sx[start : start + _GRAM_ROWS] + sz, block, out=block)
         np.clip(block, 0.0, None, out=block)
-        if bandwidth is not None:
-            np.divide(block, -2.0 * bandwidth**2, out=block)  # the bits of -block / (2 h^2)
-            np.exp(block, out=block)
     return out
 
 
@@ -76,7 +73,9 @@ class KernelSpec:
             return x @ z.T
         if self.bandwidth is None:
             raise EstimationError("gaussian kernel used before its bandwidth was resolved")
-        return _squared_distances(x, z, self.bandwidth)
+        sq = _squared_distances(x, z)
+        np.divide(sq, -2.0 * self.bandwidth**2, out=sq)  # the bits of -sq / (2 h^2)
+        return np.exp(sq, out=sq)
 
     def to_dict(self) -> dict:
         return {"family": self.family, "bandwidth": self.bandwidth}
