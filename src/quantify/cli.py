@@ -240,11 +240,7 @@ def _cmd_select_g(args) -> None:
 def _cmd_regress(args) -> None:
     data = load_csv(args.data, _schema_from_args(args))
     g = _resolve_score(args, data)
-    if args.grid is not None:
-        start, stop, points = args.grid
-    else:
-        start, stop, points = args.grid_start, args.grid_stop, args.grid_points
-    grid = np.linspace(start, stop, points)
+    grid = np.linspace(*args.grid)
     if args.method == "ratio":
         curve = ratio_regress(data, g, grid, bandwidth=args.bandwidth, min_denom=args.min_denom)
     else:
@@ -399,10 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg = sub.add_parser("regress", help="prevalence curve against a covariate")
     _add_schema_flags(p_reg, covariate=True)
     p_reg.add_argument("--method", choices=("ratio", "cc"), default="ratio")
-    p_reg.add_argument("--grid", type=_grid_arg, default=None, help="start:stop:points")
-    p_reg.add_argument("--grid-start", type=float, default=0.0)
-    p_reg.add_argument("--grid-stop", type=float, default=1.0)
-    p_reg.add_argument("--grid-points", type=int, default=101)
+    p_reg.add_argument("--grid", type=_grid_arg, default="0:1:101", help="start:stop:points")
     p_reg.add_argument(
         "--bandwidth", type=_bandwidth_arg, default=None, help="positive number or 'cv'"
     )

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import os
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -126,6 +124,8 @@ class ScoredDataset:
         m = unlabeled.shape[1]
         if any(c.shape[1] != m for c in classes):
             raise DataError("all score blocks must share the same dimension")
+        if not all(np.isfinite(arr).all() for arr in (unlabeled, *classes)):
+            raise DataError("scores contain non-finite values")
         for arr in (unlabeled, *classes):
             arr.setflags(write=False)
         object.__setattr__(self, "unlabeled", unlabeled)
@@ -161,48 +161,6 @@ class CsvSchema:
     covariate_column: str | None = None
 
 
-@contextmanager
-def _csv_records(path: str):
-    """Open ``path`` as UTF-8 with :func:`csv.reader`; yield the reader and the header record.
-
-    A fault the reader meets while the caller iterates it, such as a cell
-    longer than :func:`csv.field_size_limit`, becomes ``path:line: ...``.
-    """
-    try:
-        try:
-            with open(path, newline="", encoding="utf-8") as handle:
-                reader = csv.reader(handle)
-                try:
-                    header = next(reader, None)
-                    if header is None:
-                        raise DataError(f"{path}: empty file")
-                    yield reader, header
-                except csv.Error as exc:
-                    raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            raise DataError(_first_undecodable_byte(path)) from None
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def _first_undecodable_byte(path: str) -> str:
-    """``path:line: ...`` naming the first byte of ``path`` that is not UTF-8.
-
-    The decoder reports offsets within the chunk it was given, so the file is
-    read again as bytes; lines end at LF, CR or CRLF, as :func:`csv.reader`
-    counts them.
-    """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
-    return f"{path}: file changed while it was being read"
-
-
 @dataclass(frozen=True)
 class _Layout:
     """The cell index of each column role in a record of ``width`` cells."""
@@ -213,79 +171,45 @@ class _Layout:
     label: int | None
     covariate: int | None
 
-    def columns(self, rows: list[list[str]]):
-        """Features, labels, set indicators and covariate, converted a column at a time.
+    def parse(self, row: list[str]):
+        """The features, label, set indicator and covariate of one record.
 
-        Raises :class:`ValueError` if any record fails a check; it does not say which.
-        """
-        n, m = len(rows), len(self.features)
-        if set(map(len, rows)) - {self.width}:
-            raise ValueError("ragged record")
-        cells = map(itemgetter(*self.features), rows)
-        if m > 1:  # itemgetter returns a tuple only for two or more indices
-            cells = chain.from_iterable(cells)
-        features = np.fromiter(map(float, cells), float, count=n * m).reshape(n, m)
-        sets = _decode(rows, self.set, _set_code)
-        if self.label is None:
-            labels, blank = np.full(n, -1), np.ones(n, dtype=bool)
-        else:
-            labels = _decode(rows, self.label, _label_code)
-            blank = _decode(rows, self.label, lambda cell: not cell.strip()).astype(bool)
-        covariate = None
-        if self.covariate is not None:
-            covariate = np.fromiter(map(float, map(itemgetter(self.covariate), rows)), float, count=n)
-        if np.any(blank & (sets == 1)):
-            raise ValueError("labeled row without a label")
-        if not np.all(np.isfinite(features)):
-            raise ValueError("non-finite feature value")
-        if covariate is not None and not np.all(np.isfinite(covariate)):
-            raise ValueError("non-finite covariate value")
-        return features, labels, sets, covariate
-
-    def problem(self, row: list[str]) -> str | None:
-        """What is wrong with one record, or ``None``.
-
-        The checks run in a fixed order, so a record with several faults is
-        always reported by its first.
+        Raises :class:`ValueError` saying what is wrong with the record.  The
+        checks run in a fixed order, so a record with several faults is always
+        reported by its first.
         """
         if len(row) != self.width:
-            return f"expected {self.width} cells, got {len(row)}"
+            raise ValueError(f"expected {self.width} cells, got {len(row)}")
         try:
             features = [float(row[i]) for i in self.features]
         except ValueError:
-            return "non-numeric feature value"
+            raise ValueError("non-numeric feature value") from None
         raw_set = row[self.set].strip()
         if raw_set not in ("0", "1"):
-            return f"set indicator must be 0 or 1, got {raw_set!r}"
+            raise ValueError(f"set indicator must be 0 or 1, got {raw_set!r}")
         raw_label = row[self.label].strip() if self.label is not None else ""
+        label = -1
         if raw_label == "":
             if raw_set == "1":
-                return "labeled row (set indicator 1) has no label"
+                raise ValueError("labeled row (set indicator 1) has no label")
         else:
             try:
                 label = int(raw_label)
             except ValueError:
-                return f"non-integer label {raw_label!r}"
+                raise ValueError(f"non-integer label {raw_label!r}") from None
             if label not in _LABEL_RANGE:
-                return f"label {raw_label!r} out of range"
-        covariate = 0.0
+                raise ValueError(f"label {raw_label!r} out of range")
+        covariate = None
         if self.covariate is not None:
             try:
                 covariate = float(row[self.covariate])
             except ValueError:
-                return "non-numeric covariate value"
+                raise ValueError("non-numeric covariate value") from None
         if not all(map(math.isfinite, features)):
-            return "non-finite feature value"
-        if not math.isfinite(covariate):
-            return "non-finite covariate value"
-        return None
-
-
-def _decode(rows: list[list[str]], index: int, code) -> np.ndarray:
-    """Cell ``index`` of every row as an int array, calling ``code`` once per distinct cell."""
-    cells = list(map(itemgetter(index), rows))
-    table = {cell: code(cell) for cell in set(cells)}
-    return np.fromiter(map(table.__getitem__, cells), int, count=len(cells))
+            raise ValueError("non-finite feature value")
+        if covariate is not None and not math.isfinite(covariate):
+            raise ValueError("non-finite covariate value")
+        return features, label, int(raw_set), covariate
 
 
 def _set_code(cell: str) -> int:
@@ -306,15 +230,6 @@ def _label_code(cell: str) -> int:
     if label not in _LABEL_RANGE:
         raise ValueError("label does not fit the label array")
     return label
-
-
-def _raise_first_bad_row(path: str, layout: _Layout, numbered) -> NoReturn:
-    """Raise the :class:`DataError` of the first bad record among the (line, record) pairs ``numbered``."""
-    for line, row in numbered:
-        problem = layout.problem(row)
-        if problem is not None:
-            raise DataError(f"{path}:{line}: {problem}")
-    raise DataError(f"{path}: file changed while it was being read")
 
 
 def _resolve_schema(path: str, header_line: int, fieldnames: list[str], schema: CsvSchema):
@@ -382,20 +297,27 @@ def _numpy_reads_like_csv(path: str) -> bool:
     return offset - 1 - last <= limit
 
 
-def _fast_columns(path: str, header_line: int, layout: _Layout):
-    """What :meth:`_Layout.columns` returns for the records after the header, read
-    by :func:`numpy.loadtxt`; ``None`` when the file needs the exact path instead.
+def _fast_columns(path: str, schema: CsvSchema):
+    """What :func:`_exact_columns` returns, read by :func:`numpy.loadtxt`; ``None``
+    when the file needs the exact path instead.
 
     numpy parses a subset of what ``csv.reader`` and ``float()`` accept and, where
     both accept a cell, gives the same value bit for bit.  So every refusal or
-    doubt returns ``None``, and :func:`load_csv` then reads the file as before:
-    the exact path alone decides what is accepted and what each error says.
+    doubt returns ``None``, and :func:`load_csv` then reads the file with the
+    exact path, which alone decides what is accepted and what each error says.
     """
     if not os.path.isfile(path):
-        return None  # a pipe can be read once only, and the exact path has begun to read it
-    if layout.label is not None and layout.label in (*layout.features, layout.set, layout.covariate):
-        return None  # a label cell's integer code is not its float value ('' is -1)
+        return None  # a pipe can be read once only
     try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            fieldnames = next(reader, None)
+            header_line = reader.line_num
+        if fieldnames is None:
+            return None
+        feature_names, layout = _resolve_schema(path, header_line, fieldnames, schema)
+        if layout.label is not None and layout.label in (*layout.features, layout.set, layout.covariate):
+            return None  # a label cell's integer code is not its float value ('' is -1)
         if not _numpy_reads_like_csv(path):
             return None
         converters = {layout.set: functools.cache(_set_code)}
@@ -407,7 +329,7 @@ def _fast_columns(path: str, header_line: int, layout: _Layout):
             warnings.simplefilter("error")  # a header-only file warns "input contained no data"
             table = np.loadtxt(handle, dtype=float, delimiter=",", comments=None, quotechar='"',
                                skiprows=header_line, ndmin=2, converters=converters)
-    except (OSError, ValueError, UserWarning):
+    except (OSError, ValueError, UserWarning, csv.Error, DataError):
         return None
     if table.shape[1] != layout.width:
         return None
@@ -423,47 +345,95 @@ def _fast_columns(path: str, header_line: int, layout: _Layout):
         return None
     if covariate is not None and not np.all(np.isfinite(covariate)):
         return None
-    return features, labels, sets, covariate
+    return feature_names, features, labels, sets, covariate
+
+
+def _exact_columns(path: str, schema: CsvSchema):
+    """The feature names, features, labels, set indicators and covariate of the
+    records after the header, checked and converted one record at a time by
+    :func:`csv.reader` and :meth:`_Layout.parse`.
+
+    The file's bytes are read once, and refused at the first byte that is not
+    UTF-8 before anything else is checked.  Every other fault raises
+    :class:`DataError` only after the reader has run to the end of the file, so
+    a cell longer than :func:`csv.field_size_limit` anywhere in the file is
+    reported before a schema error or a bad record.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]  # lines end at LF, CR or CRLF, as csv.reader counts them
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise DataError(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})") from None
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    features, labels, sets, covariate = [], [], [], []
+    try:
+        fieldnames = next(reader, None)
+        if fieldnames is None:
+            raise DataError(f"{path}: empty file")
+        fault = None
+        try:
+            feature_names, layout = _resolve_schema(path, reader.line_num, fieldnames, schema)
+        except DataError as exc:
+            fault = exc
+        for row in reader:  # after a fault, the rest of the file is only read
+            if fault is not None or not row:  # blank records are skipped
+                continue
+            try:
+                x, label, set_, z = layout.parse(row)
+            except ValueError as exc:
+                fault = DataError(f"{path}:{reader.line_num}: {exc}")
+                continue
+            features.extend(x)
+            labels.append(label)
+            sets.append(set_)
+            covariate.append(z)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    if fault is not None:
+        raise fault
+    n = len(sets)
+    return (
+        feature_names,
+        np.array(features, dtype=float).reshape(n, len(layout.features)),
+        np.array(labels, dtype=int),
+        np.array(sets, dtype=int),
+        None if layout.covariate is None else np.array(covariate, dtype=float),
+    )
 
 
 def load_csv(path: str, schema: CsvSchema) -> RawDataset:
     """Read a CSV file into a :class:`RawDataset` according to ``schema``.
 
-    The first record is the header and blank lines are skipped.  Raises
-    :class:`DataError` for a missing or empty file, a column named twice in
-    the header, or an unknown schema column.  It also raises, naming
-    ``path:line`` of the first such record, for a record whose cell count
-    differs from the header's, a non-numeric or non-finite feature or
-    covariate value, a set indicator outside {0, 1}, a labeled row without
-    a label, a non-integer label or one outside the 64-bit range, and a cell
-    longer than :func:`csv.field_size_limit`.  A record that spans lines (a
-    quoted cell holding a newline) is reported at its last line.  The file
-    must be UTF-8; the line of the first byte that is not is named.
+    The file must be UTF-8, and this is checked first: the line of the first
+    byte that is not is named, for files and pipes alike.  The first record is
+    the header and blank lines are skipped.  Raises :class:`DataError` for a
+    missing or empty file, a column named twice in the header, or an unknown
+    schema column.  It also raises, naming ``path:line`` of the first such
+    record, for a record whose cell count differs from the header's, a
+    non-numeric or non-finite feature or covariate value, a set indicator
+    outside {0, 1}, a labeled row without a label, a non-integer label or one
+    outside the 64-bit range, and a cell longer than
+    :func:`csv.field_size_limit`, which is reported before any other fault but
+    a byte that is not UTF-8.  A record that spans lines (a quoted cell holding
+    a newline) is reported at its last line.
 
     A regular file whose every cell, apart from the set and label cells, is
     a number that numpy's C parser reads is read by :func:`numpy.loadtxt`,
-    in under half the time and a quarter of the memory.  Every other file,
-    and every file that is refused, goes through :func:`csv.reader` and
-    ``float()``: that exact parser defines the accepted syntax and every
-    message, and both parsers give the same arrays bit for bit.
+    in under half the time and memory.  Every other file, a pipe, and every
+    file that is refused are read by :func:`csv.reader` and ``float()`` one
+    record at a time, over the file's bytes read once: that exact parser
+    defines the accepted syntax and every message, and both parsers give the
+    same arrays bit for bit.
     """
-    with _csv_records(path) as (reader, fieldnames):
-        header_line = reader.line_num
-        try:
-            feature_names, layout = _resolve_schema(path, header_line, fieldnames, schema)
-        except DataError:
-            for _ in reader:  # a fault later in the file is reported before the header's
-                pass
-            raise
-        columns = _fast_columns(path, header_line, layout)
-        if columns is None:
-            # blank records are skipped; lines are kept because a pipe cannot be read again
-            numbered = [(reader.line_num, row) for row in reader if row]
-            try:
-                columns = layout.columns([row for _, row in numbered])
-            except ValueError:
-                _raise_first_bad_row(path, layout, numbered)
-    features, labels, sets, covariate = columns
+    feature_names, features, labels, sets, covariate = (
+        _fast_columns(path, schema) or _exact_columns(path, schema)
+    )
     return RawDataset(
         features=features,
         labels=labels,

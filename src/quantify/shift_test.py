@@ -32,8 +32,6 @@ def _ecdf_gaps(
     order = np.argsort(pooled)
     ranked = pooled[order]
     last = np.append(ranked[1:] != ranked[:-1], True)
-    # NaNs sort last and never compare equal; count them as one value, as np.unique does
-    last[np.searchsorted(ranked, np.nan) : -1] = False
     labeled = np.cumsum(order < n0 + n1)[last]
     c0 = np.cumsum(order < n0)[last]
     f0 = c0 / n0

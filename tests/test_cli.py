@@ -207,6 +207,16 @@ class TestEstimate:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "error: /dev/stdin:3: non-numeric feature value\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_non_utf8_byte_in_a_pipe_exits_1_naming_the_line(self):
+        """The pipe cannot be read again to find the byte; it was reported as a changed file."""
+        src = str(Path(quantify.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-m", "quantify.cli", *ESTIMATE, "/dev/stdin"],
+                              input=b"s,y,g\n1,0,0.1\n1,1,\xff\n", capture_output=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr == b"error: /dev/stdin:3: byte 0xff is not UTF-8 (invalid start byte)\n"
+
     def test_separability_violation_exits_2(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("s,y,g\n1,0,0.5\n1,0,0.5\n1,1,0.5\n1,1,0.5\n0,,0.5\n0,,0.5\n")

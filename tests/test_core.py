@@ -2,6 +2,7 @@
 
 import csv
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -462,7 +463,7 @@ class TestLoadCsv:
         np.testing.assert_array_equal(data.features, [[0.25], [-300.0]])
 
     def test_plain_file_takes_the_fast_path(self, tmp_path, monkeypatch):
-        def refuse(self, rows):
+        def refuse(path, schema):
             raise AssertionError("the exact path ran")
 
         rng = rng_from(3)
@@ -474,18 +475,40 @@ class TestLoadCsv:
         path = self.write(tmp_path, "\n".join(lines) + "\n")
         schema = CsvSchema(set_column="s", label_column="y", score_columns=("g",), covariate_column="z")
         expected = reference_load_csv(path, schema)
-        monkeypatch.setattr(core._Layout, "columns", refuse)
+        monkeypatch.setattr(core, "_exact_columns", refuse)
         assert_same_dataset(load_csv(path, schema), expected)
 
-    def test_file_that_changes_between_passes(self, tmp_path, monkeypatch):
-        def refuse(self, rows):
-            raise ValueError
-
-        path = self.write(tmp_path, "x,y,s\n1.0,0,1\n")
+    def test_exact_path_memory_is_a_few_times_the_file(self, tmp_path, monkeypatch):
+        """Records are converted as they are read, so no record's cells outlive it."""
+        rng = rng_from(9)
+        n = 20_000
+        lines = ["s,y,x1,x2,x3,x4,x5,x6,g"]
+        for s, y, x, g in zip((rng.random(n) < 0.1).tolist(), rng.integers(0, 2, n).tolist(),
+                              rng.normal(size=(n, 6)).tolist(), rng.random(n).tolist()):
+            lines.append(",".join([str(int(s)), str(y) if s else "", *(f"{v:.6f}" for v in x), repr(g)]))
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        size = (tmp_path / "data.csv").stat().st_size
         monkeypatch.setattr(core, "_fast_columns", decline)
-        monkeypatch.setattr(core._Layout, "columns", refuse)
-        with pytest.raises(DataError, match="changed while it was being read"):
-            load_csv(path, CsvSchema(set_column="s", label_column="y"))
+        tracemalloc.start()
+        try:
+            data = load_csv(path, CsvSchema(set_column="s", label_column="y", score_columns=("g",)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.features.shape == (n, 7)
+        assert peak < 7 * size
+
+    def test_undecodable_byte_is_reported_before_a_long_cell(self, tmp_path):
+        """UTF-8 is checked first, even when the byte lies beyond the decoder's first 8 KiB
+        and a cell over the field limit comes before it."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"s,x\n0," + b"1" * 40 + b"\n" + b"0,1\n" * 5000 + b"0,\xff\n")
+        default = csv.field_size_limit(24)
+        try:
+            with pytest.raises(DataError, match=r"data\.csv:5003: byte 0xff is not UTF-8 \(invalid start byte\)$"):
+                load_csv(str(path), PLAIN)
+        finally:
+            csv.field_size_limit(default)
 
 
 class TestLoadCsvMatchesReference:
@@ -535,6 +558,14 @@ class TestLoadCsvFastPath:
         path.write_text("s,x\n0,1" + " " * csv.field_size_limit() + "\n0,2\n")
         with pytest.raises(DataError, match=r"data\.csv:2: field larger than field limit \(\d+\)$"):
             load_csv(str(path), PLAIN)
+
+    @pytest.mark.parametrize("before, schema", [("0,oops\n", PLAIN), ("0,1\n", LABELED)])
+    def test_cell_longer_than_the_csv_field_limit_is_reported_first(self, tmp_path, before, schema):
+        """A bad record, or a schema without the file's columns, comes before the long cell."""
+        path = tmp_path / "data.csv"
+        path.write_text("s,x\n" + before + "0,1" + " " * csv.field_size_limit() + "\n0,2\n")
+        with pytest.raises(DataError, match=r"data\.csv:3: field larger than field limit \(\d+\)$"):
+            load_csv(str(path), schema)
 
     @pytest.mark.parametrize("text, schema", [
         ("s,y,x\n1,0,1\n1,1,2\n0,9007199254740993,3\n", LABELED),

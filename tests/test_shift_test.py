@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantify import (
+    DataError,
     EstimationError,
     ScoredDataset,
     kde_fit,
@@ -163,13 +164,14 @@ class TestTStatistic:
         fast = t_statistic(scored(gu, g0, g1), grid_size=grid_size)
         assert fast == dense_t(g0, g1, gu, grid_size)
 
-    def test_non_finite_scores_match_the_dense_grid_scan(self):
-        """np.unique counts every NaN as one value; the one-sort ECDFs must too."""
-        values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0])
-        rng = rng_from(64)
-        for _ in range(50):
-            g0, g1, gu = (rng.choice(values, rng.integers(1, 12)) for _ in range(3))
-            assert t_statistic(scored(gu, g0, g1), grid_size=11) == dense_t(g0, g1, gu, 11)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    def test_non_finite_scores_are_refused(self, value, block):
+        """A NaN would sort above every score and give a finite statistic."""
+        blocks = [[0.2, 0.8, 0.6], [0.1, 0.3], [0.7, 0.9]]
+        blocks[block][1] = value
+        with pytest.raises(DataError, match="^scores contain non-finite values$"):
+            scored(*blocks)
 
     @EXACTNESS
     @given(size=st.integers(2, 300), centre=st.floats(0.0, 1.0), flat=st.integers(0, 40),
