@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 
@@ -30,27 +31,10 @@ from .core import (
     load_csv,
     score_dataset,
 )
-from .estimators import (
-    _variance_from_scores,
-    classify_and_count,
-    em_estimate,
-    multiclass_ratio,
-    ratio_ci,
-    ratio_estimate,
-)
-from .regression import cc_regress, ratio_regress
-from .rkhs import KernelSpec, RkhsSelection, select_g
 from .shift_test import shift_test
-from .simulate import (
-    ScenarioSpec,
-    run_combined_study,
-    run_coverage_study,
-    run_mse_study,
-    run_multiclass_study,
-    run_power_study,
-    run_regression_study,
-    table_scenario,
-)
+
+# Every other layer is imported by the command that uses it, so that a run
+# loads only what its command calls.
 
 # (n_unlabeled, n_labeled) presets matching the benchmark corpus sizes; the
 # labeled sample is always split evenly between the classes.
@@ -102,6 +86,8 @@ def _schema_from_args(args) -> CsvSchema:
 
 def _resolve_score(args, data: RawDataset) -> ScoreFunction:
     if getattr(args, "weights", None):
+        from .rkhs import RkhsSelection
+
         try:
             with open(args.weights) as handle:
                 payload = json.load(handle)
@@ -174,6 +160,15 @@ def _bandwidth_arg(text: str):
 
 
 def _cmd_estimate(args) -> None:
+    from .estimators import (
+        _variance_from_scores,
+        classify_and_count,
+        em_estimate,
+        multiclass_ratio,
+        ratio_ci,
+        ratio_estimate,
+    )
+
     data = load_csv(args.data, _schema_from_args(args))
     g = _resolve_score(args, data)
     scored = score_dataset(data, g)
@@ -209,6 +204,8 @@ def _cmd_test_shift(args) -> None:
 
 
 def _cmd_select_g(args) -> None:
+    from .rkhs import KernelSpec, select_g
+
     data = load_csv(args.data, _schema_from_args(args))
     kernel = KernelSpec(family=args.kernel, bandwidth=args.bandwidth)
     pilot = ExternalScore.from_names(args.score_col, data) if args.score_col else None
@@ -238,6 +235,8 @@ def _cmd_select_g(args) -> None:
 
 
 def _cmd_regress(args) -> None:
+    from .regression import cc_regress, ratio_regress
+
     data = load_csv(args.data, _schema_from_args(args))
     g = _resolve_score(args, data)
     grid = np.linspace(*args.grid)
@@ -271,6 +270,8 @@ def _cmd_regress(args) -> None:
 
 
 def _simulate_spec(args) -> ScenarioSpec:
+    from .simulate import ScenarioSpec, table_scenario
+
     if args.preset:
         n_unlabeled, n_labeled = SIZE_PRESETS[args.preset]
         n_class: tuple[int, ...] = (n_labeled // 2, n_labeled - n_labeled // 2)
@@ -305,6 +306,15 @@ def _simulate_spec(args) -> ScenarioSpec:
 
 
 def _cmd_simulate(args) -> None:
+    from .simulate import (
+        run_combined_study,
+        run_coverage_study,
+        run_mse_study,
+        run_multiclass_study,
+        run_power_study,
+        run_regression_study,
+    )
+
     spec = _simulate_spec(args)
     thetas = args.theta if args.theta else [0.1, 0.2, 0.3, 0.4, 0.5]
     if args.study == "mse":
@@ -459,5 +469,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """Entry point of the ``quantify`` script and ``python -m quantify.cli``: :func:`main`
+    after ``gc.freeze()``, so that garbage collections, the one at exit included, skip the
+    objects the imports built.  In-process callers of :func:`main` keep the collector as is."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

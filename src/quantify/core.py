@@ -32,6 +32,13 @@ def rng_from(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _middle(values: np.ndarray) -> np.ndarray:
+    """What np.median averages: the middle one or two of ``values``, or a NaN; partitions in place."""
+    lo, hi = (values.size - 1) // 2, values.size // 2
+    values.partition([lo, hi, -1])
+    return values[-1:] if np.isnan(values[-1]) else values[lo : hi + 1]
+
+
 def _as_2d_float(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 1:
@@ -552,10 +559,12 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, max_iter: int, tol: floa
             candidate = beta - scale * step
             candidate_value = _logistic_nll(candidate, design, y, ridge)
             if candidate_value <= value - 1e-4 * scale * float(grad @ step):
+                beta, value = candidate, candidate_value
                 break
             scale /= 2.0
-        beta = beta - scale * step
-        value = _logistic_nll(beta, design, y, ridge)
+        else:
+            beta = beta - scale * step
+            value = _logistic_nll(beta, design, y, ridge)
     else:
         raise EstimationError(
             f"logistic fit did not converge in {max_iter} iterations "

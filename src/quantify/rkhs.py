@@ -22,6 +22,7 @@ from .core import (
     ScoredDataset,
     ScoreFunction,
     _as_2d_float,
+    _middle,
     fit_logistic,
     rng_from,
 )
@@ -44,13 +45,6 @@ def _squared_distances(x: np.ndarray, z: np.ndarray) -> np.ndarray:
         np.subtract(sx[start : start + _GRAM_ROWS] + sz, block, out=block)
         np.clip(block, 0.0, None, out=block)
     return out
-
-
-def _middle(values: np.ndarray) -> np.ndarray:
-    """What np.median averages: the middle one or two of ``values``, or a NaN; partitions in place."""
-    lo, hi = (values.size - 1) // 2, values.size // 2
-    values.partition([lo, hi, -1])
-    return values[-1:] if np.isnan(values[-1]) else values[lo : hi + 1]
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ versions of the class distributions mixed at the best-fitting weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimationError, ScoredDataset, rng_from
+from .core import EstimationError, ScoredDataset, _middle, rng_from
 
 
 def _ecdf_gaps(
@@ -140,6 +141,31 @@ class KernelDensity:
         return self.values[idx] + rng.normal(0.0, self.bandwidth, size=size)
 
 
+def _quartiles(values: np.ndarray) -> tuple[float, float]:
+    """``np.percentile(values, [75, 25])`` bit for bit, for two or more values; partitions in place.
+
+    numpy's linear method: at virtual index i = (n - 1) q it takes a = v(floor i) and
+    b = v(floor i + 1) and returns a + (b - a) t, or b - (b - a) (1 - t) when t >= 0.5,
+    with t = i - floor i; any NaN gives the NaN it sorts last.  The partition points are
+    numpy's, so the arrangement is too.  This skips the ``np.unique`` that makes
+    ``np.percentile`` import ``numpy.ma``.
+    """
+    n = values.size
+    picks = []
+    for q in (0.75, 0.25):
+        index = (n - 1) * q
+        below = math.floor(index)
+        picks.append((below, index - below))
+    values.partition([0, -1, *(i for below, _ in picks for i in (below, below + 1))])
+    if np.isnan(values[-1]):
+        return values[-1], values[-1]
+    quartiles = []
+    for below, t in picks:
+        a, b = values[below], values[below + 1]
+        quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return quartiles[0], quartiles[1]
+
+
 def kde_fit(values: np.ndarray) -> KernelDensity:
     """Fit a Gaussian KDE with the Silverman rule-of-thumb bandwidth.
 
@@ -151,11 +177,11 @@ def kde_fit(values: np.ndarray) -> KernelDensity:
     if values.size < 2:
         raise EstimationError("KDE needs at least two values")
     sd = float(np.std(values, ddof=1))
-    q75, q25 = np.percentile(values, [75.0, 25.0])
+    q75, q25 = _quartiles(values.copy())
     spread = min(sd, (q75 - q25) / 1.34)
     bandwidth = 0.9 * spread * values.size ** (-0.2)
     if not np.isfinite(bandwidth) or bandwidth <= 0.0:
-        bandwidth = 1e-6 * (1.0 + abs(float(np.median(values))))
+        bandwidth = 1e-6 * (1.0 + abs(float(np.mean(_middle(values.copy())))))
     return KernelDensity(values=values.copy(), bandwidth=float(bandwidth))
 
 

@@ -495,14 +495,66 @@ class TestSimulate:
         assert "cannot write" in err
 
 
-@pytest.mark.parametrize("command", ["import", "estimate", "estimate-fit", "select-g", "regress"])
+def test_only_the_process_entry_points_freeze_the_heap(eight_csv):
+    """The quantify script and python -m quantify.cli run cli.run, which calls
+    gc.freeze() before the command; main() called in-process does not."""
+    argv = [*ESTIMATE, eight_csv, "--quiet"]
+    scripts = {
+        "main": f"from quantify.cli import main\nassert main({argv!r}) == 0\n",
+        "-m": (f"import runpy\nsys.argv = ['quantify', *{argv!r}]\n"
+               "try:\n    runpy.run_module('quantify.cli', run_name='__main__')\n"
+               "except SystemExit as done:\n    assert done.code == 0\n"),
+    }
+    src = str(Path(quantify.__file__).parents[1])
+    frozen = {}
+    for entry, script in scripts.items():
+        done = subprocess.run([sys.executable, "-c", "import gc, sys\n" + script +
+                               "print(gc.get_freeze_count())"], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        frozen[entry] = int(done.stdout)
+    assert frozen["main"] == 0 and frozen["-m"] > 0
+    pyproject = (Path(src).parent / "pyproject.toml").read_text()
+    assert '\nquantify = "quantify.cli:run"\n' in pyproject
+
+
+def test_public_names_resolve_to_their_layers():
+    """Layers past core and shift_test load on first use; each public name is
+    still the object its layer defines, read there and not kept in the package."""
+    star = {}
+    exec("from quantify import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == sorted(quantify.__all__)
+    for name in quantify.__all__:
+        value = getattr(quantify, name)
+        assert vars(sys.modules[value.__module__])[name] is value is star[name]
+        assert name in dir(quantify)
+    assert set(quantify.__all__) - set(vars(quantify)) == set(quantify._HOME)
+    assert quantify.shift_test is sys.modules["quantify.shift_test"].shift_test
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        quantify.nothing
+
+
+LAYERS_LOADED = {
+    "import": (),
+    "test-shift": (),
+    "estimate": ("estimators",),
+    "estimate-fit": ("estimators",),
+    "select-g": ("estimators", "rkhs"),
+    "regress": ("estimators", "regression"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LAYERS_LOADED))
 def test_commands_load_neither_multiprocessing_nor_numpy_ma(command, eight_csv, blobs_csv,
                                                              curve_csv, tmp_path):
     """Each costs 10-40 ms of start-up: the pool is imported where a study uses
-    it, and np.unique and np.median import numpy.ma on their first call."""
+    it, np.unique and np.median import numpy.ma on their first call, and a
+    layer loads only when its command calls it."""
     weights = str(tmp_path / "g.json")
     runs = {
         "import": [],
+        "test-shift": [["test-shift", eight_csv, "--set-col", "s", "--label-col", "y",
+                        "--score-col", "g", "--B", "5", "--grid-size", "101"]],
         "estimate": [[*ESTIMATE, eight_csv, "--ci", "0.95"]],
         "estimate-fit": [["estimate", blobs_csv, "--set-col", "s", "--label-col", "y"]],
         "select-g": [["select-g", blobs_csv, *TestSelectG.BASE, "--out", weights],
@@ -512,8 +564,13 @@ def test_commands_load_neither_multiprocessing_nor_numpy_ma(command, eight_csv, 
     script = "import sys\nfrom quantify.cli import main\n"
     script += "".join(f"assert main({argv!r}) == 0\n" for argv in runs)
     script += "print(sorted({'multiprocessing', 'numpy.ma'} & set(sys.modules)))\n"
+    script += "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'quantify'))\n"
     src = str(Path(quantify.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    *_, heavy, layers = done.stdout.splitlines()
+    assert heavy == "[]"
+    expected = ["quantify", "quantify.cli", "quantify.core", "quantify.shift_test",
+                *(f"quantify.{layer}" for layer in LAYERS_LOADED[command])]
+    assert layers == repr(sorted(expected))

@@ -23,7 +23,8 @@ from quantify import (
     stratified_split,
 )
 from quantify import rkhs
-from quantify.rkhs import DEFAULT_GAMMA_GRID, _middle, candidate_gammas
+from quantify.core import _middle
+from quantify.rkhs import DEFAULT_GAMMA_GRID, candidate_gammas
 
 # Derandomized, so every run checks the same examples and tier-1 stays deterministic.
 EXACTNESS = settings(derandomize=True, database=None, deadline=None, max_examples=200)

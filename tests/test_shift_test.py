@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantify import (
@@ -16,7 +16,8 @@ from quantify import (
     shift_test,
     t_statistic,
 )
-from quantify.shift_test import _first_minimum
+from quantify.core import _middle
+from quantify.shift_test import _first_minimum, _quartiles
 
 # Derandomized, so every run checks the same examples and tier-1 stays deterministic.
 EXACTNESS = settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -248,6 +249,32 @@ class TestKdeFit:
     def test_needs_two_values(self):
         with pytest.raises(EstimationError, match="two values"):
             kde_fit(np.array([1.0]))
+
+    @EXACTNESS
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=2, max_size=30)
+           | st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 0.5, 3.0, np.inf, np.nan]),
+                      min_size=2, max_size=12))
+    @example([0.5, -1.0])
+    @example([0.0, -0.0])
+    @example([1.0, np.nan])
+    @example([np.nan, -np.nan, 2.0])
+    def test_quartiles_and_median_are_numpys(self, values):
+        """np.percentile and np.median serve as oracles only: kde_fit calls neither,
+        because their first call imports numpy.ma."""
+        values = np.array(values)
+        before = values.tobytes()
+        with np.errstate(invalid="ignore", over="ignore"):
+            quartiles = np.array(_quartiles(values.copy()))
+            assert quartiles.tobytes() == np.percentile(values, [75.0, 25.0]).tobytes()
+            median = np.float64(np.mean(_middle(values.copy())))
+            assert median.tobytes() == np.float64(np.median(values)).tobytes()
+            fitted = kde_fit(values)
+            spread = min(float(np.std(values, ddof=1)), (quartiles[0] - quartiles[1]) / 1.34)
+            bandwidth = 0.9 * spread * values.size ** (-0.2)
+            if not np.isfinite(bandwidth) or bandwidth <= 0.0:
+                bandwidth = 1e-6 * (1.0 + abs(float(median)))
+        assert np.float64(fitted.bandwidth).tobytes() == np.float64(bandwidth).tobytes()
+        assert values.tobytes() == before and fitted.values.tobytes() == before
 
 
 class TestShiftTest:
