@@ -95,61 +95,10 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CombinedEstimate",
-    "CsvSchema",
-    "DataError",
-    "EstimationError",
-    "ExperimentReport",
-    "ExternalScore",
-    "KernelDensity",
-    "KernelMatrices",
-    "KernelScore",
-    "KernelSpec",
-    "LogisticScore",
-    "RawDataset",
-    "RegressionCurve",
-    "RkhsSelection",
-    "ScenarioSpec",
-    "ScoreFunction",
-    "ScoredDataset",
-    "ShiftTestResult",
-    "SimplexEstimate",
-    "ThetaEstimate",
-    "build_matrices",
-    "cc_regress",
-    "classify_and_count",
-    "combined_estimate",
-    "cv_bandwidth",
-    "em_estimate",
-    "empirical_mse",
-    "fit_logistic",
-    "fit_logistic_ovr",
-    "generate",
-    "kde_fit",
-    "load_csv",
-    "median_bandwidth",
-    "multiclass_ratio",
-    "nadaraya_watson",
-    "null_gamma",
-    "project_simplex",
-    "ratio_ci",
-    "ratio_estimate",
-    "ratio_regress",
-    "ratio_variance",
-    "rng_from",
-    "run_combined_study",
-    "run_coverage_study",
-    "run_mse_study",
-    "run_multiclass_study",
-    "run_power_study",
-    "run_regression_study",
-    "score_dataset",
-    "select_g",
-    "shift_test",
-    "solve_weights",
-    "stratified_split",
-    "symmetric_gaussian",
-    "t_statistic",
-    "table_scenario",
-]
+# The eager imports above, without the modules they bind (``core``, ``importlib``),
+# and every lazy name.
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, type(importlib))]
+    + list(_HOME)
+)

@@ -74,6 +74,14 @@ def _emit(payload: dict, fmt: str, quiet: bool) -> None:
                 sys.stdout.write(f"{key},{value}\n")
 
 
+def _write_out(path: str, write) -> None:
+    try:
+        with open(path, "w", newline="") as handle:
+            write(handle)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def _schema_from_args(args) -> CsvSchema:
     return CsvSchema(
         set_column=args.set_col,
@@ -145,7 +153,7 @@ def _grid_arg(text: str):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be start:stop:points")
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -219,12 +227,8 @@ def _cmd_select_g(args) -> None:
     )
     payload = selection.to_dict()
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                json.dump(payload, handle, sort_keys=True, indent=2)
-                handle.write("\n")
-        except OSError as exc:
-            raise DataError(f"cannot write {args.out}: {exc}") from exc
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        _write_out(args.out, lambda out: out.write(text))
         _emit(
             {"out": args.out, "gamma": selection.gamma, "objective": selection.objective},
             args.output,
@@ -239,19 +243,13 @@ def _cmd_regress(args) -> None:
 
     data = load_csv(args.data, _schema_from_args(args))
     g = _resolve_score(args, data)
-    grid = np.linspace(*args.grid)
     if args.method == "ratio":
-        curve = ratio_regress(data, g, grid, bandwidth=args.bandwidth, min_denom=args.min_denom)
+        curve = ratio_regress(data, g, args.grid, bandwidth=args.bandwidth, min_denom=args.min_denom)
     else:
-        curve = cc_regress(data, g, grid, threshold=args.threshold, bandwidth=args.bandwidth)
+        curve = cc_regress(data, g, args.grid, threshold=args.threshold, bandwidth=args.bandwidth)
     if args.out:
-        try:
-            with open(args.out, "w", newline="") as handle:
-                handle.write("z,theta\n")
-                for z, value in curve.rows():
-                    handle.write(f"{z},{value}\n")
-        except OSError as exc:
-            raise DataError(f"cannot write {args.out}: {exc}") from exc
+        rows = "".join(f"{z},{value}\n" for z, value in curve.rows())
+        _write_out(args.out, lambda out: out.write("z,theta\n" + rows))
         _emit(
             {"out": args.out, "bandwidth": curve.bandwidth, "method": curve.method},
             args.output,
@@ -323,7 +321,7 @@ def _cmd_simulate(args) -> None:
     elif args.study == "coverage":
         report = run_coverage_study(spec, thetas, args.level, args.replicates, args.seed)
     elif args.study == "power":
-        gammas = args.gamma if args.gamma else list(DEFAULT_POWER_GAMMAS[spec.kind])
+        gammas = args.gamma if args.gamma else list(DEFAULT_POWER_GAMMAS.get(spec.kind, ()))
         report = run_power_study(
             spec,
             gammas,
@@ -345,15 +343,12 @@ def _cmd_simulate(args) -> None:
             spec, grid, args.replicates, args.seed, threshold=args.threshold
         )
     if args.out:
-        try:
-            report.to_csv(args.out)
-        except OSError as exc:
-            raise DataError(f"cannot write {args.out}: {exc}") from exc
+        _write_out(args.out, report.to_csv)
         _emit(
             {
                 "out": args.out,
                 "study": report.study,
-                "rows": len(report.raw_rows or report.rows),
+                "rows": len(report.raw_rows),
             },
             args.output,
             args.quiet,
@@ -457,10 +452,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EstimationError as exc:

@@ -191,21 +191,11 @@ class _Layout:
             features = [float(row[i]) for i in self.features]
         except ValueError:
             raise ValueError("non-numeric feature value") from None
-        raw_set = row[self.set].strip()
-        if raw_set not in ("0", "1"):
-            raise ValueError(f"set indicator must be 0 or 1, got {raw_set!r}")
-        raw_label = row[self.label].strip() if self.label is not None else ""
-        label = -1
-        if raw_label == "":
-            if raw_set == "1":
-                raise ValueError("labeled row (set indicator 1) has no label")
-        else:
-            try:
-                label = int(raw_label)
-            except ValueError:
-                raise ValueError(f"non-integer label {raw_label!r}") from None
-            if label not in _LABEL_RANGE:
-                raise ValueError(f"label {raw_label!r} out of range")
+        set_ = _set_code(row[self.set])
+        raw_label = row[self.label] if self.label is not None else ""
+        if set_ == 1 and not raw_label.strip():
+            raise ValueError("labeled row (set indicator 1) has no label")
+        label = _label_code(raw_label)
         covariate = None
         if self.covariate is not None:
             try:
@@ -216,13 +206,14 @@ class _Layout:
             raise ValueError("non-finite feature value")
         if covariate is not None and not math.isfinite(covariate):
             raise ValueError("non-finite covariate value")
-        return features, label, int(raw_set), covariate
+        return features, label, set_, covariate
 
 
 def _set_code(cell: str) -> int:
+    """The set indicator of a cell, for both parsers."""
     cell = cell.strip()
     if cell not in ("0", "1"):
-        raise ValueError("set indicator outside {0, 1}")
+        raise ValueError(f"set indicator must be 0 or 1, got {cell!r}")
     return int(cell)
 
 
@@ -230,12 +221,16 @@ _LABEL_RANGE = range(np.iinfo(int).min, np.iinfo(int).max + 1)
 
 
 def _label_code(cell: str) -> int:
+    """The class label of a cell, for both parsers: -1 (no label) for a blank cell."""
     cell = cell.strip()
     if not cell:
         return -1
-    label = int(cell)
+    try:
+        label = int(cell)
+    except ValueError:
+        raise ValueError(f"non-integer label {cell!r}") from None
     if label not in _LABEL_RANGE:
-        raise ValueError("label does not fit the label array")
+        raise ValueError(f"label {cell!r} out of range")
     return label
 
 

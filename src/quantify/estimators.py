@@ -339,17 +339,6 @@ class CombinedEstimate:
     mse_labels: float
     n_target_labels: int
 
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "weight": self.weight,
-            "theta_ratio": self.theta_ratio,
-            "theta_labels": self.theta_labels,
-            "mse_ratio": self.mse_ratio,
-            "mse_labels": self.mse_labels,
-            "n_target_labels": self.n_target_labels,
-        }
-
 
 def combined_estimate(ratio: ThetaEstimate, target_labels) -> CombinedEstimate:
     """Blend a ratio estimate with labels observed on the target population.

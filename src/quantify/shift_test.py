@@ -11,7 +11,7 @@ versions of the class distributions mixed at the best-fitting weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -204,16 +204,7 @@ class ShiftTestResult:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_star": self.p_star,
-            "theta_hat": self.theta_hat,
-            "p_value": self.p_value,
-            "replicates": self.replicates,
-            "bandwidth0": self.bandwidth0,
-            "bandwidth1": self.bandwidth1,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def shift_test(

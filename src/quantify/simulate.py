@@ -2,10 +2,10 @@
 
 Scenario kinds fall into three groups: score-level binary scenarios that
 draw the score values themselves from named class-conditional laws
-(gaussian, exponential, gaussian_exponential, beta, and resampling from a
-scored corpus), a feature-level multiclass scenario (isotropic Gaussian
-bumps in ten dimensions, scored by one-vs-rest logistic fits), and a
-covariate scenario whose unlabeled prevalence follows a sine curve in z.
+(gaussian, exponential, gaussian_exponential, beta), a feature-level
+multiclass scenario (isotropic Gaussian bumps in ten dimensions, scored by
+one-vs-rest logistic fits), and a covariate scenario whose unlabeled
+prevalence follows a sine curve in z.
 
 Every study is deterministic given its seed: replicate r of cell c uses a
 generator derived from (seed, c, r) and never touches shared state, so the
@@ -53,7 +53,6 @@ SCENARIO_KINDS = (
     "beta",
     "multiclass_gaussian",
     "regression_sine",
-    "resample",
 )
 
 
@@ -92,7 +91,6 @@ class ScenarioSpec:
     # regression: score separation and sine cycles of the prevalence curve
     mu: float = 1.0
     cycles: int = 1
-    corpus: RawDataset | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in SCENARIO_KINDS:
@@ -104,7 +102,6 @@ class ScenarioSpec:
 
     def meta(self) -> dict:
         payload = dataclasses.asdict(self)
-        payload.pop("corpus", None)
         payload["n_class"] = list(self.n_class)
         return payload
 
@@ -234,25 +231,12 @@ def generate(spec: ScenarioSpec, seed: int) -> RawDataset:
 
     The unlabeled class counts are the largest-remainder rounding of
     n_unlabeled * (1 - theta, theta), presented in shuffled row order; only
-    corpus resampling and the covariate scenario flip per-row coins.
+    the covariate scenario flips per-row coins.
     Unlabeled rows keep their true class label in the dataset (the
     estimators never read labels of set-0 rows; evaluation and the combined
     estimator do).  The same spec and seed give a bit-identical dataset.
     """
     rng = rng_from(seed)
-    if spec.kind in ("gaussian", "exponential", "gaussian_exponential", "beta"):
-        sample0, sample1, sample_unlabeled0 = _binary_law_samplers(spec)
-        n0, n1 = spec.n_class[0], spec.n_class[1]
-        labeled0 = sample0(rng, n0)
-        labeled1 = sample1(rng, n1)
-        counts = _proportional_counts(spec.n_unlabeled, (1.0 - spec.theta, spec.theta))
-        unlabeled = np.concatenate(
-            [sample_unlabeled0(rng, counts[0]), sample1(rng, counts[1])]
-        )
-        labels_u = np.repeat(np.arange(2), counts)
-        order = rng.permutation(spec.n_unlabeled)
-        return _assemble_binary(labeled0, labeled1, unlabeled[order], labels_u[order])
-
     if spec.kind == "multiclass_gaussian":
         k_plus_one = len(spec.levels)
         if len(spec.n_class) != k_plus_one or len(spec.target_priors) != k_plus_one:
@@ -298,40 +282,18 @@ def generate(spec: ScenarioSpec, seed: int) -> RawDataset:
             covariate_unlabeled=z_u,
         )
 
-    if spec.kind == "resample":
-        return _resample(spec, rng)
-    raise EstimationError(f"unknown scenario kind {spec.kind!r}")
-
-
-def _resample(spec: ScenarioSpec, rng: np.random.Generator) -> RawDataset:
-    corpus = spec.corpus
-    if corpus is None:
-        raise EstimationError("resample scenario needs a corpus")
-    pools = [rng.permutation(np.flatnonzero(corpus.labels == j)) for j in (0, 1)]
+    # the four score kinds; _binary_law_samplers refuses any other
+    sample0, sample1, sample_unlabeled0 = _binary_law_samplers(spec)
     n0, n1 = spec.n_class[0], spec.n_class[1]
-    from_class1 = rng.random(spec.n_unlabeled) < spec.theta
-    need = (n0 + int((~from_class1).sum()), n1 + int(from_class1.sum()))
-    if need[0] > pools[0].size or need[1] > pools[1].size:
-        raise EstimationError(
-            f"corpus too small: need {need[0]}/{need[1]} rows per class, "
-            f"have {pools[0].size}/{pools[1].size}"
-        )
-    labeled_idx = np.concatenate([pools[0][:n0], pools[1][:n1]])
-    unlabeled_idx = np.empty(spec.n_unlabeled, dtype=int)
-    unlabeled_idx[~from_class1] = pools[0][n0 : need[0]]
-    unlabeled_idx[from_class1] = pools[1][n1 : need[1]]
-    order = np.concatenate([labeled_idx, unlabeled_idx])
-    sets = np.concatenate(
-        [np.ones(n0 + n1, dtype=int), np.zeros(spec.n_unlabeled, dtype=int)]
+    labeled0 = sample0(rng, n0)
+    labeled1 = sample1(rng, n1)
+    counts = _proportional_counts(spec.n_unlabeled, (1.0 - spec.theta, spec.theta))
+    unlabeled = np.concatenate(
+        [sample_unlabeled0(rng, counts[0]), sample1(rng, counts[1])]
     )
-    covariate = corpus.covariate[order] if corpus.covariate is not None else None
-    return RawDataset(
-        features=corpus.features[order],
-        labels=corpus.labels[order],
-        set_indicator=sets,
-        covariate=covariate,
-        feature_names=corpus.feature_names,
-    )
+    labels_u = np.repeat(np.arange(2), counts)
+    order = rng.permutation(spec.n_unlabeled)
+    return _assemble_binary(labeled0, labeled1, unlabeled[order], labels_u[order])
 
 
 @dataclass(frozen=True)
@@ -349,17 +311,15 @@ class ExperimentReport:
     rows: tuple[tuple, ...]
     seed: int
     meta: dict
-    raw_columns: tuple[str, ...] = ()
-    raw_rows: tuple[tuple, ...] = ()
+    raw_columns: tuple[str, ...]
+    raw_rows: tuple[tuple, ...]
 
-    def to_csv(self, path: str) -> None:
-        columns = self.raw_columns or self.columns
-        rows = self.raw_rows if self.raw_columns else self.rows
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow(["" if v is None else v for v in row])
+    def to_csv(self, handle) -> None:
+        """Write the tidy table to the text ``handle``, opened with ``newline=""``."""
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(self.raw_columns)
+        for row in self.raw_rows:
+            writer.writerow(["" if v is None else v for v in row])
 
     def to_dict(self) -> dict:
         return {
@@ -418,6 +378,8 @@ def _run_cells(cells: list[ScenarioSpec], replicate, replicates: int, seed: int)
     must pickle (a module-level function, or a partial of one), and the seed
     path must be all the randomness it uses.
     """
+    if replicates < 1:
+        raise EstimationError(f"need at least one replicate per cell, got {replicates}")
     payloads = [(cell, (seed, c, r)) for c, cell in enumerate(cells) for r in range(replicates)]
     workers = min(_threads(), len(payloads))
     if workers <= 1:
@@ -567,6 +529,7 @@ def run_power_study(
     """
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0, 1), got {alpha}")
+    null = null_gamma(spec)
     cells = [dataclasses.replace(spec, gamma=float(gamma)) for gamma in gammas]
     replicate = partial(
         _power_replicate, alpha=alpha, test_replicates=test_replicates, grid_size=grid_size
@@ -575,7 +538,7 @@ def run_power_study(
     for cell, outcomes in zip(cells, _run_cells(cells, replicate, replicates, seed)):
         raw.extend((spec.kind, cell.gamma, r, *outcome) for r, outcome in enumerate(outcomes))
         rate = float(np.mean([rejected for _, _, rejected in outcomes]))
-        is_null = 1.0 if cell.gamma == null_gamma(cell) else 0.0
+        is_null = 1.0 if cell.gamma == null else 0.0
         rows.append((cell.gamma, replicates, test_replicates, rate, is_null))
     return ExperimentReport(
         study="power",

@@ -298,6 +298,12 @@ class TestSelectG:
         assert first == second
         assert 0.0 <= first["theta"] <= 1.0
 
+    def test_unwritable_out_exits_1(self, blobs_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "selection.json"
+        code, stdout, err = run(["select-g", blobs_csv] + self.BASE + ["--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
     def test_linear_kernel(self, blobs_csv, capsys):
         payload = run_json(["select-g", blobs_csv] + self.BASE + ["--kernel", "linear"],
                            capsys)
@@ -385,6 +391,12 @@ class TestRegress:
         assert lines[0] == "z,theta"
         assert len(lines) == 6
         assert lines[1].startswith("0.0,")
+
+    def test_unwritable_out_exits_1(self, curve_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "curve.csv"
+        code, stdout, err = run(["regress", curve_csv] + self.BASE + ["--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
     def test_malformed_grid_exits_via_argparse(self, curve_csv):
         with pytest.raises(SystemExit) as info:
@@ -493,6 +505,37 @@ class TestSimulate:
         code, _, err = run(self.MSE + ["--out", "/no/such/dir/x.csv"], capsys)
         assert code == 1
         assert "cannot write" in err
+
+
+ZERO_REPLICATES = [((), "mse"), ((), "coverage"), ((), "power"), ((), "combined"),
+                   (("--scenario", "multiclass"), "multiclass"), (("--scenario", "sine"), "regression")]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["simulate", "--scenario", "multiclass", "--study", "power"],
+                 "kind 'multiclass_gaussian' has no shift parameter", id="power-multiclass"),
+    pytest.param(["simulate", "--scenario", "sine", "--study", "power"],
+                 "kind 'regression_sine' has no shift parameter", id="power-sine"),
+    *(pytest.param(["simulate", *scenario, "--study", study, "--replicates", "0"],
+                   "need at least one replicate per cell, got 0", id=f"{study}-0-replicates")
+      for scenario, study in ZERO_REPLICATES),
+    pytest.param(["simulate", "--study", "mse", "--replicates", "-3"],
+                 "need at least one replicate per cell, got -3", id="mse-negative-replicates"),
+    pytest.param(["regress", "CURVE", *TestRegress.BASE, "--grid", "0:1:-1"],
+                 "--grid: Number of samples, -1, must be non-negative.",
+                 id="regress-negative-grid-points"),
+])
+def test_refused_value_exits_2_with_one_error_line(argv, message, curve_csv):
+    """A value a command cannot use ends the process with exit 2 and one line
+    saying why: no traceback, no table of NaNs."""
+    argv = [curve_csv if arg == "CURVE" else arg for arg in argv]
+    src = str(Path(quantify.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "quantify.cli", *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(message), done.stderr
 
 
 def test_only_the_process_entry_points_freeze_the_heap(eight_csv):

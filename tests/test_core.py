@@ -609,6 +609,30 @@ class TestLoadCsvFastPath:
         path.write_text(text, encoding="utf-8", newline="")
         assert_same_outcome_both_ways(str(path), schema)
 
+    @pytest.mark.parametrize("text, schema, message", [
+        ("s,y,x\n1,0,1\n2,1,2\n", LABELED, ":3: set indicator must be 0 or 1, got '2'"),
+        ("s,y,x\n1,0,1\n ,1,2\n", LABELED, ":3: set indicator must be 0 or 1, got ''"),
+        ("s,y,x\n1,0,1\n 1 , ,2\n", LABELED, ":3: labeled row (set indicator 1) has no label"),
+        ("s,x\n0,1\n1,2\n", PLAIN, ":3: labeled row (set indicator 1) has no label"),
+        ("s,y,x\n1,0,1\n0, 1.5 ,2\n", LABELED, ":3: non-integer label '1.5'"),
+        ("s,y,x\n1,0,1\n0,-9223372036854775809,2\n", LABELED,
+         ":3: label '-9223372036854775809' out of range"),
+    ])
+    def test_set_and_label_messages(self, tmp_path, text, schema, message):
+        """Both readers name the record and give the exact parser's message."""
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        assert load_outcome(load_csv, str(path), schema) == f"{path}{message}"
+        assert_same_outcome_both_ways(str(path), schema)
+
+    def test_labeled_row_labeled_minus_one_is_refused_without_a_line(self, tmp_path):
+        """-1 is a label cell's code for no label, so the record parses and the
+        dataset, which sees no lines, refuses it."""
+        path = tmp_path / "data.csv"
+        path.write_text("s,y,x\n1,0,1\n1,1,2\n1,-1,3\n")
+        assert load_outcome(load_csv, str(path), LABELED) == "labeled rows must carry a class label"
+        assert_same_outcome_both_ways(str(path), LABELED)
+
 
 class TestScoreDataset:
     """Grouping by population and class, preserving row order."""

@@ -57,7 +57,6 @@ class TestScenarioSpec:
         assert meta["kind"] == "gaussian"
         assert meta["n_class"] == [150, 150]
         assert meta["theta"] == 0.3
-        assert "corpus" not in meta
 
 
 class TestTableScenario:
@@ -232,71 +231,23 @@ class TestGenerateRegressionSine:
         assert abs(share1 - 0.5) < 0.03
 
 
-class TestGenerateResample:
-    def corpus(self, n0=60, n1=60) -> RawDataset:
-        values = np.arange(n0 + n1, dtype=float)
-        return RawDataset(
-            features=values,
-            labels=np.repeat([0, 1], (n0, n1)),
-            set_indicator=np.ones(n0 + n1, dtype=int),
-            covariate=values * 10.0,
-        )
-
-    def test_draws_without_replacement(self):
-        spec = ScenarioSpec(
-            kind="resample", n_unlabeled=40, n_class=(20, 20), theta=0.5,
-            corpus=self.corpus(),
-        )
-        data = generate(spec, seed=1)
-        assert data.n_rows == 80
-        assert np.unique(data.features).size == 80
-        np.testing.assert_array_equal(data.covariate, data.features[:, 0] * 10.0)
-        assert data.labeled_class_indices(0).size == 20
-
-    def test_unlabeled_composition_uses_per_row_coins(self):
-        spec = ScenarioSpec(
-            kind="resample", n_unlabeled=50, n_class=(5, 5), theta=0.8,
-            corpus=self.corpus(),
-        )
-        counts = [int(unlabeled_labels(generate(spec, s)).sum()) for s in range(12)]
-        assert len(set(counts)) > 1
-        assert 25 <= np.mean(counts) <= 48
-
-    def test_corpus_too_small(self):
-        spec = ScenarioSpec(
-            kind="resample", n_unlabeled=100, n_class=(55, 55), theta=0.5,
-            corpus=self.corpus(),
-        )
-        with pytest.raises(EstimationError, match="corpus too small: need"):
-            generate(spec, seed=0)
-
-    def test_missing_corpus(self):
-        spec = ScenarioSpec(kind="resample", n_unlabeled=10, n_class=(5, 5))
-        with pytest.raises(EstimationError, match="needs a corpus"):
-            generate(spec, seed=0)
-
-
 class TestExperimentReport:
-    def small_report(self, raw=True) -> ExperimentReport:
+    def small_report(self) -> ExperimentReport:
         return ExperimentReport(
             study="mse",
             columns=("theta", "method", "mse"),
             rows=((0.3, "ratio", 0.001), (0.3, "cc", 0.004)),
             seed=7,
             meta={"kind": "gaussian"},
-            raw_columns=("method", "replicate", "estimate") if raw else (),
-            raw_rows=(("ratio", 0, 0.31), ("ratio", 1, None)) if raw else (),
+            raw_columns=("method", "replicate", "estimate"),
+            raw_rows=(("ratio", 0, 0.31), ("ratio", 1, None)),
         )
 
     def test_csv_prefers_the_raw_table(self, tmp_path):
         path = tmp_path / "out.csv"
-        self.small_report().to_csv(str(path))
+        with open(path, "w", newline="") as handle:
+            self.small_report().to_csv(handle)
         assert path.read_text() == "method,replicate,estimate\nratio,0,0.31\nratio,1,\n"
-
-    def test_csv_falls_back_to_the_summary(self, tmp_path):
-        path = tmp_path / "out.csv"
-        self.small_report(raw=False).to_csv(str(path))
-        assert path.read_text() == "theta,method,mse\n0.3,ratio,0.001\n0.3,cc,0.004\n"
 
     def test_cell_and_value(self):
         report = self.small_report()
