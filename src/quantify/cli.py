@@ -145,7 +145,17 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="stdout format for scalar results",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress stdout result")
-    parser.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
+    parser.add_argument("--seed", type=_seed_arg, default=0, help="seed for any randomized step")
+
+
+def _seed_arg(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {seed}")
+    return seed
 
 
 def _grid_arg(text: str):
@@ -391,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--kernel", choices=("gaussian", "linear"), default="gaussian")
     p_sel.add_argument("--bandwidth", type=float, default=None)
     p_sel.add_argument("--gamma", "--gamma-grid", action="append", type=float, default=None)
-    p_sel.add_argument("--split-seed", type=int, default=None, help="defaults to --seed")
+    p_sel.add_argument("--split-seed", type=_seed_arg, default=None, help="defaults to --seed")
     p_sel.add_argument("--min-denom", type=float, default=1e-8)
     p_sel.add_argument("--out", default=None, help="write the selection JSON here")
     _add_common_flags(p_sel)

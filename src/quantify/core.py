@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -27,8 +29,11 @@ def rng_from(seed: int, *key: int) -> np.random.Generator:
 
     Every randomized routine in the package receives its generator through
     here, so replicate b of a study can use ``rng_from(seed, b)`` and stay
-    independent of (and unaffected by) every other replicate.
+    independent of (and unaffected by) every other replicate.  Seeds and keys
+    must be non-negative.
     """
+    if seed < 0 or any(k < 0 for k in key):
+        raise EstimationError(f"seeds must be non-negative, got {(seed, *key) if key else seed}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
@@ -275,63 +280,67 @@ def _resolve_schema(path: str, header_line: int, fieldnames: list[str], schema: 
     return feature_names, layout
 
 
+def _parsed_header(path: str, data: bytes, schema: CsvSchema):
+    """The header's cells, its last line, and :func:`_resolve_schema` over them;
+    ``None`` when the header is missing or does not resolve."""
+    try:
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        fieldnames = next(reader, None)
+        if fieldnames is None:
+            return None
+        return (fieldnames, reader.line_num, *_resolve_schema(path, reader.line_num, fieldnames, schema))
+    except (ValueError, csv.Error, DataError):
+        return None
+
+
 # float() refuses these around a number; numpy's parser strips them as whitespace.
 _SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _numpy_reads_like_csv(path: str) -> bool:
-    """Whether no byte of ``path`` can make numpy accept a cell that the exact path refuses.
+def _numpy_reads_like_csv(data: bytes) -> bool:
+    """Whether no byte of ``data`` can make numpy accept a cell that the exact path refuses.
 
     Such a byte is one of 0x1c-0x1f, or one in a run of bytes without a comma
     longer than :func:`csv.field_size_limit`: every cell numpy accepts is free of
     commas, so it fits in such a run, and ``csv.reader`` refuses a longer cell.
     """
-    limit, last, offset = csv.field_size_limit(), -1, 0  # last: offset of the latest comma
-    with open(path, "rb") as handle:
-        while chunk := handle.read(1 << 20):
-            if any(byte in chunk for byte in _SEPARATOR_BYTES):
-                return False
-            commas = offset + np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord(","))
-            if np.diff(commas, prepend=last).max(initial=1) - 1 > limit:
-                return False
-            last = int(commas[-1]) if commas.size else last
-            offset += len(chunk)
-    return offset - 1 - last <= limit
+    if any(byte in data for byte in _SEPARATOR_BYTES):
+        return False
+    limit, last, step = csv.field_size_limit(), -1, 1 << 20  # last: offset of the latest comma
+    for offset in range(0, len(data), step):  # in steps, so the index arrays stay small
+        chunk = np.frombuffer(data, np.uint8, count=min(step, len(data) - offset), offset=offset)
+        commas = offset + np.flatnonzero(chunk == ord(","))
+        if np.diff(commas, prepend=last).max(initial=1) - 1 > limit:
+            return False
+        last = int(commas[-1]) if commas.size else last
+    return len(data) - 1 - last <= limit
 
 
-def _fast_columns(path: str, schema: CsvSchema):
-    """What :func:`_exact_columns` returns, read by :func:`numpy.loadtxt`; ``None``
-    when the file needs the exact path instead.
+def _fast_columns(data: bytes, header_line: int, feature_names: list[str], layout: _Layout):
+    """What :func:`_exact_columns` returns for ``data`` under the resolved header,
+    read by :func:`numpy.loadtxt`; ``None`` when the bytes need the exact path instead.
 
     numpy parses a subset of what ``csv.reader`` and ``float()`` accept and, where
     both accept a cell, gives the same value bit for bit.  So every refusal or
-    doubt returns ``None``, and :func:`load_csv` then reads the file with the
+    doubt returns ``None``, and :func:`load_csv` then reads the bytes with the
     exact path, which alone decides what is accepted and what each error says.
     """
-    if not os.path.isfile(path):
-        return None  # a pipe can be read once only
+    if layout.label is not None and layout.label in (*layout.features, layout.set, layout.covariate):
+        return None  # a label cell's integer code is not its float value ('' is -1)
+    if not _numpy_reads_like_csv(data):
+        return None
+    converters = {layout.set: functools.cache(_set_code)}
+    if layout.label is not None:
+        converters[layout.label] = functools.cache(_label_code)
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            fieldnames = next(reader, None)
-            header_line = reader.line_num
-        if fieldnames is None:
-            return None
-        feature_names, layout = _resolve_schema(path, header_line, fieldnames, schema)
-        if layout.label is not None and layout.label in (*layout.features, layout.set, layout.covariate):
-            return None  # a label cell's integer code is not its float value ('' is -1)
-        if not _numpy_reads_like_csv(path):
-            return None
-        converters = {layout.set: functools.cache(_set_code)}
-        if layout.label is not None:
-            converters[layout.label] = functools.cache(_label_code)
         # comments=None: numpy's default drops the text after a '#'.  No usecols:
         # without it numpy refuses a record whose cell count differs from the first's.
-        with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("error")  # a header-only file warns "input contained no data"
-            table = np.loadtxt(handle, dtype=float, delimiter=",", comments=None, quotechar='"',
-                               skiprows=header_line, ndmin=2, converters=converters)
-    except (OSError, ValueError, UserWarning, csv.Error, DataError):
+            table = np.loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), dtype=float,
+                               delimiter=",", comments=None, quotechar='"', skiprows=header_line,
+                               ndmin=2, converters=converters)
+    except (ValueError, UserWarning):
         return None
     if table.shape[1] != layout.width:
         return None
@@ -350,22 +359,17 @@ def _fast_columns(path: str, schema: CsvSchema):
     return feature_names, features, labels, sets, covariate
 
 
-def _exact_columns(path: str, schema: CsvSchema):
+def _exact_columns(path: str, data: bytes, schema: CsvSchema):
     """The feature names, features, labels, set indicators and covariate of the
-    records after the header, checked and converted one record at a time by
-    :func:`csv.reader` and :meth:`_Layout.parse`.
+    records after the header of ``data``, the bytes of ``path``, checked and
+    converted one record at a time by :func:`csv.reader` and :meth:`_Layout.parse`.
 
-    The file's bytes are read once, and refused at the first byte that is not
-    UTF-8 before anything else is checked.  Every other fault raises
-    :class:`DataError` only after the reader has run to the end of the file, so
-    a cell longer than :func:`csv.field_size_limit` anywhere in the file is
-    reported before a schema error or a bad record.
+    The bytes are refused at the first byte that is not UTF-8 before anything
+    else is checked.  Every other fault raises :class:`DataError` only after the
+    reader has run to the end of the bytes, so a cell longer than
+    :func:`csv.field_size_limit` anywhere in the file is reported before a
+    schema error or a bad record.
     """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -409,6 +413,136 @@ def _exact_columns(path: str, schema: CsvSchema):
     )
 
 
+# The parse cache keeps the arrays that load_csv returned, one entry per file
+# content and column layout, so that commands run one after another on one file
+# parse it once.  Its budget bounds the directory at the parsed arrays of a few
+# dozen large files (those of a 100 000 x 9 file take 7.2 MB), while an evicted
+# entry costs no more than one parse the next time its file is read.
+_CACHE_BUDGET = 256 << 20
+_CACHE_MAGIC = b"quantify parse cache 1\n"
+_ENTRY_SUFFIX = ".entry"  # temporary files end in ".tmp" and are never evicted
+
+
+def _cache_dir() -> str | None:
+    """``$XDG_CACHE_HOME/quantify``, or ``~/.cache/quantify`` when that variable is
+    unset or not an absolute path; ``None`` when there is no home to fall back on."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "quantify") if os.path.isabs(base) else None
+
+
+@functools.cache
+def _source_digest() -> bytes:
+    """SHA-256 of this module's source: editing the parser invalidates every entry."""
+    import hashlib
+
+    with open(__file__, "rb") as handle:
+        return hashlib.sha256(handle.read()).digest()
+
+
+@dataclass(frozen=True)
+class _CacheEntry:
+    """The file that holds, or will hold, the arrays parsed from one file's bytes
+    under one layout.
+
+    Its name and first bytes carry a SHA-256 of the bytes and of everything else
+    the parse depends on: the header's cells, the layout, the field size limit,
+    and the numpy, Python and parser versions.  A fault in an entry is a miss,
+    never an error: the file is then parsed, as it would be without a cache.
+    """
+
+    path: str
+    key: bytes
+
+    @staticmethod
+    def find(data: bytes, fieldnames: list[str], layout: _Layout) -> _CacheEntry | None:
+        directory = _cache_dir()
+        if directory is None:
+            return None
+        import hashlib
+
+        try:
+            source = _source_digest()
+        except OSError:
+            return None
+        depends = (fieldnames, layout, csv.field_size_limit(), np.__version__, sys.version, source)
+        key = hashlib.sha256(hashlib.sha256(data).digest() + repr(depends).encode()).digest()
+        return _CacheEntry(os.path.join(directory, key.hex() + _ENTRY_SUFFIX), key)
+
+    def load(self, layout: _Layout):
+        """The stored features, labels, set indicators and covariate, or ``None``."""
+        arrays = 3 + (layout.covariate is not None)
+        try:
+            with open(self.path, "rb") as handle:
+                if handle.read(len(_CACHE_MAGIC) + len(self.key)) != _CACHE_MAGIC + self.key:
+                    return None
+                columns = [np.lib.format.read_array(handle, allow_pickle=False) for _ in range(arrays)]
+                if handle.read(1):
+                    return None
+        except Exception:  # a truncated, foreign or vanished entry: whatever a reader raises, parse instead
+            return None
+        n = columns[0].shape[0] if columns[0].ndim == 2 else -1
+        wanted = [(float, (n, len(layout.features))), (int, (n,)), (int, (n,)), (float, (n,))]
+        for arr, (dtype, shape) in zip(columns, wanted):
+            if arr.dtype != np.dtype(dtype) or arr.shape != shape or not arr.flags.c_contiguous:
+                return None
+        with contextlib.suppress(OSError):
+            os.utime(self.path)  # eviction goes by last use
+        return columns if layout.covariate is not None else [*columns, None]
+
+    def store(self, data: RawDataset) -> None:
+        """Write ``data``'s arrays to the entry, then evict down to the budget."""
+        columns = [arr for arr in (data.features, data.labels, data.set_indicator, data.covariate)
+                   if arr is not None]
+        if sum(arr.nbytes for arr in columns) > _CACHE_BUDGET:
+            return
+        import tempfile
+
+        directory = os.path.dirname(self.path)
+        try:
+            os.makedirs(directory, mode=0o700, exist_ok=True)
+            fd, temp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=directory)
+        except OSError:
+            return
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(_CACHE_MAGIC + self.key)
+                for arr in columns:
+                    np.lib.format.write_array(handle, arr, allow_pickle=False)
+                handle.flush()
+                os.fsync(handle.fileno())  # on disk before it has a name that readers trust
+            os.replace(temp, self.path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+            return
+        _evict(directory)
+
+
+def _evict(directory: str) -> None:
+    """Delete the least recently used entries of ``directory`` until the rest fit
+    in the budget.  Other files there, such as other writers' temporary files,
+    are left alone."""
+    entries = []
+    try:
+        with os.scandir(directory) as scan:
+            for entry in scan:
+                if entry.name.endswith(_ENTRY_SUFFIX):
+                    with contextlib.suppress(OSError):
+                        stat = entry.stat()
+                        entries.append((stat.st_mtime_ns, stat.st_size, entry.path))
+    except OSError:
+        return
+    total = sum(size for _, size, _ in entries)
+    for _, size, path in sorted(entries):
+        if total <= _CACHE_BUDGET:
+            break
+        with contextlib.suppress(OSError):  # another process may have evicted it already
+            os.unlink(path)
+        total -= size
+
+
 def load_csv(path: str, schema: CsvSchema) -> RawDataset:
     """Read a CSV file into a :class:`RawDataset` according to ``schema``.
 
@@ -425,24 +559,43 @@ def load_csv(path: str, schema: CsvSchema) -> RawDataset:
     a byte that is not UTF-8.  A record that spans lines (a quoted cell holding
     a newline) is reported at its last line.
 
-    A regular file whose every cell, apart from the set and label cells, is
-    a number that numpy's C parser reads is read by :func:`numpy.loadtxt`,
-    in under half the time and memory.  Every other file, a pipe, and every
-    file that is refused are read by :func:`csv.reader` and ``float()`` one
-    record at a time, over the file's bytes read once: that exact parser
-    defines the accepted syntax and every message, and both parsers give the
-    same arrays bit for bit.
+    The file's bytes are read once, and everything below works on them.  When
+    the same bytes were loaded before under the same header and columns, the
+    arrays come back from a cache in ``$XDG_CACHE_HOME/quantify`` (default
+    ``~/.cache/quantify``) bit for bit as that parse gave them; a refused file
+    is never cached.  Otherwise bytes whose every cell, apart from the set and
+    label cells, is a number that numpy's C parser reads are read by
+    :func:`numpy.loadtxt`, in under half the time and memory.  All other
+    bytes, and all that are refused, are read by :func:`csv.reader` and
+    ``float()`` one record at a time: that exact parser defines the accepted
+    syntax and every message, and both parsers give the same arrays bit for bit.
     """
-    feature_names, features, labels, sets, covariate = (
-        _fast_columns(path, schema) or _exact_columns(path, schema)
-    )
-    return RawDataset(
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    header = _parsed_header(path, data, schema)
+    entry = cached = None
+    if header is not None:
+        fieldnames, _, feature_names, layout = header
+        entry = _CacheEntry.find(data, fieldnames, layout)
+        cached = entry and entry.load(layout)
+    if cached is not None:
+        columns = (feature_names, *cached)
+    else:
+        columns = (header and _fast_columns(data, *header[1:])) or _exact_columns(path, data, schema)
+    feature_names, features, labels, sets, covariate = columns
+    dataset = RawDataset(
         features=features,
         labels=labels,
         set_indicator=sets,
         covariate=covariate,
         feature_names=tuple(feature_names),
     )
+    if entry is not None and cached is None:
+        entry.store(dataset)
+    return dataset
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

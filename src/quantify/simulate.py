@@ -46,14 +46,27 @@ from .estimators import (
 from .regression import cc_regress, ratio_regress
 from .shift_test import shift_test
 
-SCENARIO_KINDS = (
-    "gaussian",
-    "exponential",
-    "gaussian_exponential",
-    "beta",
-    "multiclass_gaussian",
-    "regression_sine",
-)
+_SCORE_KINDS = ("gaussian", "exponential", "gaussian_exponential", "beta")
+SCENARIO_KINDS = (*_SCORE_KINDS, "multiclass_gaussian", "regression_sine")
+
+# The scenario kinds each study has a truth for.  The sine kind ignores theta
+# (its unlabeled prevalence follows a curve in z) and has no shift parameter,
+# and the multiclass kind has no single class-1 prevalence.
+_STUDY_KINDS = {
+    "mse": _SCORE_KINDS,
+    "coverage": _SCORE_KINDS,
+    "power": _SCORE_KINDS,
+    "combined": _SCORE_KINDS,
+    "multiclass": ("multiclass_gaussian",),
+    "regression": ("regression_sine",),
+}
+
+
+def _check_kind(study: str, spec: ScenarioSpec) -> None:
+    kinds = _STUDY_KINDS[study]
+    if spec.kind not in kinds:
+        raise EstimationError(
+            f"the {study} study cannot run on the {spec.kind!r} scenario kind, only on {', '.join(kinds)}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +112,9 @@ class ScenarioSpec:
             raise EstimationError(f"theta must be in [0, 1], got {self.theta}")
         if self.n_unlabeled < 1 or any(n < 1 for n in self.n_class):
             raise EstimationError("all group sizes must be at least 1")
+        if self.kind in _SCORE_KINDS and len(self.n_class) != 2:
+            raise EstimationError(
+                f"kind {self.kind!r} needs 2 labeled class sizes, got {len(self.n_class)}")
 
     def meta(self) -> dict:
         payload = dataclasses.asdict(self)
@@ -426,6 +442,7 @@ def run_mse_study(
     Feature column 0 is the score (binary score-level scenarios only).
     Reports a normal-approximation half-width for each MSE cell.
     """
+    _check_kind("mse", spec)
     methods = list(methods)
     for method in methods:
         if method not in ("ratio", "cc", "em"):
@@ -473,6 +490,7 @@ def run_coverage_study(
     regime: str = "auto",
 ) -> ExperimentReport:
     """Coverage of the normal interval for the ratio estimate, per prevalence."""
+    _check_kind("coverage", spec)
     cells = [dataclasses.replace(spec, theta=float(theta)) for theta in thetas]
     replicate = partial(_coverage_replicate, level=level, regime=regime)
     rows, raw = [], []
@@ -527,6 +545,7 @@ def run_power_study(
     studies keep their outputs bit for bit.
     Rejection means p-value <= alpha.
     """
+    _check_kind("power", spec)
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0, 1), got {alpha}")
     null = null_gamma(spec)
@@ -577,6 +596,7 @@ def run_combined_study(
     carried by the generator) play the role of a labeled subsample of the
     target population.  ``m = 0`` reports the ratio arm alone.
     """
+    _check_kind("combined", spec)
     theta = spec.theta
     label_counts = [int(m) for m in label_counts]
     if any(m < 0 or m > spec.n_unlabeled for m in label_counts):
@@ -638,8 +658,7 @@ def run_multiclass_study(
     replicate.  Reports raw and simplex-projected MSE (squared Euclidean
     distance to the true prior vector).
     """
-    if spec.kind != "multiclass_gaussian":
-        raise EstimationError("multiclass study needs the multiclass_gaussian kind")
+    _check_kind("multiclass", spec)
     base = np.asarray(spec.n_class, dtype=float)
     priors_labeled = tuple(base / base.sum())
     truth = np.asarray(spec.target_priors, dtype=float)
@@ -705,8 +724,7 @@ def run_regression_study(
     classify-and-count curve thresholds it at ``threshold``.  The truth is
     the scenario's sine prevalence curve evaluated on the grid.
     """
-    if spec.kind != "regression_sine":
-        raise EstimationError("regression study needs the regression_sine kind")
+    _check_kind("regression", spec)
     grid = np.asarray(grid, dtype=float)
     truth = 0.5 * (np.sin(2.0 * np.pi * grid * spec.cycles) + 1.0)
     replicate = partial(_regression_replicate, grid=grid, truth=truth, threshold=threshold)

@@ -513,9 +513,11 @@ ZERO_REPLICATES = [((), "mse"), ((), "coverage"), ((), "power"), ((), "combined"
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["simulate", "--scenario", "multiclass", "--study", "power"],
-                 "kind 'multiclass_gaussian' has no shift parameter", id="power-multiclass"),
+                 "the power study cannot run on the 'multiclass_gaussian' scenario kind, "
+                 "only on gaussian, exponential, gaussian_exponential, beta", id="power-multiclass"),
     pytest.param(["simulate", "--scenario", "sine", "--study", "power"],
-                 "kind 'regression_sine' has no shift parameter", id="power-sine"),
+                 "the power study cannot run on the 'regression_sine' scenario kind, "
+                 "only on gaussian, exponential, gaussian_exponential, beta", id="power-sine"),
     *(pytest.param(["simulate", *scenario, "--study", study, "--replicates", "0"],
                    "need at least one replicate per cell, got 0", id=f"{study}-0-replicates")
       for scenario, study in ZERO_REPLICATES),
@@ -524,6 +526,15 @@ ZERO_REPLICATES = [((), "mse"), ((), "coverage"), ((), "power"), ((), "combined"
     pytest.param(["regress", "CURVE", *TestRegress.BASE, "--grid", "0:1:-1"],
                  "--grid: Number of samples, -1, must be non-negative.",
                  id="regress-negative-grid-points"),
+    pytest.param(["test-shift", "CURVE", *TestRegress.BASE[:4], "--seed", "-1"],
+                 "argument --seed: seeds must be non-negative, got -1", id="test-shift-negative-seed"),
+    pytest.param(["simulate", "--study", "mse", "--seed", "-1"],
+                 "argument --seed: seeds must be non-negative, got -1", id="simulate-negative-seed"),
+    pytest.param(["select-g", "CURVE", *TestRegress.BASE[:4], "--split-seed", "-1"],
+                 "argument --split-seed: seeds must be non-negative, got -1",
+                 id="select-g-negative-split-seed"),
+    pytest.param(["simulate", "--study", "mse", "--n-class", "50"],
+                 "kind 'gaussian' needs 2 labeled class sizes, got 1", id="simulate-one-class-size"),
 ])
 def test_refused_value_exits_2_with_one_error_line(argv, message, curve_csv):
     """A value a command cannot use ends the process with exit 2 and one line
@@ -536,6 +547,40 @@ def test_refused_value_exits_2_with_one_error_line(argv, message, curve_csv):
     assert "Traceback" not in done.stderr
     errors = [line for line in done.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].endswith(message), done.stderr
+
+
+KIND_OF_SCENARIO = {"gaussian": "gaussian", "exponential": "exponential",
+                    "gaussian_exponential": "gaussian_exponential", "beta": "beta",
+                    "multiclass": "multiclass_gaussian", "sine": "regression_sine"}
+STUDIES_OF = {"multiclass": ("multiclass",), "sine": ("regression",)}
+
+
+@pytest.mark.parametrize("study", ["mse", "coverage", "power", "combined", "multiclass", "regression"])
+@pytest.mark.parametrize("scenario", sorted(KIND_OF_SCENARIO))
+def test_every_scenario_and_study_pair_runs_or_is_refused_up_front(scenario, study, capsys,
+                                                                    monkeypatch):
+    """A study runs on the scenarios it has a truth for, and refuses every other
+    one with exit 2 and one line naming both, before any dataset is drawn."""
+    from quantify import simulate
+
+    drawn, generate = [], simulate.generate
+
+    def counting_generate(*args, **kwargs):
+        drawn.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "generate", counting_generate)
+    monkeypatch.setenv("QUANTIFY_THREADS", "1")
+    code, stdout, err = run(["simulate", "--scenario", scenario, "--study", study,
+                             "--replicates", "1", "--n-unlabeled", "100", "--test-replicates", "5",
+                             "--grid-size", "21", "--size", "60", "--theta", "0.3"], capsys)
+    if study in STUDIES_OF.get(scenario, ("mse", "coverage", "power", "combined")):
+        assert code == 0 and drawn, err
+    else:
+        kind = KIND_OF_SCENARIO[scenario]
+        assert (code, stdout, drawn) == (2, "", [])
+        assert err.startswith(f"error: the {study} study cannot run on the {kind!r} scenario kind")
+        assert err.count("\n") == 1
 
 
 def test_only_the_process_entry_points_freeze_the_heap(eight_csv):

@@ -1,8 +1,15 @@
 """Data model tests: dataset validation, CSV ingestion, score functions."""
 
+import contextlib
 import csv
+import hashlib
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -215,10 +222,14 @@ def load_outcome(load, path, schema):
 
 
 def assert_same_outcome_both_ways(path, schema):
-    """``load_csv`` gives the dataset or message it gives with its numpy reader switched off."""
+    """``load_csv`` gives the dataset or message it gives with its numpy reader and
+    its cache switched off, which only the exact parser can give."""
     actual = load_outcome(load_csv, path, schema)
-    with mock.patch.object(core, "_fast_columns", decline):
+    with mock.patch.object(core, "_fast_columns", decline), \
+            mock.patch.object(core, "_cache_dir", lambda: None), \
+            mock.patch.object(core, "_exact_columns", wraps=core._exact_columns) as exact:
         expected = load_outcome(load_csv, path, schema)
+    assert exact.called
     if isinstance(expected, RawDataset):
         assert isinstance(actual, RawDataset), actual
         assert_same_dataset(actual, expected)
@@ -266,6 +277,11 @@ class TestRngFrom:
         a = rng_from(1, 0).standard_normal(8)
         b = rng_from(2, 0).standard_normal(8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, key", [(-1, ()), (3, (0, -2))])
+    def test_negative_seeds_are_refused(self, seed, key):
+        with pytest.raises(EstimationError, match="seeds must be non-negative"):
+            rng_from(seed, *key)
 
 
 class TestRawDataset:
@@ -463,7 +479,7 @@ class TestLoadCsv:
         np.testing.assert_array_equal(data.features, [[0.25], [-300.0]])
 
     def test_plain_file_takes_the_fast_path(self, tmp_path, monkeypatch):
-        def refuse(path, schema):
+        def refuse(*args):
             raise AssertionError("the exact path ran")
 
         rng = rng_from(3)
@@ -632,6 +648,234 @@ class TestLoadCsvFastPath:
         path.write_text("s,y,x\n1,0,1\n1,1,2\n1,-1,3\n")
         assert load_outcome(load_csv, str(path), LABELED) == "labeled rows must carry a class label"
         assert_same_outcome_both_ways(str(path), LABELED)
+
+
+def cache_entries(tmp_path):
+    """The entry files of the cache that the autouse fixture puts under ``tmp_path``."""
+    return sorted((tmp_path / "cache" / "quantify").glob("*.entry"))
+
+
+@contextlib.contextmanager
+def parses():
+    """Records in the yielded list each parser that ran: none ran on a cache hit."""
+    ran = []
+    with mock.patch.object(core, "_fast_columns", side_effect=core._fast_columns) as fast, \
+            mock.patch.object(core, "_exact_columns", side_effect=core._exact_columns) as exact:
+        yield ran
+    ran.extend(name for name, spy in (("fast", fast), ("exact", exact)) if spy.called)
+
+
+def labeled_text(rng, n=40, names=("x1", "x2", "g")):
+    lines = [",".join(["s", "y", *names, "z"])]
+    for i in range(n):
+        s, y = i % 2, (i // 2) % 2
+        lines.append(",".join([str(s), str(y) if s else "", *map(repr, rng.normal(size=len(names)).tolist()),
+                               repr(float(rng.random()))]))
+    return "\n".join(lines) + "\n"
+
+
+COVARIATE = CsvSchema("s", label_column="y", covariate_column="z")
+
+
+class TestParseCache:
+    """``load_csv`` parses a file's bytes once per layout, and its cache never changes an outcome."""
+
+    def write(self, tmp_path, text, name="data.csv"):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        return str(path)
+
+    @pytest.mark.parametrize("names, schema", [
+        (("x1", "x2", "g"), COVARIATE),
+        (("x ", "x\x00", "t\x1c"), CsvSchema("s", label_column="y", feature_columns=("x ", "x\x00"),
+                                              covariate_column="z")),
+    ], ids=["numpy-reader", "exact-parser"])
+    def test_a_hit_returns_the_bits_of_the_parse(self, tmp_path, names, schema):
+        """Names keep trailing spaces and NULs; 0x1c sends the file to the exact parser."""
+        path = self.write(tmp_path, labeled_text(rng_from(1), names=names))
+        with parses() as cold:
+            first = load_csv(path, schema)
+        with parses() as warm:
+            second = load_csv(path, schema)
+        assert cold == (["fast"] if schema is COVARIATE else ["fast", "exact"]) and warm == []
+        assert len(cache_entries(tmp_path)) == 1
+        assert second.feature_names == names[:2] + (("g",) if schema is COVARIATE else ())
+        assert_same_dataset(second, first)
+        assert not second.features.flags.writeable
+
+    def test_one_changed_byte_misses(self, tmp_path):
+        text = labeled_text(rng_from(2))
+        path = self.write(tmp_path, text)
+        load_csv(path, COVARIATE)
+        path = self.write(tmp_path, text[:-2] + str((int(text[-2]) + 1) % 10) + "\n")  # the last digit
+        with parses() as ran:
+            data = load_csv(path, COVARIATE)
+        assert ran == ["fast"] and len(cache_entries(tmp_path)) == 2
+        with mock.patch.object(core, "_cache_dir", lambda: None):
+            assert_same_dataset(data, load_csv(path, COVARIATE))
+
+    def test_the_key_covers_the_layout_and_the_field_limit(self, tmp_path):
+        """Schemas that resolve to one layout share an entry; any other layout, or another
+        csv.field_size_limit, is parsed afresh."""
+        path = self.write(tmp_path, labeled_text(rng_from(3)))
+        load_csv(path, COVARIATE)
+        with parses() as ran:
+            load_csv(path, CsvSchema("s", label_column="y", covariate_column="z", score_columns=("g",)))
+        assert ran == []
+        with parses() as ran:
+            data = load_csv(path, CsvSchema("s", label_column="y", feature_columns=("x2",)))
+        assert ran == ["fast"] and data.feature_names == ("x2",) and data.covariate is None
+        default = csv.field_size_limit(1000)
+        try:
+            with parses() as ran:
+                load_csv(path, COVARIATE)
+        finally:
+            csv.field_size_limit(default)
+        assert ran == ["fast"] and len(cache_entries(tmp_path)) == 3
+
+    @pytest.mark.parametrize("damage", ["half", "last byte", "extra byte", "empty", "garbage", "foreign"])
+    def test_a_damaged_entry_is_a_miss(self, tmp_path, damage):
+        path = self.write(tmp_path, labeled_text(rng_from(4)))
+        expected = load_csv(path, COVARIATE)
+        (entry,) = cache_entries(tmp_path)
+        content = entry.read_bytes()
+        if damage == "foreign":  # a valid entry of other bytes, under this entry's name
+            other = self.write(tmp_path, labeled_text(rng_from(5)), "other.csv")
+            load_csv(other, COVARIATE)
+            (foreign,) = set(cache_entries(tmp_path)) - {entry}
+            content = foreign.read_bytes()
+        entry.write_bytes({"half": content[: len(content) // 2], "last byte": content[:-1],
+                           "extra byte": content + b"\0", "empty": b"",
+                           "garbage": bytes(rng_from(6).integers(0, 256, len(content), dtype=np.uint8)),
+                           "foreign": content}[damage])
+        with parses() as ran:
+            assert_same_dataset(load_csv(path, COVARIATE), expected)
+        assert ran == ["fast"]
+        with parses() as ran:  # the parse wrote a sound entry back
+            assert_same_dataset(load_csv(path, COVARIATE), expected)
+        assert ran == []
+
+    @pytest.mark.parametrize("home", ["a file", "read-only"])
+    def test_an_unwritable_cache_still_loads(self, tmp_path, monkeypatch, home):
+        path = self.write(tmp_path, labeled_text(rng_from(7)))
+        with mock.patch.object(core, "_cache_dir", lambda: None):
+            expected = load_csv(path, COVARIATE)
+        if home == "a file":
+            (tmp_path / "home").write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "home"))
+        else:
+            load_csv(path, COVARIATE)
+            (tmp_path / "cache" / "quantify").chmod(0o500)
+        try:
+            for _ in range(2):
+                assert_same_dataset(load_csv(path, COVARIATE), expected)
+        finally:
+            if home == "read-only":
+                (tmp_path / "cache" / "quantify").chmod(0o700)
+
+    def test_the_cache_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path / "me"))
+        for value in ("", "relative/dir"):
+            monkeypatch.setenv("XDG_CACHE_HOME", value)
+            assert core._cache_dir() == str(tmp_path / "me" / ".cache" / "quantify")
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        assert core._cache_dir() == str(tmp_path / "me" / ".cache" / "quantify")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert core._cache_dir() == str(tmp_path / "xdg" / "quantify")
+        load_csv(self.write(tmp_path, labeled_text(rng_from(8))), COVARIATE)
+        assert (tmp_path / "xdg" / "quantify").stat().st_mode & 0o777 == 0o700
+
+    @pytest.mark.parametrize("text, schema", [
+        ("s,y,x\n1,0,1\n1,1,oops\n", LABELED),
+        ("s,y,x\n1,0,1\n1,2,2\n0,,3\n", LABELED),
+        ("s,y,x\n1,0,1\n1,1,2\n0,,\xff\n", LABELED),
+        ("s,x\n0,1\n", LABELED),
+        ("s,x,x\n0,1,2\n", PLAIN),
+        ("", PLAIN),
+    ], ids=["bad-record", "label-gap", "not-utf8", "unknown-column", "duplicate-column", "empty"])
+    def test_a_refused_file_is_never_cached(self, tmp_path, text, schema):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8").replace(b"\xc3\xbf", b"\xff"))
+        messages = {load_outcome(load_csv, str(path), schema) for _ in range(3)}
+        with mock.patch.object(core, "_cache_dir", lambda: None):
+            messages.add(load_outcome(load_csv, str(path), schema))
+        assert len(messages) == 1 and isinstance(messages.pop(), str)
+        assert cache_entries(tmp_path) == []
+
+    def test_a_pipe_is_read_by_numpy_and_cached(self, tmp_path):
+        text = labeled_text(rng_from(9))
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        loads = []
+        for _ in range(2):
+            writer = threading.Thread(target=fifo.write_text, args=(text,))
+            writer.start()
+            with parses() as ran:
+                loads.append(load_csv(str(fifo), COVARIATE))
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+            loads.append(ran)
+        first, cold, second, warm = loads
+        assert (cold, warm) == (["fast"], [])
+        assert_same_dataset(second, first)
+        assert_same_dataset(first, load_csv(self.write(tmp_path, text), COVARIATE))
+
+    def test_eviction_keeps_the_recently_used_entries_under_the_budget(self, tmp_path, monkeypatch):
+        texts = [labeled_text(rng_from(10 + i)) for i in range(5)]
+        paths = [self.write(tmp_path, text, f"d{i}.csv") for i, text in enumerate(texts)]
+        load_csv(paths[0], COVARIATE)
+        (entry,) = cache_entries(tmp_path)
+        monkeypatch.setattr(core, "_CACHE_BUDGET", 3 * entry.stat().st_size)
+        stray = entry.parent / ".another-writer.tmp"
+        stray.write_bytes(b"\0" * entry.stat().st_size * 4)
+
+        def age(path, seconds):  # file times are too coarse to order loads a few ms apart
+            os.utime(path, ns=(seconds * 10**9, seconds * 10**9))
+
+        age(entry, 1)
+        names = [entry.name]
+        for i, path in enumerate(paths[1:], start=2):
+            load_csv(path, COVARIATE)
+            (new,) = [e for e in cache_entries(tmp_path) if e.name not in names]
+            age(new, i)
+            names.append(new.name)
+            if i == 3:
+                load_csv(paths[0], COVARIATE)  # a hit: entry 0 becomes the most recently used
+            sizes = [e.stat().st_size for e in cache_entries(tmp_path)]
+            assert sum(sizes) <= core._CACHE_BUDGET
+        assert [e.name for e in cache_entries(tmp_path)] == sorted([names[0], names[3], names[4]])
+        assert stray.exists()
+        monkeypatch.setattr(core, "_CACHE_BUDGET", 100)  # smaller than any entry: none is written
+        load_csv(self.write(tmp_path, labeled_text(rng_from(20)), "big.csv"), COVARIATE)
+        assert len(cache_entries(tmp_path)) == 3
+
+    def test_processes_racing_on_one_key(self, tmp_path):
+        """Each process gets the parse's arrays, and the directory ends with one whole entry."""
+        path = self.write(tmp_path, labeled_text(rng_from(11), n=2000))
+        script = ("import hashlib, sys\nfrom quantify import CsvSchema, load_csv\n"
+                  f"d = load_csv({path!r}, CsvSchema('s', label_column='y', covariate_column='z'))\n"
+                  "print(hashlib.sha256(b''.join(a.tobytes() for a in "
+                  "(d.features, d.labels, d.set_indicator, d.covariate))).hexdigest())\n")
+        with mock.patch.object(core, "_cache_dir", lambda: None):
+            d = load_csv(path, COVARIATE)
+        expected = hashlib.sha256(b"".join(a.tobytes() for a in (
+            d.features, d.labels, d.set_indicator, d.covariate))).hexdigest()
+        src = str(Path(core.__file__).parents[1])
+        for _ in ("cold", "warm"):
+            procs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                                      env={**os.environ, "PYTHONPATH": src}) for _ in range(4)]
+            outputs = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+            assert [proc.returncode for proc in procs] == [0] * 4
+            assert outputs == [expected] * 4
+            assert len(cache_entries(tmp_path)) == 1
+            assert list((tmp_path / "cache" / "quantify").glob("*.tmp")) == []
+
+    def test_importing_the_cli_loads_no_hash_library(self):
+        src = str(Path(core.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", "import sys, quantify.cli\n"
+                               "print('hashlib' in sys.modules)"], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout == "False\n", done.stderr
 
 
 class TestScoreDataset:
