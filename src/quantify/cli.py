@@ -82,14 +82,17 @@ def _write_out(path: str, write) -> None:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def _schema_from_args(args) -> CsvSchema:
-    return CsvSchema(
+def _load_data(args) -> RawDataset:
+    """The ``data`` file under the schema flags, through ``load_csv``'s parse cache:
+    commands run one after another on one file parse it once."""
+    schema = CsvSchema(
         set_column=args.set_col,
         label_column=args.label_col,
         feature_columns=tuple(args.feature_col) if args.feature_col else None,
         score_columns=tuple(args.score_col) if args.score_col else (),
         covariate_column=getattr(args, "covariate_col", None),
     )
+    return load_csv(args.data, schema, cache=True)
 
 
 def _resolve_score(args, data: RawDataset) -> ScoreFunction:
@@ -117,7 +120,11 @@ def _resolve_score(args, data: RawDataset) -> ScoreFunction:
 
 
 def _add_schema_flags(parser: argparse.ArgumentParser, covariate: bool = False) -> None:
-    parser.add_argument("data", help="input CSV file")
+    parser.add_argument(
+        "data",
+        help="input CSV file; the parsed arrays of a file of 1 MiB or more are kept in "
+        "$XDG_CACHE_HOME/quantify (default ~/.cache/quantify), which is always safe to delete",
+    )
     parser.add_argument("--set-col", required=True, help="column with the 0/1 set indicator")
     parser.add_argument("--label-col", default=None, help="column with class labels")
     parser.add_argument(
@@ -187,7 +194,7 @@ def _cmd_estimate(args) -> None:
         ratio_estimate,
     )
 
-    data = load_csv(args.data, _schema_from_args(args))
+    data = _load_data(args)
     g = _resolve_score(args, data)
     scored = score_dataset(data, g)
     if args.method == "multiclass":
@@ -212,7 +219,7 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_test_shift(args) -> None:
-    data = load_csv(args.data, _schema_from_args(args))
+    data = _load_data(args)
     g = _resolve_score(args, data)
     scored = score_dataset(data, g)
     result = shift_test(
@@ -224,7 +231,7 @@ def _cmd_test_shift(args) -> None:
 def _cmd_select_g(args) -> None:
     from .rkhs import KernelSpec, select_g
 
-    data = load_csv(args.data, _schema_from_args(args))
+    data = _load_data(args)
     kernel = KernelSpec(family=args.kernel, bandwidth=args.bandwidth)
     pilot = ExternalScore.from_names(args.score_col, data) if args.score_col else None
     selection = select_g(
@@ -251,7 +258,7 @@ def _cmd_select_g(args) -> None:
 def _cmd_regress(args) -> None:
     from .regression import cc_regress, ratio_regress
 
-    data = load_csv(args.data, _schema_from_args(args))
+    data = _load_data(args)
     g = _resolve_score(args, data)
     if args.method == "ratio":
         curve = ratio_regress(data, g, args.grid, bandwidth=args.bandwidth, min_denom=args.min_denom)

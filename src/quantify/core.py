@@ -359,10 +359,11 @@ def _fast_columns(data: bytes, header_line: int, feature_names: list[str], layou
     return feature_names, features, labels, sets, covariate
 
 
-def _exact_columns(path: str, data: bytes, schema: CsvSchema):
+def _exact_columns(path: str, data: bytes, schema: CsvSchema, header=None):
     """The feature names, features, labels, set indicators and covariate of the
     records after the header of ``data``, the bytes of ``path``, checked and
     converted one record at a time by :func:`csv.reader` and :meth:`_Layout.parse`.
+    ``header`` is what :func:`_parsed_header` gave for ``data``, if anything.
 
     The bytes are refused at the first byte that is not UTF-8 before anything
     else is checked.  Every other fault raises :class:`DataError` only after the
@@ -384,7 +385,8 @@ def _exact_columns(path: str, data: bytes, schema: CsvSchema):
             raise DataError(f"{path}: empty file")
         fault = None
         try:
-            feature_names, layout = _resolve_schema(path, reader.line_num, fieldnames, schema)
+            feature_names, layout = header[2:] if header else _resolve_schema(
+                path, reader.line_num, fieldnames, schema)
         except DataError as exc:
             fault = exc
         for row in reader:  # after a fault, the rest of the file is only read
@@ -419,6 +421,11 @@ def _exact_columns(path: str, data: bytes, schema: CsvSchema):
 # dozen large files (those of a 100 000 x 9 file take 7.2 MB), while an evicted
 # entry costs no more than one parse the next time its file is read.
 _CACHE_BUDGET = 256 << 20
+# Below a mebibyte a parse takes under 60 ms of CPU.  There a first load would
+# pay 5-15 ms more (importing hashlib, hashing, writing the entry) and a hit
+# still takes 8-10 ms, so caching saves little on repeated loads and costs
+# every file that is read once.
+_CACHE_MIN_BYTES = 1 << 20
 _CACHE_MAGIC = b"quantify parse cache 1\n"
 _ENTRY_SUFFIX = ".entry"  # temporary files end in ".tmp" and are never evicted
 
@@ -432,6 +439,12 @@ def _cache_dir() -> str | None:
     return os.path.join(base, "quantify") if os.path.isabs(base) else None
 
 
+def _private(stat: os.stat_result) -> bool:
+    """Whether the file or directory that ``stat`` describes belongs to this user
+    and no one else may write to it: only such a cache can be trusted."""
+    return stat.st_uid == os.geteuid() and not stat.st_mode & 0o022
+
+
 @functools.cache
 def _source_digest() -> bytes:
     """SHA-256 of this module's source: editing the parser invalidates every entry."""
@@ -441,83 +454,84 @@ def _source_digest() -> bytes:
         return hashlib.sha256(handle.read()).digest()
 
 
-@dataclass(frozen=True)
-class _CacheEntry:
-    """The file that holds, or will hold, the arrays parsed from one file's bytes
-    under one layout.
+def _cache_entry(data: bytes, fieldnames: list[str], layout: _Layout) -> tuple[str, bytes] | None:
+    """The path of the cache entry for ``data`` under this header and layout, and
+    the key that the entry starts with; ``None`` when there is no cache directory.
 
-    Its name and first bytes carry a SHA-256 of the bytes and of everything else
-    the parse depends on: the header's cells, the layout, the field size limit,
-    and the numpy, Python and parser versions.  A fault in an entry is a miss,
-    never an error: the file is then parsed, as it would be without a cache.
+    The key is a SHA-256 of the bytes and of everything else the parse depends
+    on: the header's cells, the layout, the field size limit, and the numpy,
+    Python and parser versions.
     """
+    directory = _cache_dir()
+    if directory is None:
+        return None
+    import hashlib
 
-    path: str
-    key: bytes
+    try:
+        source = _source_digest()
+    except OSError:
+        return None
+    depends = (fieldnames, layout, csv.field_size_limit(), np.__version__, sys.version, source)
+    key = hashlib.sha256(hashlib.sha256(data).digest() + repr(depends).encode()).digest()
+    return os.path.join(directory, key.hex() + _ENTRY_SUFFIX), key
 
-    @staticmethod
-    def find(data: bytes, fieldnames: list[str], layout: _Layout) -> _CacheEntry | None:
-        directory = _cache_dir()
-        if directory is None:
+
+def _cache_load(path: str, key: bytes, layout: _Layout):
+    """The features, labels, set indicators and covariate stored at ``path``, or
+    ``None``: a fault in an entry, or a directory or entry that another user can
+    have written, is a miss and never an error."""
+    arrays = 3 + (layout.covariate is not None)
+    try:
+        if not _private(os.stat(os.path.dirname(path))):
             return None
-        import hashlib
-
-        try:
-            source = _source_digest()
-        except OSError:
-            return None
-        depends = (fieldnames, layout, csv.field_size_limit(), np.__version__, sys.version, source)
-        key = hashlib.sha256(hashlib.sha256(data).digest() + repr(depends).encode()).digest()
-        return _CacheEntry(os.path.join(directory, key.hex() + _ENTRY_SUFFIX), key)
-
-    def load(self, layout: _Layout):
-        """The stored features, labels, set indicators and covariate, or ``None``."""
-        arrays = 3 + (layout.covariate is not None)
-        try:
-            with open(self.path, "rb") as handle:
-                if handle.read(len(_CACHE_MAGIC) + len(self.key)) != _CACHE_MAGIC + self.key:
-                    return None
-                columns = [np.lib.format.read_array(handle, allow_pickle=False) for _ in range(arrays)]
-                if handle.read(1):
-                    return None
-        except Exception:  # a truncated, foreign or vanished entry: whatever a reader raises, parse instead
-            return None
-        n = columns[0].shape[0] if columns[0].ndim == 2 else -1
-        wanted = [(float, (n, len(layout.features))), (int, (n,)), (int, (n,)), (float, (n,))]
-        for arr, (dtype, shape) in zip(columns, wanted):
-            if arr.dtype != np.dtype(dtype) or arr.shape != shape or not arr.flags.c_contiguous:
+        with open(path, "rb") as handle:
+            if not _private(os.fstat(handle.fileno())):
                 return None
+            if handle.read(len(_CACHE_MAGIC) + len(key)) != _CACHE_MAGIC + key:
+                return None
+            columns = [np.lib.format.read_array(handle, allow_pickle=False) for _ in range(arrays)]
+            if handle.read(1):
+                return None
+    except Exception:  # a truncated, foreign or vanished entry: whatever a reader raises, parse instead
+        return None
+    n = columns[0].shape[0] if columns[0].ndim == 2 else -1
+    wanted = [(float, (n, len(layout.features))), (int, (n,)), (int, (n,)), (float, (n,))]
+    for arr, (dtype, shape) in zip(columns, wanted):
+        if arr.dtype != np.dtype(dtype) or arr.shape != shape or not arr.flags.c_contiguous:
+            return None
+    with contextlib.suppress(OSError):
+        os.utime(path)  # eviction goes by last use
+    return columns if layout.covariate is not None else [*columns, None]
+
+
+def _cache_store(path: str, key: bytes, dataset: RawDataset) -> None:
+    """Write ``dataset``'s arrays to the entry at ``path``, then evict down to the budget."""
+    columns = [arr for arr in (dataset.features, dataset.labels, dataset.set_indicator, dataset.covariate)
+               if arr is not None]
+    if sum(arr.nbytes for arr in columns) > _CACHE_BUDGET:
+        return
+    directory = os.path.dirname(path)
+    temp = os.path.join(directory, f".{os.getpid()}-{os.urandom(8).hex()}.tmp")
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        if not _private(os.stat(directory)):
+            return
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(_CACHE_MAGIC + key)
+            for arr in columns:
+                np.lib.format.write_array(handle, arr, allow_pickle=False)
+            handle.flush()
+            os.fsync(handle.fileno())  # on disk before it has a name that readers trust
+        os.replace(temp, path)
+    except OSError:
         with contextlib.suppress(OSError):
-            os.utime(self.path)  # eviction goes by last use
-        return columns if layout.covariate is not None else [*columns, None]
-
-    def store(self, data: RawDataset) -> None:
-        """Write ``data``'s arrays to the entry, then evict down to the budget."""
-        columns = [arr for arr in (data.features, data.labels, data.set_indicator, data.covariate)
-                   if arr is not None]
-        if sum(arr.nbytes for arr in columns) > _CACHE_BUDGET:
-            return
-        import tempfile
-
-        directory = os.path.dirname(self.path)
-        try:
-            os.makedirs(directory, mode=0o700, exist_ok=True)
-            fd, temp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=directory)
-        except OSError:
-            return
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(_CACHE_MAGIC + self.key)
-                for arr in columns:
-                    np.lib.format.write_array(handle, arr, allow_pickle=False)
-                handle.flush()
-                os.fsync(handle.fileno())  # on disk before it has a name that readers trust
-            os.replace(temp, self.path)
-        except OSError:
-            with contextlib.suppress(OSError):
-                os.unlink(temp)
-            return
-        _evict(directory)
+            os.unlink(temp)
+        return
+    _evict(directory)
 
 
 def _evict(directory: str) -> None:
@@ -543,7 +557,7 @@ def _evict(directory: str) -> None:
         total -= size
 
 
-def load_csv(path: str, schema: CsvSchema) -> RawDataset:
+def load_csv(path: str, schema: CsvSchema, *, cache: bool = False) -> RawDataset:
     """Read a CSV file into a :class:`RawDataset` according to ``schema``.
 
     The file must be UTF-8, and this is checked first: the line of the first
@@ -559,16 +573,20 @@ def load_csv(path: str, schema: CsvSchema) -> RawDataset:
     a byte that is not UTF-8.  A record that spans lines (a quoted cell holding
     a newline) is reported at its last line.
 
-    The file's bytes are read once, and everything below works on them.  When
-    the same bytes were loaded before under the same header and columns, the
-    arrays come back from a cache in ``$XDG_CACHE_HOME/quantify`` (default
-    ``~/.cache/quantify``) bit for bit as that parse gave them; a refused file
-    is never cached.  Otherwise bytes whose every cell, apart from the set and
-    label cells, is a number that numpy's C parser reads are read by
-    :func:`numpy.loadtxt`, in under half the time and memory.  All other
-    bytes, and all that are refused, are read by :func:`csv.reader` and
-    ``float()`` one record at a time: that exact parser defines the accepted
-    syntax and every message, and both parsers give the same arrays bit for bit.
+    The file's bytes are read once, and everything below works on them.  Bytes
+    whose every cell, apart from the set and label cells, is a number that
+    numpy's C parser reads are read by :func:`numpy.loadtxt`, in under half the
+    time and memory.  All other bytes, and all that are refused, are read by
+    :func:`csv.reader` and ``float()`` one record at a time: that exact parser
+    defines the accepted syntax and every message, and both parsers give the
+    same arrays bit for bit.
+
+    With ``cache``, which the command line interface sets, the arrays parsed
+    from a file of at least 1 MiB are also kept in ``$XDG_CACHE_HOME/quantify``
+    (default ``~/.cache/quantify``), and a later load of the same bytes under
+    the same header and columns gets them back bit for bit without a parse.
+    A refused file is never cached, and a cache directory or entry that anyone
+    but this user can write to is ignored.
     """
     try:
         with open(path, "rb") as handle:
@@ -577,14 +595,14 @@ def load_csv(path: str, schema: CsvSchema) -> RawDataset:
         raise DataError(f"cannot read {path}: {exc}") from exc
     header = _parsed_header(path, data, schema)
     entry = cached = None
-    if header is not None:
+    if header is not None and cache and len(data) >= _CACHE_MIN_BYTES:
         fieldnames, _, feature_names, layout = header
-        entry = _CacheEntry.find(data, fieldnames, layout)
-        cached = entry and entry.load(layout)
+        entry = _cache_entry(data, fieldnames, layout)
+        cached = entry and _cache_load(*entry, layout)
     if cached is not None:
         columns = (feature_names, *cached)
     else:
-        columns = (header and _fast_columns(data, *header[1:])) or _exact_columns(path, data, schema)
+        columns = (header and _fast_columns(data, *header[1:])) or _exact_columns(path, data, schema, header)
     feature_names, features, labels, sets, covariate = columns
     dataset = RawDataset(
         features=features,
@@ -594,7 +612,7 @@ def load_csv(path: str, schema: CsvSchema) -> RawDataset:
         feature_names=tuple(feature_names),
     )
     if entry is not None and cached is None:
-        entry.store(dataset)
+        _cache_store(*entry, dataset)
     return dataset
 
 

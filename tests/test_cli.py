@@ -583,6 +583,24 @@ def test_every_scenario_and_study_pair_runs_or_is_refused_up_front(scenario, stu
         assert err.count("\n") == 1
 
 
+def test_commands_on_one_file_parse_it_once(curve_csv, capsys, monkeypatch, tmp_path):
+    from unittest import mock
+
+    from quantify import core
+
+    monkeypatch.setattr(core, "_CACHE_MIN_BYTES", 0)
+    outputs = []
+    for method in ("ratio", "cc"):
+        with mock.patch.object(core, "_fast_columns", side_effect=core._fast_columns) as fast:
+            outputs.append(run_json(ESTIMATE[:1] + [curve_csv] + ESTIMATE[1:] + ["--method", method], capsys))
+        assert fast.called == (method == "ratio")
+    assert len(list((tmp_path / "cache" / "quantify").glob("*.entry"))) == 1
+    monkeypatch.setattr(core, "_CACHE_MIN_BYTES", 1 << 20)
+    with mock.patch.object(core, "_fast_columns", side_effect=core._fast_columns) as fast:
+        assert run_json(ESTIMATE[:1] + [curve_csv] + ESTIMATE[1:] + ["--method", "cc"], capsys) == outputs[1]
+    assert fast.called  # a file under 1 MiB is parsed every time
+
+
 def test_only_the_process_entry_points_freeze_the_heap(eight_csv):
     """The quantify script and python -m quantify.cli run cli.run, which calls
     gc.freeze() before the command; main() called in-process does not."""

@@ -222,11 +222,10 @@ def load_outcome(load, path, schema):
 
 
 def assert_same_outcome_both_ways(path, schema):
-    """``load_csv`` gives the dataset or message it gives with its numpy reader and
-    its cache switched off, which only the exact parser can give."""
+    """``load_csv`` gives the dataset or message it gives with its numpy reader
+    switched off, which only the exact parser can give."""
     actual = load_outcome(load_csv, path, schema)
     with mock.patch.object(core, "_fast_columns", decline), \
-            mock.patch.object(core, "_cache_dir", lambda: None), \
             mock.patch.object(core, "_exact_columns", wraps=core._exact_columns) as exact:
         expected = load_outcome(load_csv, path, schema)
     assert exact.called
@@ -677,8 +676,16 @@ def labeled_text(rng, n=40, names=("x1", "x2", "g")):
 COVARIATE = CsvSchema("s", label_column="y", covariate_column="z")
 
 
+def cached_load(path, schema):
+    return load_csv(path, schema, cache=True)
+
+
 class TestParseCache:
     """``load_csv`` parses a file's bytes once per layout, and its cache never changes an outcome."""
+
+    @pytest.fixture(autouse=True)
+    def cache_small_files(self, monkeypatch):
+        monkeypatch.setattr(core, "_CACHE_MIN_BYTES", 0)
 
     def write(self, tmp_path, text, name="data.csv"):
         path = tmp_path / name
@@ -694,9 +701,9 @@ class TestParseCache:
         """Names keep trailing spaces and NULs; 0x1c sends the file to the exact parser."""
         path = self.write(tmp_path, labeled_text(rng_from(1), names=names))
         with parses() as cold:
-            first = load_csv(path, schema)
+            first = cached_load(path, schema)
         with parses() as warm:
-            second = load_csv(path, schema)
+            second = cached_load(path, schema)
         assert cold == (["fast"] if schema is COVARIATE else ["fast", "exact"]) and warm == []
         assert len(cache_entries(tmp_path)) == 1
         assert second.feature_names == names[:2] + (("g",) if schema is COVARIATE else ())
@@ -706,29 +713,28 @@ class TestParseCache:
     def test_one_changed_byte_misses(self, tmp_path):
         text = labeled_text(rng_from(2))
         path = self.write(tmp_path, text)
-        load_csv(path, COVARIATE)
+        cached_load(path, COVARIATE)
         path = self.write(tmp_path, text[:-2] + str((int(text[-2]) + 1) % 10) + "\n")  # the last digit
         with parses() as ran:
-            data = load_csv(path, COVARIATE)
+            data = cached_load(path, COVARIATE)
         assert ran == ["fast"] and len(cache_entries(tmp_path)) == 2
-        with mock.patch.object(core, "_cache_dir", lambda: None):
-            assert_same_dataset(data, load_csv(path, COVARIATE))
+        assert_same_dataset(data, load_csv(path, COVARIATE))
 
     def test_the_key_covers_the_layout_and_the_field_limit(self, tmp_path):
         """Schemas that resolve to one layout share an entry; any other layout, or another
         csv.field_size_limit, is parsed afresh."""
         path = self.write(tmp_path, labeled_text(rng_from(3)))
-        load_csv(path, COVARIATE)
+        cached_load(path, COVARIATE)
         with parses() as ran:
-            load_csv(path, CsvSchema("s", label_column="y", covariate_column="z", score_columns=("g",)))
+            cached_load(path, CsvSchema("s", label_column="y", covariate_column="z", score_columns=("g",)))
         assert ran == []
         with parses() as ran:
-            data = load_csv(path, CsvSchema("s", label_column="y", feature_columns=("x2",)))
+            data = cached_load(path, CsvSchema("s", label_column="y", feature_columns=("x2",)))
         assert ran == ["fast"] and data.feature_names == ("x2",) and data.covariate is None
         default = csv.field_size_limit(1000)
         try:
             with parses() as ran:
-                load_csv(path, COVARIATE)
+                cached_load(path, COVARIATE)
         finally:
             csv.field_size_limit(default)
         assert ran == ["fast"] and len(cache_entries(tmp_path)) == 3
@@ -736,12 +742,12 @@ class TestParseCache:
     @pytest.mark.parametrize("damage", ["half", "last byte", "extra byte", "empty", "garbage", "foreign"])
     def test_a_damaged_entry_is_a_miss(self, tmp_path, damage):
         path = self.write(tmp_path, labeled_text(rng_from(4)))
-        expected = load_csv(path, COVARIATE)
+        expected = cached_load(path, COVARIATE)
         (entry,) = cache_entries(tmp_path)
         content = entry.read_bytes()
         if damage == "foreign":  # a valid entry of other bytes, under this entry's name
             other = self.write(tmp_path, labeled_text(rng_from(5)), "other.csv")
-            load_csv(other, COVARIATE)
+            cached_load(other, COVARIATE)
             (foreign,) = set(cache_entries(tmp_path)) - {entry}
             content = foreign.read_bytes()
         entry.write_bytes({"half": content[: len(content) // 2], "last byte": content[:-1],
@@ -749,29 +755,80 @@ class TestParseCache:
                            "garbage": bytes(rng_from(6).integers(0, 256, len(content), dtype=np.uint8)),
                            "foreign": content}[damage])
         with parses() as ran:
-            assert_same_dataset(load_csv(path, COVARIATE), expected)
+            assert_same_dataset(cached_load(path, COVARIATE), expected)
         assert ran == ["fast"]
         with parses() as ran:  # the parse wrote a sound entry back
-            assert_same_dataset(load_csv(path, COVARIATE), expected)
+            assert_same_dataset(cached_load(path, COVARIATE), expected)
         assert ran == []
 
     @pytest.mark.parametrize("home", ["a file", "read-only"])
     def test_an_unwritable_cache_still_loads(self, tmp_path, monkeypatch, home):
         path = self.write(tmp_path, labeled_text(rng_from(7)))
-        with mock.patch.object(core, "_cache_dir", lambda: None):
-            expected = load_csv(path, COVARIATE)
+        expected = load_csv(path, COVARIATE)
         if home == "a file":
             (tmp_path / "home").write_text("")
             monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "home"))
         else:
-            load_csv(path, COVARIATE)
+            cached_load(path, COVARIATE)
             (tmp_path / "cache" / "quantify").chmod(0o500)
         try:
             for _ in range(2):
-                assert_same_dataset(load_csv(path, COVARIATE), expected)
+                assert_same_dataset(cached_load(path, COVARIATE), expected)
         finally:
             if home == "read-only":
                 (tmp_path / "cache" / "quantify").chmod(0o700)
+
+    def test_load_csv_alone_keeps_nothing(self, tmp_path):
+        path = self.write(tmp_path, labeled_text(rng_from(12)))
+        for _ in range(2):
+            with parses() as ran:
+                load_csv(path, COVARIATE)
+            assert ran == ["fast"]
+        assert not (tmp_path / "cache").exists()
+
+    def test_a_file_under_the_size_floor_is_not_cached(self, tmp_path, monkeypatch):
+        text = labeled_text(rng_from(16))
+        path = self.write(tmp_path, text)
+        monkeypatch.setattr(core, "_CACHE_MIN_BYTES", len(text) + 1)
+        for _ in range(2):
+            with parses() as ran:
+                cached_load(path, COVARIATE)
+            assert ran == ["fast"]
+        assert not (tmp_path / "cache").exists()
+        monkeypatch.setattr(core, "_CACHE_MIN_BYTES", len(text))
+        cached_load(path, COVARIATE)
+        assert len(cache_entries(tmp_path)) == 1
+
+    @pytest.mark.parametrize("who", ["world-writable", "group-writable", "another owner"])
+    def test_a_directory_others_can_write_is_ignored(self, tmp_path, monkeypatch, who):
+        """Anyone who can write there could plant an entry for a known file."""
+        path = self.write(tmp_path, labeled_text(rng_from(13)))
+        expected = cached_load(path, COVARIATE)
+        (entry,) = cache_entries(tmp_path)
+        if who == "another owner":
+            euid = os.geteuid()
+            monkeypatch.setattr(os, "geteuid", lambda: euid + 1)
+        else:
+            entry.parent.chmod(0o777 if who == "world-writable" else 0o770)
+        for _ in range(2):
+            with parses() as ran:
+                assert_same_dataset(cached_load(path, COVARIATE), expected)
+            assert ran == ["fast"]
+        assert cache_entries(tmp_path) == [entry]
+        other = self.write(tmp_path, labeled_text(rng_from(14)), "other.csv")
+        cached_load(other, COVARIATE)  # nothing is written there either
+        assert cache_entries(tmp_path) == [entry]
+
+    @pytest.mark.parametrize("mode", [0o620, 0o602], ids=["group-writable", "world-writable"])
+    def test_an_entry_others_can_write_is_a_miss(self, tmp_path, mode):
+        path = self.write(tmp_path, labeled_text(rng_from(15)))
+        expected = cached_load(path, COVARIATE)
+        (entry,) = cache_entries(tmp_path)
+        assert entry.stat().st_mode & 0o777 == 0o600
+        entry.chmod(mode)
+        with parses() as ran:
+            assert_same_dataset(cached_load(path, COVARIATE), expected)
+        assert ran == ["fast"] and entry.stat().st_mode & 0o777 == 0o600  # the parse wrote it anew
 
     def test_the_cache_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path / "me"))
@@ -782,7 +839,7 @@ class TestParseCache:
         assert core._cache_dir() == str(tmp_path / "me" / ".cache" / "quantify")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
         assert core._cache_dir() == str(tmp_path / "xdg" / "quantify")
-        load_csv(self.write(tmp_path, labeled_text(rng_from(8))), COVARIATE)
+        cached_load(self.write(tmp_path, labeled_text(rng_from(8))), COVARIATE)
         assert (tmp_path / "xdg" / "quantify").stat().st_mode & 0o777 == 0o700
 
     @pytest.mark.parametrize("text, schema", [
@@ -796,9 +853,8 @@ class TestParseCache:
     def test_a_refused_file_is_never_cached(self, tmp_path, text, schema):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode("utf-8").replace(b"\xc3\xbf", b"\xff"))
-        messages = {load_outcome(load_csv, str(path), schema) for _ in range(3)}
-        with mock.patch.object(core, "_cache_dir", lambda: None):
-            messages.add(load_outcome(load_csv, str(path), schema))
+        messages = {load_outcome(cached_load, str(path), schema) for _ in range(3)}
+        messages.add(load_outcome(load_csv, str(path), schema))
         assert len(messages) == 1 and isinstance(messages.pop(), str)
         assert cache_entries(tmp_path) == []
 
@@ -811,7 +867,7 @@ class TestParseCache:
             writer = threading.Thread(target=fifo.write_text, args=(text,))
             writer.start()
             with parses() as ran:
-                loads.append(load_csv(str(fifo), COVARIATE))
+                loads.append(cached_load(str(fifo), COVARIATE))
             writer.join(timeout=60)
             assert not writer.is_alive()
             loads.append(ran)
@@ -823,7 +879,7 @@ class TestParseCache:
     def test_eviction_keeps_the_recently_used_entries_under_the_budget(self, tmp_path, monkeypatch):
         texts = [labeled_text(rng_from(10 + i)) for i in range(5)]
         paths = [self.write(tmp_path, text, f"d{i}.csv") for i, text in enumerate(texts)]
-        load_csv(paths[0], COVARIATE)
+        cached_load(paths[0], COVARIATE)
         (entry,) = cache_entries(tmp_path)
         monkeypatch.setattr(core, "_CACHE_BUDGET", 3 * entry.stat().st_size)
         stray = entry.parent / ".another-writer.tmp"
@@ -835,29 +891,29 @@ class TestParseCache:
         age(entry, 1)
         names = [entry.name]
         for i, path in enumerate(paths[1:], start=2):
-            load_csv(path, COVARIATE)
+            cached_load(path, COVARIATE)
             (new,) = [e for e in cache_entries(tmp_path) if e.name not in names]
             age(new, i)
             names.append(new.name)
             if i == 3:
-                load_csv(paths[0], COVARIATE)  # a hit: entry 0 becomes the most recently used
+                cached_load(paths[0], COVARIATE)  # a hit: entry 0 becomes the most recently used
             sizes = [e.stat().st_size for e in cache_entries(tmp_path)]
             assert sum(sizes) <= core._CACHE_BUDGET
         assert [e.name for e in cache_entries(tmp_path)] == sorted([names[0], names[3], names[4]])
         assert stray.exists()
         monkeypatch.setattr(core, "_CACHE_BUDGET", 100)  # smaller than any entry: none is written
-        load_csv(self.write(tmp_path, labeled_text(rng_from(20)), "big.csv"), COVARIATE)
+        cached_load(self.write(tmp_path, labeled_text(rng_from(20)), "big.csv"), COVARIATE)
         assert len(cache_entries(tmp_path)) == 3
 
     def test_processes_racing_on_one_key(self, tmp_path):
         """Each process gets the parse's arrays, and the directory ends with one whole entry."""
-        path = self.write(tmp_path, labeled_text(rng_from(11), n=2000))
+        path = self.write(tmp_path, labeled_text(rng_from(11), n=14_000))
+        assert os.path.getsize(path) >= 1 << 20  # the processes cache only files of 1 MiB or more
         script = ("import hashlib, sys\nfrom quantify import CsvSchema, load_csv\n"
-                  f"d = load_csv({path!r}, CsvSchema('s', label_column='y', covariate_column='z'))\n"
+                  f"d = load_csv({path!r}, CsvSchema('s', label_column='y', covariate_column='z'), cache=True)\n"
                   "print(hashlib.sha256(b''.join(a.tobytes() for a in "
                   "(d.features, d.labels, d.set_indicator, d.covariate))).hexdigest())\n")
-        with mock.patch.object(core, "_cache_dir", lambda: None):
-            d = load_csv(path, COVARIATE)
+        d = load_csv(path, COVARIATE)
         expected = hashlib.sha256(b"".join(a.tobytes() for a in (
             d.features, d.labels, d.set_indicator, d.covariate))).hexdigest()
         src = str(Path(core.__file__).parents[1])
