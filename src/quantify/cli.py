@@ -46,19 +46,6 @@ SIZE_PRESETS = {
     "bank": (10000, 300),
 }
 
-# Default shift sweeps put the null at an interior point with a unique
-# most-shifted value.  The sweep deliberately stops short of the value at
-# which the shifted class-0 law coincides with the class-1 law (gaussian
-# gamma=2, exponential gamma=5): there the unlabeled sample is again an
-# exact mixture, so the test correctly loses power.
-DEFAULT_POWER_GAMMAS = {
-    "gaussian": (-2.0, -1.0, 0.0, 1.0),
-    "exponential": (0.25, 0.5, 1.0, 2.0, 3.0),
-    "gaussian_exponential": (-1.0, 0.0, 1.0, 2.0, 3.0),
-    "beta": (0.25, 0.5, 1.0, 2.0, 3.0),
-}
-
-
 def _emit(payload: dict, fmt: str, quiet: bool) -> None:
     if quiet:
         return
@@ -74,12 +61,17 @@ def _emit(payload: dict, fmt: str, quiet: bool) -> None:
                 sys.stdout.write(f"{key},{value}\n")
 
 
-def _write_out(path: str, write) -> None:
+def _emit_result(args, payload: dict, write, summary: dict) -> None:
+    """Print ``payload``, or ``write`` the ``--out`` file and print its path and ``summary``."""
+    if not args.out:
+        _emit(payload, args.output, args.quiet)
+        return
     try:
-        with open(path, "w", newline="") as handle:
+        with open(args.out, "w", newline="") as handle:
             write(handle)
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+        raise DataError(f"cannot write {args.out}: {exc}") from exc
+    _emit({"out": args.out, **summary}, args.output, args.quiet)
 
 
 def _load_data(args) -> RawDataset:
@@ -243,16 +235,9 @@ def _cmd_select_g(args) -> None:
         min_denom=args.min_denom,
     )
     payload = selection.to_dict()
-    if args.out:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        _write_out(args.out, lambda out: out.write(text))
-        _emit(
-            {"out": args.out, "gamma": selection.gamma, "objective": selection.objective},
-            args.output,
-            args.quiet,
-        )
-    else:
-        _emit(payload, args.output, args.quiet)
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    summary = {"gamma": selection.gamma, "objective": selection.objective}
+    _emit_result(args, payload, lambda out: out.write(text), summary)
 
 
 def _cmd_regress(args) -> None:
@@ -264,28 +249,14 @@ def _cmd_regress(args) -> None:
         curve = ratio_regress(data, g, args.grid, bandwidth=args.bandwidth, min_denom=args.min_denom)
     else:
         curve = cc_regress(data, g, args.grid, threshold=args.threshold, bandwidth=args.bandwidth)
-    if args.out:
-        rows = "".join(f"{z},{value}\n" for z, value in curve.rows())
-        _write_out(args.out, lambda out: out.write("z,theta\n" + rows))
-        _emit(
-            {"out": args.out, "bandwidth": curve.bandwidth, "method": curve.method},
-            args.output,
-            args.quiet,
-        )
-    else:
-        _emit(
-            {
-                "method": curve.method,
-                "bandwidth": curve.bandwidth,
-                "curve": [{"z": z, "theta": value} for z, value in curve.rows()],
-            },
-            args.output,
-            args.quiet,
-        )
+    summary = {"method": curve.method, "bandwidth": curve.bandwidth}
+    payload = {**summary, "curve": [{"z": z, "theta": value} for z, value in curve.rows()]}
+    text = "z,theta\n" + "".join(f"{z},{value}\n" for z, value in curve.rows())
+    _emit_result(args, payload, lambda out: out.write(text), summary)
 
 
 def _simulate_spec(args) -> ScenarioSpec:
-    from .simulate import ScenarioSpec, table_scenario
+    from .simulate import _SCORE_TABLE, ScenarioSpec, table_scenario
 
     if args.preset:
         n_unlabeled, n_labeled = SIZE_PRESETS[args.preset]
@@ -294,7 +265,7 @@ def _simulate_spec(args) -> ScenarioSpec:
         n_unlabeled = args.n_unlabeled
         n_class = tuple(args.n_class) if args.n_class else (150, 150)
     theta = args.theta[0] if args.theta else 0.6
-    if args.scenario in ("gaussian", "exponential", "gaussian_exponential", "beta"):
+    if args.scenario in _SCORE_TABLE:
         spec = table_scenario(
             args.scenario, n_unlabeled=n_unlabeled, n_class=n_class, theta=theta
         )
@@ -322,6 +293,7 @@ def _simulate_spec(args) -> ScenarioSpec:
 
 def _cmd_simulate(args) -> None:
     from .simulate import (
+        _SCORE_TABLE,
         run_combined_study,
         run_coverage_study,
         run_mse_study,
@@ -338,7 +310,8 @@ def _cmd_simulate(args) -> None:
     elif args.study == "coverage":
         report = run_coverage_study(spec, thetas, args.level, args.replicates, args.seed)
     elif args.study == "power":
-        gammas = args.gamma if args.gamma else list(DEFAULT_POWER_GAMMAS.get(spec.kind, ()))
+        default = _SCORE_TABLE.get(spec.kind)  # None for a kind run_power_study refuses
+        gammas = args.gamma or (default.power_gammas if default else ())
         report = run_power_study(
             spec,
             gammas,
@@ -359,19 +332,8 @@ def _cmd_simulate(args) -> None:
         report = run_regression_study(
             spec, grid, args.replicates, args.seed, threshold=args.threshold
         )
-    if args.out:
-        _write_out(args.out, report.to_csv)
-        _emit(
-            {
-                "out": args.out,
-                "study": report.study,
-                "rows": len(report.raw_rows),
-            },
-            args.output,
-            args.quiet,
-        )
-    else:
-        _emit(report.to_dict(), args.output, args.quiet)
+    summary = {"study": report.study, "rows": len(report.raw_rows)}
+    _emit_result(args, report.to_dict(), report.to_csv, summary)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,6 +20,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,27 @@ from .estimators import (
 from .regression import cc_regress, ratio_regress
 from .shift_test import shift_test
 
-_SCORE_KINDS = ("gaussian", "exponential", "gaussian_exponential", "beta")
+
+class _ScoreKind(NamedTuple):
+    canonical: dict  # what table_scenario sets beyond ScenarioSpec's defaults
+    shifted: str  # the field gamma replaces in the unlabeled class-0 law; its value is the null
+    power_gammas: tuple[float, ...]  # the default sweep of the power study
+
+
+# Default shift sweeps put the null at an interior point with a unique
+# most-shifted value.  The sweep deliberately stops short of the value at
+# which the shifted class-0 law coincides with the class-1 law (gaussian
+# gamma=2, exponential gamma=5): there the unlabeled sample is again an
+# exact mixture, so the test correctly loses power.
+_SCORE_TABLE = {
+    "gaussian": _ScoreKind({}, "mean0", (-2.0, -1.0, 0.0, 1.0)),
+    "exponential": _ScoreKind({}, "rate0", (0.25, 0.5, 1.0, 2.0, 3.0)),
+    "gaussian_exponential": _ScoreKind(
+        {"mean0": 1.0, "rate1": 1.0}, "mean0", (-1.0, 0.0, 1.0, 2.0, 3.0)
+    ),
+    "beta": _ScoreKind({}, "a0", (0.25, 0.5, 1.0, 2.0, 3.0)),
+}
+_SCORE_KINDS = tuple(_SCORE_TABLE)
 SCENARIO_KINDS = (*_SCORE_KINDS, "multiclass_gaussian", "regression_sine")
 
 # The scenario kinds each study has a truth for.  The sine kind ignores theta
@@ -130,16 +151,10 @@ def table_scenario(
     theta: float = 0.6,
 ) -> ScenarioSpec:
     """Canonical parameterization of the four binary test scenarios."""
+    if kind not in _SCORE_TABLE:
+        raise EstimationError(f"no canonical test parameterization for kind {kind!r}")
     common = dict(kind=kind, n_unlabeled=n_unlabeled, n_class=n_class, gamma=gamma, theta=theta)
-    if kind == "gaussian":
-        return ScenarioSpec(mean0=0.0, mean1=2.0, sd=1.0, **common)
-    if kind == "exponential":
-        return ScenarioSpec(rate0=1.0, rate1=5.0, **common)
-    if kind == "gaussian_exponential":
-        return ScenarioSpec(mean0=1.0, sd=1.0, rate1=1.0, **common)
-    if kind == "beta":
-        return ScenarioSpec(a0=1.0, b0=1.0, a1=1.0, b1=10.0, **common)
-    raise EstimationError(f"no canonical test parameterization for kind {kind!r}")
+    return ScenarioSpec(**common, **_SCORE_TABLE[kind].canonical)
 
 
 def symmetric_gaussian(
@@ -162,54 +177,49 @@ def symmetric_gaussian(
 
 def null_gamma(spec: ScenarioSpec) -> float:
     """The gamma value under which the unlabeled class-0 law is unshifted."""
-    if spec.kind in ("gaussian", "gaussian_exponential"):
-        return spec.mean0
-    if spec.kind == "exponential":
-        return spec.rate0
-    if spec.kind == "beta":
-        return spec.a0
-    raise EstimationError(f"kind {spec.kind!r} has no shift parameter")
+    if spec.kind not in _SCORE_TABLE:
+        raise EstimationError(f"kind {spec.kind!r} has no shift parameter")
+    return getattr(spec, _SCORE_TABLE[spec.kind].shifted)
 
 
 def _binary_law_samplers(spec: ScenarioSpec):
     """(labeled class 0, class 1, unlabeled class 0) samplers for score kinds."""
-    gamma = spec.gamma
 
-    if spec.kind == "gaussian":
-        unlabeled_mean0 = spec.mean0 if gamma is None else gamma
-        return (
-            lambda rng, n: rng.normal(spec.mean0, spec.sd, n),
-            lambda rng, n: rng.normal(spec.mean1, spec.sd, n),
-            lambda rng, n: rng.normal(unlabeled_mean0, spec.sd, n),
-        )
-    if spec.kind == "exponential":
-        unlabeled_rate0 = spec.rate0 if gamma is None else gamma
-        if min(spec.rate0, spec.rate1, unlabeled_rate0) <= 0:
-            raise EstimationError("exponential rates must be positive")
-        return (
-            lambda rng, n: rng.exponential(1.0 / spec.rate0, n),
-            lambda rng, n: rng.exponential(1.0 / spec.rate1, n),
-            lambda rng, n: rng.exponential(1.0 / unlabeled_rate0, n),
-        )
-    if spec.kind == "gaussian_exponential":
-        unlabeled_mean0 = spec.mean0 if gamma is None else gamma
-        if spec.rate1 <= 0:
-            raise EstimationError("exponential rate must be positive")
-        return (
-            lambda rng, n: rng.normal(spec.mean0, spec.sd, n),
-            lambda rng, n: rng.exponential(1.0 / spec.rate1, n),
-            lambda rng, n: rng.normal(unlabeled_mean0, spec.sd, n),
-        )
-    if spec.kind == "beta":
-        unlabeled_a0 = spec.a0 if gamma is None else gamma
-        if min(spec.a0, spec.b0, spec.a1, spec.b1, unlabeled_a0) <= 0:
-            raise EstimationError("beta shape parameters must be positive")
-        return (
-            lambda rng, n: rng.beta(spec.a0, spec.b0, n),
-            lambda rng, n: rng.beta(spec.a1, spec.b1, n),
-            lambda rng, n: rng.beta(unlabeled_a0, spec.b0, n),
-        )
-    raise EstimationError(f"kind {spec.kind!r} is not a binary score scenario")
+    def class_laws(spec: ScenarioSpec):
+        if spec.kind == "gaussian":
+            return (
+                lambda rng, n: rng.normal(spec.mean0, spec.sd, n),
+                lambda rng, n: rng.normal(spec.mean1, spec.sd, n),
+            )
+        if spec.kind == "exponential":
+            if min(spec.rate0, spec.rate1) <= 0:
+                raise EstimationError("exponential rates must be positive")
+            return (
+                lambda rng, n: rng.exponential(1.0 / spec.rate0, n),
+                lambda rng, n: rng.exponential(1.0 / spec.rate1, n),
+            )
+        if spec.kind == "gaussian_exponential":
+            if spec.rate1 <= 0:
+                raise EstimationError("exponential rate must be positive")
+            return (
+                lambda rng, n: rng.normal(spec.mean0, spec.sd, n),
+                lambda rng, n: rng.exponential(1.0 / spec.rate1, n),
+            )
+        if spec.kind == "beta":
+            if min(spec.a0, spec.b0, spec.a1, spec.b1) <= 0:
+                raise EstimationError("beta shape parameters must be positive")
+            return (
+                lambda rng, n: rng.beta(spec.a0, spec.b0, n),
+                lambda rng, n: rng.beta(spec.a1, spec.b1, n),
+            )
+        raise EstimationError(f"kind {spec.kind!r} is not a binary score scenario")
+
+    sample0, sample1 = class_laws(spec)
+    if spec.gamma is None:
+        return sample0, sample1, sample0
+    # the unlabeled class-0 law is class 0's with gamma in the kind's shifted field
+    shifted = dataclasses.replace(spec, **{_SCORE_TABLE[spec.kind].shifted: spec.gamma})
+    return sample0, sample1, class_laws(shifted)[0]
 
 
 def _assemble_binary(
