@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import gc
 import json
+import math
 import sys
 
 import numpy as np
@@ -46,11 +47,21 @@ SIZE_PRESETS = {
     "bank": (10000, 300),
 }
 
+def _finite_or_null(value):
+    """``value`` with each non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(payload: dict, fmt: str, quiet: bool) -> None:
     if quiet:
         return
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False)
+        sys.stdout.write(text + "\n")
     else:
         for key in sorted(payload):
             value = payload[key]
@@ -63,15 +74,14 @@ def _emit(payload: dict, fmt: str, quiet: bool) -> None:
 
 def _emit_result(args, payload: dict, write, summary: dict) -> None:
     """Print ``payload``, or ``write`` the ``--out`` file and print its path and ``summary``."""
-    if not args.out:
-        _emit(payload, args.output, args.quiet)
-        return
-    try:
-        with open(args.out, "w", newline="") as handle:
-            write(handle)
-    except OSError as exc:
-        raise DataError(f"cannot write {args.out}: {exc}") from exc
-    _emit({"out": args.out, **summary}, args.output, args.quiet)
+    if args.out:
+        try:
+            with open(args.out, "w", newline="") as handle:
+                write(handle)
+        except OSError as exc:
+            raise DataError(f"cannot write {args.out}: {exc}") from exc
+        payload = {"out": args.out, **summary}
+    _emit(payload, args.output, args.quiet)
 
 
 def _load_data(args) -> RawDataset:
@@ -167,13 +177,19 @@ def _grid_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _bandwidth_arg(text: str):
-    if text == "cv":
-        return "cv"
+def _positive_arg(text: str) -> float:
+    """A positive finite float: every ``--bandwidth`` is checked by this one rule."""
     try:
-        return float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("bandwidth must be a number or 'cv'") from exc
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _bandwidth_arg(text: str):
+    return "cv" if text == "cv" else _positive_arg(text)
 
 
 def _cmd_estimate(args) -> None:
@@ -368,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel = sub.add_parser("select-g", help="pick kernel score weights on labeled data")
     _add_schema_flags(p_sel)
     p_sel.add_argument("--kernel", choices=("gaussian", "linear"), default="gaussian")
-    p_sel.add_argument("--bandwidth", type=float, default=None)
+    p_sel.add_argument("--bandwidth", type=_positive_arg, default=None)
     p_sel.add_argument("--gamma", "--gamma-grid", action="append", type=float, default=None)
     p_sel.add_argument("--split-seed", type=_seed_arg, default=None, help="defaults to --seed")
     p_sel.add_argument("--min-denom", type=float, default=1e-8)

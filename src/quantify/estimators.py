@@ -11,6 +11,7 @@ target population are provided as companions and baselines.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -85,8 +86,9 @@ def _group_stats(g0: np.ndarray, g1: np.ndarray) -> tuple[float, float, float, f
     mu0, mu1 = float(g0.mean()), float(g1.mean())
     # 1/n normalization: keeps the plug-in identities with the kernel
     # objective exact and is harmless at the sample sizes quantification uses.
-    var0 = float(np.mean((g0 - mu0) ** 2))
-    var1 = float(np.mean((g1 - mu1) ** 2))
+    with np.errstate(over="ignore"):  # an infinite variance is refused by ratio_variance
+        var0 = float(np.mean((g0 - mu0) ** 2))
+        var1 = float(np.mean((g1 - mu1) ** 2))
     return mu0, mu1, var0, var1
 
 
@@ -165,7 +167,13 @@ def ratio_variance(
         regime = "sparse" if n_labeled / n_total < 0.05 else "dense"
 
     theta = est.theta
-    d2 = (est.mu1 - est.mu0) ** 2
+    try:
+        d2 = (est.mu1 - est.mu0) ** 2
+    except OverflowError:
+        d2 = math.inf
+    if not all(map(math.isfinite, (d2, est.var0, est.var1))):
+        raise EstimationError("the variance needs finite (mu1 - mu0)^2, var0 and var1, "
+                              f"got {d2}, {est.var0} and {est.var1}")
     p0 = n0 / n_labeled
     p1 = n1 / n_labeled
     if regime == "dense":

@@ -33,7 +33,8 @@ def nadaraya_watson(
         raise EstimationError("need matching, nonempty covariate and score arrays")
     if not bandwidth > 0:
         raise EstimationError(f"bandwidth must be positive, got {bandwidth}")
-    weights = np.exp(-0.5 * ((queries[:, None] - z[None, :]) / bandwidth) ** 2)
+    with np.errstate(over="ignore"):  # an overflow only makes a zero weight
+        weights = np.exp(-0.5 * ((queries[:, None] - z[None, :]) / bandwidth) ** 2)
     totals = weights.sum(axis=1)
     out = np.empty(queries.size)
     covered = totals > 0.0

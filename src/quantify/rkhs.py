@@ -57,8 +57,14 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in ("linear", "gaussian"):
             raise DataError(f"unknown kernel family {self.family!r}")
-        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
+        if self.bandwidth is None:
+            return
+        if not 0.0 < self.bandwidth < np.inf:
             raise DataError("kernel bandwidth must be positive and finite")
+        h = float(self.bandwidth)
+        if not 0.0 < 2.0 * h * h < np.inf:  # matrix() divides by -2 h^2
+            raise EstimationError(
+                f"kernel bandwidth {h} is out of range: 2 h^2 must be a positive finite float")
 
     def matrix(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -226,7 +232,7 @@ class RkhsSelection:
             scalars = [float(payload[key]) for key in ("gamma", "objective", "theta_pilot")]
         except KeyError as exc:
             raise DataError(f"selection has no {exc} field") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, EstimationError) as exc:
             raise DataError(f"malformed selection: {exc}") from None
         if weights.ndim != 1 or anchors.ndim != 2 or anchors.shape[0] != weights.size:
             raise DataError(f"weights {weights.shape} do not match anchors {anchors.shape}")

@@ -176,7 +176,8 @@ def kde_fit(values: np.ndarray) -> KernelDensity:
     values = np.asarray(values, dtype=float).ravel()
     if values.size < 2:
         raise EstimationError("KDE needs at least two values")
-    sd = float(np.std(values, ddof=1))
+    with np.errstate(over="ignore"):  # an infinite sd loses to the IQR or the floor below
+        sd = float(np.std(values, ddof=1))
     q75, q25 = _quartiles(values.copy())
     spread = min(sd, (q75 - q25) / 1.34)
     bandwidth = 0.9 * spread * values.size ** (-0.2)

@@ -164,15 +164,8 @@ def symmetric_gaussian(
     mu: float = 1.0,
 ) -> ScenarioSpec:
     """Estimation scenario with score laws N(-mu, 1) and N(+mu, 1), no shift."""
-    return ScenarioSpec(
-        kind="gaussian",
-        n_unlabeled=n_unlabeled,
-        n_class=n_class,
-        theta=theta,
-        mean0=-mu,
-        mean1=mu,
-        sd=1.0,
-    )
+    spec = table_scenario("gaussian", n_unlabeled=n_unlabeled, n_class=n_class, theta=theta)
+    return dataclasses.replace(spec, mean0=-mu, mean1=mu)
 
 
 def null_gamma(spec: ScenarioSpec) -> float:

@@ -321,6 +321,8 @@ class TestSelectG:
         pytest.param(lambda sel: {**sel, "kernel": {"family": "cubic"}}, id="unknown-kernel"),
         pytest.param(lambda sel: {**sel, "kernel": {"family": "gaussian", "bandwidth": float("nan")}},
                      id="nan-bandwidth"),
+        pytest.param(lambda sel: {**sel, "kernel": {"family": "gaussian", "bandwidth": 1e300}},
+                     id="overflowing-bandwidth"),
         pytest.param(lambda sel: {**sel, "gamma": "small"}, id="non-numeric-gamma"),
     ])
     def test_malformed_weights_file_exits_1_naming_it(self, blobs_csv, tmp_path, capsys,
@@ -547,6 +549,54 @@ def test_refused_value_exits_2_with_one_error_line(argv, message, curve_csv):
     assert "Traceback" not in done.stderr
     errors = [line for line in done.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].endswith(message), done.stderr
+
+
+SMALL_STUDY = ["simulate", "--replicates", "2", "--test-replicates", "5", "--grid-size", "21",
+               "--n-unlabeled", "100"]
+OUT_OF_RANGE_BANDWIDTH = "argument --bandwidth: must be positive and finite, got "
+
+
+@pytest.mark.parametrize("argv, message", [
+    *(pytest.param(["select-g", "BLOBS", *TestSelectG.BASE, "--bandwidth", h],
+                   OUT_OF_RANGE_BANDWIDTH + h, id=f"select-g-bandwidth-{h}")
+      for h in ("-1", "nan", "inf")),
+    *(pytest.param(["select-g", "BLOBS", *TestSelectG.BASE, "--bandwidth", h],
+                   f"kernel bandwidth {float(h)} is out of range: "
+                   "2 h^2 must be a positive finite float", id=f"select-g-bandwidth-{h}")
+      for h in ("1e300", "1e-300")),
+    *(pytest.param(["regress", "CURVE", *TestRegress.BASE, "--bandwidth", h],
+                   OUT_OF_RANGE_BANDWIDTH + h, id=f"regress-bandwidth-{h}")
+      for h in ("-1", "nan", "inf")),
+    pytest.param(["regress", "CURVE", *TestRegress.BASE, "--bandwidth", "1e-300"], None,
+                 id="regress-bandwidth-1e-300"),
+    *(pytest.param([*SMALL_STUDY, "--study", study, "--mu", "1e300"], None, id=f"{study}-mu-1e300")
+      for study in ("mse", "power")),
+    *(pytest.param([*SMALL_STUDY, "--study", study, "--mu", "1e300"],
+                   "the variance needs finite (mu1 - mu0)^2, var0 and var1, got inf, inf and inf",
+                   id=f"{study}-mu-1e300") for study in ("coverage", "combined")),
+    pytest.param(["simulate", "--study", "mse", "--replicates", "1"], None, id="mse-one-replicate"),
+])
+def test_extreme_values_are_refused_or_print_strict_json(argv, message, blobs_csv, curve_csv):
+    """An extreme value either ends the process with exit 2 and one line saying
+    why (``message``), or runs to exit 0 with stdout that strict JSON accepts,
+    undefined values as null; neither writes a traceback or a warning."""
+    argv = [{"BLOBS": blobs_csv, "CURVE": curve_csv}.get(arg, arg) for arg in argv]
+    src = str(Path(quantify.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "quantify.cli", *argv], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src, "QUANTIFY_THREADS": "1"})
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr, done.stderr
+    if message is None:
+        assert (done.returncode, done.stderr) == (0, "")
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        json.loads(done.stdout, parse_constant=refuse)
+    else:
+        assert (done.returncode, done.stdout) == (2, "")
+        errors = [line for line in done.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(message), done.stderr
 
 
 KIND_OF_SCENARIO = {"gaussian": "gaussian", "exponential": "exponential",
