@@ -194,12 +194,12 @@ def _bandwidth_arg(text: str):
 
 def _cmd_estimate(args) -> None:
     from .estimators import (
-        _variance_from_scores,
         classify_and_count,
         em_estimate,
         multiclass_ratio,
         ratio_ci,
         ratio_estimate,
+        ratio_variance,
     )
 
     data = _load_data(args)
@@ -212,13 +212,11 @@ def _cmd_estimate(args) -> None:
     if args.method == "ratio":
         est = ratio_estimate(scored, min_denom=args.min_denom)
         if args.ci is not None:
-            est = ratio_ci(_variance_from_scores(est, scored, args.regime), level=args.ci)
+            est = ratio_ci(ratio_variance(est, args.regime), level=args.ci)
     elif args.method == "cc":
         est = classify_and_count(scored, threshold=args.threshold)
     else:
-        n0, n1 = scored.class_counts
-        theta_train = args.theta_train if args.theta_train is not None else n1 / (n0 + n1)
-        est = em_estimate(scored, theta_train=theta_train)
+        est = em_estimate(scored, theta_train=args.theta_train)
     payload = est.to_dict()
     if est.ci is not None:
         lo, hi, _ = est.ci
@@ -272,7 +270,7 @@ def _cmd_regress(args) -> None:
 
 
 def _simulate_spec(args) -> ScenarioSpec:
-    from .simulate import _SCORE_TABLE, ScenarioSpec, table_scenario
+    from .simulate import ScenarioSpec, table_scenario
 
     if args.preset:
         n_unlabeled, n_labeled = SIZE_PRESETS[args.preset]
@@ -281,35 +279,32 @@ def _simulate_spec(args) -> ScenarioSpec:
         n_unlabeled = args.n_unlabeled
         n_class = tuple(args.n_class) if args.n_class else (150, 150)
     theta = args.theta[0] if args.theta else 0.6
-    if args.scenario in _SCORE_TABLE:
-        spec = table_scenario(
-            args.scenario, n_unlabeled=n_unlabeled, n_class=n_class, theta=theta
-        )
-        if args.mu is not None:
-            spec = dataclasses.replace(spec, mean0=-args.mu, mean1=args.mu)
-        if args.mean0 is not None:
-            spec = dataclasses.replace(spec, mean0=args.mean0)
-        if args.mean1 is not None:
-            spec = dataclasses.replace(spec, mean1=args.mean1)
-        return spec
     if args.scenario == "multiclass":
         n_class = tuple(args.n_class) if args.n_class else (20, 30, 50)
         return ScenarioSpec(
             kind="multiclass_gaussian", n_unlabeled=n_unlabeled, n_class=n_class, theta=theta
         )
-    # sine
-    return ScenarioSpec(
-        kind="regression_sine",
-        n_unlabeled=n_unlabeled,
-        n_class=n_class,
-        mu=args.mu if args.mu is not None else 1.0,
-        cycles=args.cycles,
-    )
+    if args.scenario == "sine":
+        return ScenarioSpec(
+            kind="regression_sine",
+            n_unlabeled=n_unlabeled,
+            n_class=n_class,
+            mu=args.mu if args.mu is not None else 1.0,
+            cycles=args.cycles,
+        )
+    # a score kind
+    spec = table_scenario(args.scenario, n_unlabeled=n_unlabeled, n_class=n_class, theta=theta)
+    if args.mu is not None:
+        spec = dataclasses.replace(spec, mean0=-args.mu, mean1=args.mu)
+    if args.mean0 is not None:
+        spec = dataclasses.replace(spec, mean0=args.mean0)
+    if args.mean1 is not None:
+        spec = dataclasses.replace(spec, mean1=args.mean1)
+    return spec
 
 
 def _cmd_simulate(args) -> None:
     from .simulate import (
-        _SCORE_TABLE,
         run_combined_study,
         run_coverage_study,
         run_mse_study,
@@ -326,11 +321,9 @@ def _cmd_simulate(args) -> None:
     elif args.study == "coverage":
         report = run_coverage_study(spec, thetas, args.level, args.replicates, args.seed)
     elif args.study == "power":
-        default = _SCORE_TABLE.get(spec.kind)  # None for a kind run_power_study refuses
-        gammas = args.gamma or (default.power_gammas if default else ())
         report = run_power_study(
             spec,
-            gammas,
+            args.gamma,
             alpha=args.alpha,
             replicates=args.replicates,
             test_replicates=args.test_replicates,

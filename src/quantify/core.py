@@ -125,7 +125,7 @@ class RawDataset:
 
 @dataclass(frozen=True)
 class ScoredDataset:
-    """Score values grouped by population: one unlabeled block, one per class."""
+    """Score values grouped by population: one unlabeled block, one per class, none empty."""
 
     unlabeled: np.ndarray
     classes: tuple[np.ndarray, ...]
@@ -133,6 +133,11 @@ class ScoredDataset:
     def __post_init__(self) -> None:
         unlabeled = _as_2d_float(self.unlabeled, "unlabeled scores")
         classes = tuple(_as_2d_float(c, "class scores") for c in self.classes)
+        if unlabeled.shape[0] == 0:
+            raise EstimationError("no unlabeled rows to quantify")
+        for label, block in enumerate(classes):
+            if block.shape[0] == 0:
+                raise EstimationError(f"class {label} has no labeled rows")
         m = unlabeled.shape[1]
         if any(c.shape[1] != m for c in classes):
             raise DataError("all score blocks must share the same dimension")
@@ -680,17 +685,9 @@ def score_dataset(data: RawDataset, g: ScoreFunction) -> ScoredDataset:
     k_plus_one = data.n_classes
     if k_plus_one < 2:
         raise EstimationError("need at least two observed classes to quantify")
-    unlabeled_idx = data.unlabeled_indices()
-    if unlabeled_idx.size == 0:
-        raise EstimationError("no unlabeled rows to quantify")
     all_scores = g.scores(data.features)
-    blocks = []
-    for label in range(k_plus_one):
-        idx = data.labeled_class_indices(label)
-        if idx.size == 0:
-            raise EstimationError(f"class {label} has no labeled rows")
-        blocks.append(all_scores[idx])
-    return ScoredDataset(unlabeled=all_scores[unlabeled_idx], classes=tuple(blocks))
+    blocks = tuple(all_scores[data.labeled_class_indices(label)] for label in range(k_plus_one))
+    return ScoredDataset(unlabeled=all_scores[data.unlabeled_indices()], classes=blocks)
 
 
 def _logistic_nll(beta: np.ndarray, design: np.ndarray, y: np.ndarray, ridge: float) -> float:

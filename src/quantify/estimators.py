@@ -36,8 +36,9 @@ class ThetaEstimate:
     """A prevalence estimate with optional uncertainty attachments.
 
     ``theta`` is trimmed to [0, 1]; ``theta_raw`` keeps the untrimmed value.
-    Group statistics are present only for ratio-type estimates, where they
-    feed the variance proxy and confidence interval.
+    Group statistics and sample sizes are present only for ratio-type
+    estimates, where they feed the variance proxy and confidence interval;
+    the sample sizes are not part of :meth:`to_dict`.
     """
 
     theta: float
@@ -50,6 +51,9 @@ class ThetaEstimate:
     mean_unlabeled: float | None = None
     variance: float | None = None
     ci: tuple[float, float, float] | None = None
+    n0: int | None = None
+    n1: int | None = None
+    n_unlabeled: int | None = None
 
     @property
     def denominator(self) -> float | None:
@@ -113,8 +117,6 @@ def ratio_estimate(scores: ScoredDataset, min_denom: float = DEFAULT_MIN_DENOM) 
     _single_score_column(scores, "ratio_estimate")
     if len(scores.classes) != 2:
         raise EstimationError("ratio_estimate is binary; use multiclass_ratio for k > 1")
-    if scores.n_unlabeled == 0:
-        raise EstimationError("no unlabeled scores")
     mu0, mu1, var0, var1 = _group_stats(scores.classes[0], scores.classes[1])
     denom = _separation(mu0, mu1, min_denom)
     mean_unlabeled = float(scores.unlabeled.mean())
@@ -128,26 +130,20 @@ def ratio_estimate(scores: ScoredDataset, min_denom: float = DEFAULT_MIN_DENOM) 
         var0=var0,
         var1=var1,
         mean_unlabeled=mean_unlabeled,
+        n0=scores.class_counts[0],
+        n1=scores.class_counts[1],
+        n_unlabeled=scores.n_unlabeled,
     )
 
 
 def classify_and_count(scores: ScoredDataset, threshold: float = 0.5) -> ThetaEstimate:
     """Fraction of unlabeled scores above ``threshold`` (no shift correction)."""
     _single_score_column(scores, "classify_and_count")
-    if scores.n_unlabeled == 0:
-        raise EstimationError("no unlabeled scores")
     frac = float(np.mean(scores.unlabeled.ravel() > threshold))
     return ThetaEstimate(theta=frac, theta_raw=frac, method="cc")
 
 
-def ratio_variance(
-    est: ThetaEstimate,
-    n_total: int,
-    n_labeled: int,
-    n0: int,
-    n1: int,
-    regime: str = "auto",
-) -> ThetaEstimate:
+def ratio_variance(est: ThetaEstimate, regime: str = "auto") -> ThetaEstimate:
     """Attach the normal-approximation variance proxy to a ratio estimate.
 
     Two sampling regimes are covered.  ``dense``: the labeled sample is a
@@ -155,14 +151,17 @@ def ratio_variance(
     the asymptotic variance of the ratio when group means and the unlabeled
     mean all fluctuate.  ``sparse``: labeled data are asymptotically
     negligible (here: fewer than 5% of all rows under ``auto``), so only the
-    class-mean fluctuations matter and the proxy is V' / n_labeled.
+    class-mean fluctuations matter and the proxy is V' / n_labeled.  The
+    sample sizes are the ones :func:`ratio_estimate` recorded on ``est``.
     """
-    if est.mu0 is None or est.var0 is None:
+    if est.mu0 is None or est.var0 is None or est.n0 is None:
         raise EstimationError("estimate lacks the group statistics the variance needs")
     if regime not in ("auto", "dense", "sparse"):
         raise EstimationError(f"unknown regime {regime!r}")
-    if min(n_total, n_labeled, n0, n1) <= 0 or n0 + n1 != n_labeled or n_labeled > n_total:
-        raise EstimationError("inconsistent sample counts")
+    if min(est.n0, est.n1) < 1:
+        raise EstimationError(f"class sample counts must be at least 1, got {est.n0} and {est.n1}")
+    n_labeled = est.n0 + est.n1
+    n_total = n_labeled + est.n_unlabeled
     if regime == "auto":
         regime = "sparse" if n_labeled / n_total < 0.05 else "dense"
 
@@ -174,31 +173,21 @@ def ratio_variance(
     if not all(map(math.isfinite, (d2, est.var0, est.var1))):
         raise EstimationError("the variance needs finite (mu1 - mu0)^2, var0 and var1, "
                               f"got {d2}, {est.var0} and {est.var1}")
-    p0 = n0 / n_labeled
-    p1 = n1 / n_labeled
-    if regime == "dense":
-        p_lab = n_labeled / n_total
-        if p_lab >= 1.0:
-            raise EstimationError("dense regime needs unlabeled rows (labeled fraction is 1)")
-        var_unlabeled = (1 - theta) * est.var0 + theta * est.var1 + d2 * theta * (1 - theta)
-        v = (
-            var_unlabeled / (1 - p_lab)
-            + (1 - theta) ** 2 * est.var0 / (p_lab * p0)
-            + theta**2 * est.var1 / (p_lab * p1)
-        ) / d2
-        variance = v / n_total
-    else:
-        v = ((1 - theta) ** 2 * est.var0 / p0 + theta**2 * est.var1 / p1) / d2
-        variance = v / n_labeled
-    return dataclasses.replace(est, variance=float(variance))
-
-
-def _variance_from_scores(est: ThetaEstimate, scores: ScoredDataset, regime: str) -> ThetaEstimate:
-    """:func:`ratio_variance` with the sample counts taken from the scored data."""
-    n0, n1 = scores.class_counts
-    return ratio_variance(
-        est, n_total=scores.n_unlabeled + n0 + n1, n_labeled=n0 + n1, n0=n0, n1=n1, regime=regime
-    )
+    if regime == "sparse":
+        variance = _sparse_mse(est.var0, est.var1, theta, est.n0, est.n1, d2)
+        return dataclasses.replace(est, variance=variance)
+    p_lab = n_labeled / n_total
+    if p_lab >= 1.0:
+        raise EstimationError("dense regime needs unlabeled rows (labeled fraction is 1)")
+    p0 = est.n0 / n_labeled
+    p1 = est.n1 / n_labeled
+    var_unlabeled = (1 - theta) * est.var0 + theta * est.var1 + d2 * theta * (1 - theta)
+    v = (
+        var_unlabeled / (1 - p_lab)
+        + (1 - theta) ** 2 * est.var0 / (p_lab * p0)
+        + theta**2 * est.var1 / (p_lab * p1)
+    ) / d2
+    return dataclasses.replace(est, variance=float(v / n_total))
 
 
 def ratio_ci(est: ThetaEstimate, level: float = 0.95) -> ThetaEstimate:
@@ -215,15 +204,21 @@ def ratio_ci(est: ThetaEstimate, level: float = 0.95) -> ThetaEstimate:
     return dataclasses.replace(est, ci=(est.theta - half, est.theta + half, level))
 
 
+def _sparse_mse(var0: float, var1: float, theta: float, n0: int, n1: int, d2: float) -> float:
+    """V' / n_labeled: the ratio's MSE proxy when only the class means fluctuate,
+    with d2 = (mu1 - mu0)^2."""
+    n_labeled = n0 + n1
+    p0 = n0 / n_labeled
+    p1 = n1 / n_labeled
+    return float((var0 * (1 - theta) ** 2 / p0 + var1 * theta**2 / p1) / (n_labeled * d2))
+
+
 def _empirical_mse_from_groups(
     g0: np.ndarray, g1: np.ndarray, theta: float, min_denom: float = DEFAULT_MIN_DENOM
 ) -> float:
     mu0, mu1, var0, var1 = _group_stats(g0, g1)
     denom = _separation(mu0, mu1, min_denom)
-    n_labeled = g0.size + g1.size
-    p0 = g0.size / n_labeled
-    p1 = g1.size / n_labeled
-    return float((var0 * (1 - theta) ** 2 / p0 + var1 * theta**2 / p1) / (n_labeled * denom**2))
+    return _sparse_mse(var0, var1, theta, g0.size, g1.size, denom**2)
 
 
 def empirical_mse(
@@ -284,8 +279,6 @@ def multiclass_ratio(scores: ScoredDataset, max_condition: float = 1e8) -> Simpl
         raise EstimationError("need at least two classes")
     if m < k_plus_one - 1:
         raise EstimationError(f"{m} score dimensions cannot identify {k_plus_one} classes")
-    if scores.n_unlabeled == 0:
-        raise EstimationError("no unlabeled scores")
     g_bar = scores.unlabeled.mean(axis=0)
     group_means = np.column_stack([c.mean(axis=0) for c in scores.classes])
     system = np.vstack([group_means, np.ones(k_plus_one)])
@@ -304,7 +297,7 @@ def multiclass_ratio(scores: ScoredDataset, max_condition: float = 1e8) -> Simpl
 
 def em_estimate(
     scores: ScoredDataset,
-    theta_train: float,
+    theta_train: float | None = None,
     max_iter: int = 10000,
     tol: float = 1e-8,
 ) -> ThetaEstimate:
@@ -312,12 +305,16 @@ def em_estimate(
 
     Requires probability scores: each unlabeled g is reweighted by the
     candidate prior relative to the training prior and the posterior mass of
-    class 1 is averaged.  Iteration starts at ``theta_train``.
+    class 1 is averaged.  Iteration starts at ``theta_train``, which defaults
+    to the labeled class-1 share n1 / (n0 + n1).
     """
     _single_score_column(scores, "em_estimate")
+    if len(scores.classes) != 2:
+        raise EstimationError("em_estimate is binary; use multiclass_ratio for k > 1")
+    if theta_train is None:
+        n0, n1 = scores.class_counts
+        theta_train = n1 / (n0 + n1)
     g = scores.unlabeled.ravel()
-    if g.size == 0:
-        raise EstimationError("no unlabeled scores")
     if np.any(g <= 0.0) or np.any(g >= 1.0):
         raise EstimationError("EM needs probability scores strictly inside (0, 1)")
     if not 0.0 < theta_train < 1.0:

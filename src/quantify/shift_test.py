@@ -71,10 +71,6 @@ def t_statistic(scores: ScoredDataset, grid_size: int = 1001) -> tuple[float, fl
     g0 = scores.classes[0].ravel()
     g1 = scores.classes[1].ravel()
     gu = scores.unlabeled.ravel()
-    if gu.size == 0:
-        raise EstimationError("no unlabeled scores")
-    if g0.size == 0 or g1.size == 0:
-        raise EstimationError("empty sample has no ECDF")
     base, delta = _ecdf_gaps(g0, g1, gu)
     weights = np.linspace(0.0, 1.0, grid_size)
 

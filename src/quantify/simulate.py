@@ -36,13 +36,13 @@ from .core import (
 )
 from .estimators import (
     CombinedEstimate,
-    _variance_from_scores,
     classify_and_count,
     combined_estimate,
     em_estimate,
     multiclass_ratio,
     ratio_ci,
     ratio_estimate,
+    ratio_variance,
 )
 from .regression import cc_regress, ratio_regress
 from .shift_test import shift_test
@@ -421,14 +421,13 @@ def _scored(cell: ScenarioSpec, path: tuple[int, ...]) -> ScoredDataset:
 
 def _mse_replicate(cell: ScenarioSpec, path: tuple[int, ...], methods: list[str]) -> list[float]:
     scored = _scored(cell, path)
-    n0, n1 = scored.class_counts
     # cc thresholds at the midpoint of the labeled class score means: the
     # natural plug-in decision boundary for a one-dimensional score.
     mid = (float(scored.classes[0].mean()) + float(scored.classes[1].mean())) / 2.0
     estimators = {
         "ratio": lambda: ratio_estimate(scored),
         "cc": lambda: classify_and_count(scored, threshold=mid),
-        "em": lambda: em_estimate(scored, theta_train=n1 / (n0 + n1)),
+        "em": lambda: em_estimate(scored),
     }
     return [estimators[method]().theta for method in methods]
 
@@ -478,8 +477,7 @@ def run_mse_study(
 def _coverage_replicate(
     cell: ScenarioSpec, path: tuple[int, ...], level: float, regime: str
 ) -> tuple[float, float, float]:
-    scored = _scored(cell, path)
-    est = ratio_ci(_variance_from_scores(ratio_estimate(scored), scored, regime), level=level)
+    est = ratio_ci(ratio_variance(ratio_estimate(_scored(cell, path)), regime), level=level)
     lo, hi, _ = est.ci
     return est.theta, lo, hi
 
@@ -531,7 +529,8 @@ def _power_replicate(
 
 def run_power_study(
     spec: ScenarioSpec,
-    gammas,
+    gammas=None,
+    *,
     alpha: float,
     replicates: int,
     test_replicates: int = 200,
@@ -546,12 +545,15 @@ def run_power_study(
     finer grid would cost little, since the statistic's search grows only
     with log(grid_size); the default stays at 201 so that seeded power
     studies keep their outputs bit for bit.
-    Rejection means p-value <= alpha.
+    Rejection means p-value <= alpha.  ``gammas`` defaults to the kind's
+    sweep in ``_SCORE_TABLE``.
     """
     _check_kind("power", spec)
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0, 1), got {alpha}")
     null = null_gamma(spec)
+    if gammas is None:
+        gammas = _SCORE_TABLE[spec.kind].power_gammas
     cells = [dataclasses.replace(spec, gamma=float(gamma)) for gamma in gammas]
     replicate = partial(
         _power_replicate, alpha=alpha, test_replicates=test_replicates, grid_size=grid_size
@@ -578,8 +580,7 @@ def _combined_replicate(
 ) -> tuple[float, list[CombinedEstimate | None]]:
     """The ratio estimate, and its blend with the first m target labels (None at m = 0)."""
     data = generate(cell, seed=_child_seed(*path))
-    scored = score_dataset(data, _SCORE)
-    est = _variance_from_scores(ratio_estimate(scored), scored, regime)
+    est = ratio_variance(ratio_estimate(score_dataset(data, _SCORE)), regime)
     unlabeled_labels = data.labels[data.unlabeled_indices()]
     return est.theta, [
         combined_estimate(est, unlabeled_labels[:m]) if m else None for m in label_counts

@@ -1,5 +1,7 @@
 """Estimator tests: ratio, baselines, variance/CI, simplex, EM, combination."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from quantify import (
     ratio_estimate,
     ratio_variance,
     rng_from,
+    t_statistic,
 )
 
 
@@ -33,6 +36,27 @@ EIGHT = scored([0.2, 0.8, 0.8, 0.6], [0.1, 0.3], [0.7, 0.9])
 # Group statistics mu0=0, mu1=1, var0=var1=0.25 (1/n normalization),
 # unlabeled mean exactly halfway between the class means.
 HALFWAY = scored([0.5], [-0.5, 0.5], [0.5, 1.5])
+
+
+@pytest.mark.parametrize("call", [
+    ratio_estimate,
+    classify_and_count,
+    em_estimate,
+    multiclass_ratio,
+    lambda rows: empirical_mse(rows, theta=0.5),
+    t_statistic,
+], ids=["ratio", "cc", "em", "multiclass", "empirical_mse", "t_statistic"])
+@pytest.mark.parametrize("empty, message", [
+    (0, "no unlabeled rows to quantify"),
+    (1, "class 0 has no labeled rows"),
+    (2, "class 1 has no labeled rows"),
+], ids=["unlabeled", "class0", "class1"])
+def test_an_empty_group_is_refused(call, empty, message):
+    """Every estimator needs rows in each group; the scored data refuse an empty one."""
+    blocks = [[0.5, 0.6], [0.2, 0.4], [0.6, 0.8]]
+    blocks[empty] = []
+    with pytest.raises(EstimationError, match=message):
+        call(scored(*blocks))
 
 
 class TestRatioEstimate:
@@ -135,17 +159,17 @@ class TestRatioVariance:
 
     def test_dense_regime_frozen_value(self):
         est = ratio_estimate(HALFWAY)
-        est = ratio_variance(est, n_total=400, n_labeled=200, n0=100, n1=100, regime="dense")
+        est = ratio_variance(replace(est, n0=100, n1=100, n_unlabeled=200), regime="dense")
         np.testing.assert_allclose(est.variance, 0.00375, atol=1e-15)
 
     def test_sparse_regime_frozen_value(self):
         est = ratio_estimate(HALFWAY)
-        est = ratio_variance(est, n_total=400, n_labeled=200, n0=100, n1=100, regime="sparse")
+        est = ratio_variance(replace(est, n0=100, n1=100, n_unlabeled=200), regime="sparse")
         np.testing.assert_allclose(est.variance, 0.00125, atol=1e-15)
 
     def test_sparse_is_zero_when_groups_are_constant(self):
         est = ratio_estimate(scored([0.5], [0.0, 0.0], [1.0, 1.0]))
-        est = ratio_variance(est, n_total=400, n_labeled=4, n0=2, n1=2, regime="sparse")
+        est = ratio_variance(replace(est, n0=2, n1=2, n_unlabeled=396), regime="sparse")
         assert est.variance == 0.0
 
     def test_dense_is_zero_for_constant_groups_at_the_boundary(self):
@@ -153,17 +177,17 @@ class TestRatioVariance:
         for unlabeled, target in (([0.0, 0.0], 0.0), ([1.0, 1.0], 1.0)):
             est = ratio_estimate(scored(unlabeled, [0.0, 0.0], [1.0, 1.0]))
             assert est.theta == target
-            est = ratio_variance(est, n_total=40, n_labeled=20, n0=10, n1=10, regime="dense")
+            est = ratio_variance(replace(est, n0=10, n1=10, n_unlabeled=20), regime="dense")
             assert est.variance == 0.0
 
     def test_auto_switches_on_the_labeled_fraction(self):
         est = ratio_estimate(HALFWAY)
-        dense = ratio_variance(est, n_total=1000, n_labeled=200, n0=100, n1=100, regime="dense")
-        auto_dense = ratio_variance(est, n_total=1000, n_labeled=200, n0=100, n1=100)
+        dense = ratio_variance(replace(est, n0=100, n1=100, n_unlabeled=800), regime="dense")
+        auto_dense = ratio_variance(replace(est, n0=100, n1=100, n_unlabeled=800))
         assert auto_dense.variance == dense.variance
 
-        sparse = ratio_variance(est, n_total=10000, n_labeled=400, n0=200, n1=200, regime="sparse")
-        auto_sparse = ratio_variance(est, n_total=10000, n_labeled=400, n0=200, n1=200)
+        sparse = ratio_variance(replace(est, n0=200, n1=200, n_unlabeled=9600), regime="sparse")
+        auto_sparse = ratio_variance(replace(est, n0=200, n1=200, n_unlabeled=9600))
         assert auto_sparse.variance == sparse.variance
 
     def test_positive_when_any_group_has_spread(self):
@@ -174,43 +198,41 @@ class TestRatioVariance:
             gu = rng.normal(2.0, 1.0, 60)
             est = ratio_estimate(scored(gu, g0, g1))
             for regime in ("dense", "sparse"):
-                out = ratio_variance(est, n_total=100, n_labeled=40, n0=20, n1=20, regime=regime)
+                out = ratio_variance(replace(est, n0=20, n1=20, n_unlabeled=60), regime=regime)
                 assert out.variance > 0.0
 
     def test_count_validation(self):
         est = ratio_estimate(HALFWAY)
         with pytest.raises(EstimationError, match="counts"):
-            ratio_variance(est, n_total=400, n_labeled=200, n0=0, n1=200)
-        with pytest.raises(EstimationError, match="counts"):
-            ratio_variance(est, n_total=100, n_labeled=200, n0=100, n1=100)
+            ratio_variance(replace(est, n0=0, n1=200, n_unlabeled=200))
         with pytest.raises(EstimationError, match="unlabeled rows"):
-            ratio_variance(est, n_total=200, n_labeled=200, n0=100, n1=100, regime="dense")
+            ratio_variance(replace(est, n0=100, n1=100, n_unlabeled=0), regime="dense")
         with pytest.raises(EstimationError, match="regime"):
-            ratio_variance(est, n_total=400, n_labeled=200, n0=100, n1=100, regime="exact")
+            ratio_variance(replace(est, n0=100, n1=100, n_unlabeled=200), regime="exact")
 
     def test_needs_group_statistics(self):
         bare = classify_and_count(EIGHT)
         with pytest.raises(EstimationError, match="group statistics"):
-            ratio_variance(bare, n_total=8, n_labeled=4, n0=2, n1=2)
+            ratio_variance(replace(bare, n0=2, n1=2, n_unlabeled=4))
 
 
 class TestRatioCi:
     def test_frozen_interval(self):
         est = ratio_estimate(HALFWAY)
-        est = ratio_variance(est, n_total=400, n_labeled=200, n0=100, n1=100, regime="dense")
+        est = ratio_variance(replace(est, n0=100, n1=100, n_unlabeled=200), regime="dense")
         lo, hi, level = ratio_ci(est, level=0.95).ci
         assert level == 0.95
         np.testing.assert_allclose([lo, hi], [0.38, 0.62], atol=1e-3)
 
     def test_zero_variance_degenerates_to_a_point(self):
         est = ratio_estimate(scored([0.5, 0.5], [0.0, 0.0], [1.0, 1.0]))
-        est = ratio_variance(est, n_total=400, n_labeled=4, n0=2, n1=2, regime="sparse")
+        est = ratio_variance(replace(est, n0=2, n1=2, n_unlabeled=396), regime="sparse")
         lo, hi, _ = ratio_ci(est).ci
         assert lo == hi == est.theta
 
     def test_width_grows_with_the_level(self):
         est = ratio_estimate(HALFWAY)
-        est = ratio_variance(est, n_total=400, n_labeled=200, n0=100, n1=100)
+        est = ratio_variance(replace(est, n0=100, n1=100, n_unlabeled=200))
         widths = []
         for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
             lo, hi, _ = ratio_ci(est, level=level).ci
@@ -220,7 +242,7 @@ class TestRatioCi:
     def test_interval_is_reported_unclipped(self):
         """Intervals may poke outside [0, 1]; clipping is the caller's call."""
         est = ratio_estimate(scored([0.05, 0.0, 0.1], [0.0, 0.1], [0.9, 1.0]))
-        est = ratio_variance(est, n_total=5000, n_labeled=5, n0=2, n1=3, regime="sparse")
+        est = ratio_variance(replace(est, n0=2, n1=3, n_unlabeled=4995), regime="sparse")
         lo, _, _ = ratio_ci(est, level=0.999).ci
         assert lo < 0.0
 
@@ -228,7 +250,7 @@ class TestRatioCi:
         est = ratio_estimate(HALFWAY)
         with pytest.raises(EstimationError, match="no variance"):
             ratio_ci(est)
-        est = ratio_variance(est, n_total=400, n_labeled=200, n0=100, n1=100)
+        est = ratio_variance(replace(est, n0=100, n1=100, n_unlabeled=200))
         with pytest.raises(EstimationError, match="level"):
             ratio_ci(est, level=1.0)
 
@@ -403,6 +425,15 @@ class TestEmEstimate:
         )
         est = em_estimate(rows, theta_train=0.5)
         assert abs(est.theta - theta) < 0.05
+
+    def test_training_prior_defaults_to_the_labeled_class1_share(self):
+        rows = scored([0.3, 0.6, 0.9], [0.2], [0.6, 0.8, 0.7])
+        assert em_estimate(rows) == em_estimate(rows, theta_train=0.75)
+
+    def test_is_binary(self):
+        rows = ScoredDataset(unlabeled=[0.5], classes=([0.2], [0.5], [0.8]))
+        with pytest.raises(EstimationError, match="binary"):
+            em_estimate(rows, theta_train=0.5)
 
     def test_requires_probability_scores(self):
         rows = scored([0.5, 1.0], [0.2], [0.8])

@@ -217,7 +217,7 @@ class TestTStatistic:
             t_statistic(rows, grid_size=1)
         with pytest.raises(EstimationError, match="no unlabeled"):
             t_statistic(scored(np.empty(0), [0.0], [1.0]))
-        with pytest.raises(EstimationError, match="empty sample"):
+        with pytest.raises(EstimationError, match="class 1 has no labeled rows"):
             t_statistic(scored([0.5], [0.0], np.empty(0)))
         wide = ScoredDataset(unlabeled=np.zeros((2, 2)),
                              classes=(np.zeros((2, 2)), np.ones((2, 2))))
