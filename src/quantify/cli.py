@@ -47,6 +47,15 @@ SIZE_PRESETS = {
     "bank": (10000, 300),
 }
 
+# The scenarios that read each scenario flag of simulate; the others refuse it.
+_SCENARIO_FLAGS = {
+    "theta": ("gaussian", "exponential", "gaussian_exponential", "beta"),
+    "mu": ("gaussian", "sine"),
+    "mean0": ("gaussian", "gaussian_exponential"),
+    "mean1": ("gaussian",),
+    "cycles": ("sine",),
+}
+
 def _finite_or_null(value):
     """``value`` with each non-finite float replaced by None, which JSON writes as null."""
     if isinstance(value, dict):
@@ -272,27 +281,26 @@ def _cmd_regress(args) -> None:
 def _simulate_spec(args) -> ScenarioSpec:
     from .simulate import ScenarioSpec, table_scenario
 
+    for flag, scenarios in _SCENARIO_FLAGS.items():
+        if getattr(args, flag) is not None and args.scenario not in scenarios:
+            raise EstimationError(f"--{flag} is not a parameter of the {args.scenario} scenario")
+    if args.theta and len(args.theta) > 1 and args.study not in ("mse", "coverage"):
+        raise EstimationError(f"the {args.study} study runs at one --theta, got {len(args.theta)}")
     if args.preset:
         n_unlabeled, n_labeled = SIZE_PRESETS[args.preset]
         n_class: tuple[int, ...] = (n_labeled // 2, n_labeled - n_labeled // 2)
     else:
         n_unlabeled = args.n_unlabeled
         n_class = tuple(args.n_class) if args.n_class else (150, 150)
-    theta = args.theta[0] if args.theta else 0.6
     if args.scenario == "multiclass":
         n_class = tuple(args.n_class) if args.n_class else (20, 30, 50)
-        return ScenarioSpec(
-            kind="multiclass_gaussian", n_unlabeled=n_unlabeled, n_class=n_class, theta=theta
-        )
+        return ScenarioSpec(kind="multiclass_gaussian", n_unlabeled=n_unlabeled, n_class=n_class)
     if args.scenario == "sine":
-        return ScenarioSpec(
-            kind="regression_sine",
-            n_unlabeled=n_unlabeled,
-            n_class=n_class,
-            mu=args.mu if args.mu is not None else 1.0,
-            cycles=args.cycles,
-        )
+        given = {"mu": args.mu, "cycles": args.cycles}
+        return ScenarioSpec(kind="regression_sine", n_unlabeled=n_unlabeled, n_class=n_class,
+                            **{name: value for name, value in given.items() if value is not None})
     # a score kind
+    theta = args.theta[0] if args.theta else 0.6
     spec = table_scenario(args.scenario, n_unlabeled=n_unlabeled, n_class=n_class, theta=theta)
     if args.mu is not None:
         spec = dataclasses.replace(spec, mean0=-args.mu, mean1=args.mu)
@@ -421,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mu", type=float, default=None)
     p_sim.add_argument("--mean0", type=float, default=None)
     p_sim.add_argument("--mean1", type=float, default=None)
-    p_sim.add_argument("--cycles", type=int, default=1)
+    p_sim.add_argument("--cycles", type=int, default=None, help="sine cycles (default 1)")
     p_sim.add_argument("--replicates", type=int, default=100)
     p_sim.add_argument("--test-replicates", type=int, default=200)
     p_sim.add_argument("--alpha", type=float, default=0.05)

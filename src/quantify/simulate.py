@@ -51,21 +51,21 @@ from .shift_test import shift_test
 class _ScoreKind(NamedTuple):
     canonical: dict  # what table_scenario sets beyond ScenarioSpec's defaults
     shifted: str  # the field gamma replaces in the unlabeled class-0 law; its value is the null
-    power_gammas: tuple[float, ...]  # the default sweep of the power study
+    power_offsets: tuple[float, ...]  # the power study's default sweep, as gamma - null
 
 
 # Default shift sweeps put the null at an interior point with a unique
-# most-shifted value.  The sweep deliberately stops short of the value at
-# which the shifted class-0 law coincides with the class-1 law (gaussian
-# gamma=2, exponential gamma=5): there the unlabeled sample is again an
-# exact mixture, so the test correctly loses power.
+# most-shifted value.  At the canonical parameters the sweep deliberately
+# stops short of the value at which the shifted class-0 law coincides with
+# the class-1 law (gaussian gamma=2, exponential gamma=5): there the
+# unlabeled sample is again an exact mixture, so the test correctly loses power.
 _SCORE_TABLE = {
     "gaussian": _ScoreKind({}, "mean0", (-2.0, -1.0, 0.0, 1.0)),
-    "exponential": _ScoreKind({}, "rate0", (0.25, 0.5, 1.0, 2.0, 3.0)),
+    "exponential": _ScoreKind({}, "rate0", (-0.75, -0.5, 0.0, 1.0, 2.0)),
     "gaussian_exponential": _ScoreKind(
-        {"mean0": 1.0, "rate1": 1.0}, "mean0", (-1.0, 0.0, 1.0, 2.0, 3.0)
+        {"mean0": 1.0, "rate1": 1.0}, "mean0", (-2.0, -1.0, 0.0, 1.0, 2.0)
     ),
-    "beta": _ScoreKind({}, "a0", (0.25, 0.5, 1.0, 2.0, 3.0)),
+    "beta": _ScoreKind({}, "a0", (-0.75, -0.5, 0.0, 1.0, 2.0)),
 }
 _SCORE_KINDS = tuple(_SCORE_TABLE)
 SCENARIO_KINDS = (*_SCORE_KINDS, "multiclass_gaussian", "regression_sine")
@@ -546,14 +546,14 @@ def run_power_study(
     with log(grid_size); the default stays at 201 so that seeded power
     studies keep their outputs bit for bit.
     Rejection means p-value <= alpha.  ``gammas`` defaults to the kind's
-    sweep in ``_SCORE_TABLE``.
+    sweep around the spec's null, :func:`null_gamma`.
     """
     _check_kind("power", spec)
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0, 1), got {alpha}")
     null = null_gamma(spec)
     if gammas is None:
-        gammas = _SCORE_TABLE[spec.kind].power_gammas
+        gammas = [null + offset for offset in _SCORE_TABLE[spec.kind].power_offsets]
     cells = [dataclasses.replace(spec, gamma=float(gamma)) for gamma in gammas]
     replicate = partial(
         _power_replicate, alpha=alpha, test_replicates=test_replicates, grid_size=grid_size

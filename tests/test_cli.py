@@ -449,6 +449,14 @@ class TestSimulate:
                             "--n-class", "25", "--n-class", "25"], capsys)
         assert payload["columns"] == ["theta", "replicates", "coverage", "mean_width"]
 
+    def test_default_power_sweep_is_anchored_at_the_null(self, capsys):
+        payload = run_json(["simulate", "--study", "power", "--mu", "3",
+                            "--replicates", "1", "--test-replicates", "5",
+                            "--grid-size", "21", "--n-unlabeled", "40",
+                            "--n-class", "20", "--n-class", "20"], capsys)
+        assert [row[0] for row in payload["rows"]] == [-5.0, -4.0, -3.0, -2.0]
+        assert [row[0] for row in payload["rows"] if row[4] == 1.0] == [-3.0]
+
     def test_power_study_null_marking(self, capsys):
         payload = run_json(["simulate", "--study", "power", "--gamma", "0",
                             "--replicates", "2", "--test-replicates", "11",
@@ -621,9 +629,10 @@ def test_every_scenario_and_study_pair_runs_or_is_refused_up_front(scenario, stu
 
     monkeypatch.setattr(simulate, "generate", counting_generate)
     monkeypatch.setenv("QUANTIFY_THREADS", "1")
+    theta = () if scenario in ("multiclass", "sine") else ("--theta", "0.3")
     code, stdout, err = run(["simulate", "--scenario", scenario, "--study", study,
                              "--replicates", "1", "--n-unlabeled", "100", "--test-replicates", "5",
-                             "--grid-size", "21", "--size", "60", "--theta", "0.3"], capsys)
+                             "--grid-size", "21", "--size", "60", *theta], capsys)
     if study in STUDIES_OF.get(scenario, ("mse", "coverage", "power", "combined")):
         assert code == 0 and drawn, err
     else:
@@ -631,6 +640,77 @@ def test_every_scenario_and_study_pair_runs_or_is_refused_up_front(scenario, stu
         assert (code, stdout, drawn) == (2, "", [])
         assert err.startswith(f"error: the {study} study cannot run on the {kind!r} scenario kind")
         assert err.count("\n") == 1
+
+
+# Where the scenarios that read a scenario flag show it in the study's meta;
+# every other (scenario, flag) pair is refused.
+STUDY_OF_SCENARIO = {"gaussian": "mse", "exponential": "mse", "gaussian_exponential": "mse",
+                     "beta": "mse", "multiclass": "multiclass", "sine": "regression"}
+FLAG_VALUES = {"theta": "0.3", "mu": "3", "mean0": "0.5", "mean1": "4", "cycles": "2"}
+SHOWN_IN_META = {
+    **{(kind, "theta"): {"theta": 0.3}
+       for kind in ("gaussian", "exponential", "gaussian_exponential", "beta")},
+    ("gaussian", "mu"): {"mean0": -3.0, "mean1": 3.0},
+    ("sine", "mu"): {"mu": 3.0},
+    ("gaussian", "mean0"): {"mean0": 0.5},
+    ("gaussian_exponential", "mean0"): {"mean0": 0.5},
+    ("gaussian", "mean1"): {"mean1": 4.0},
+    ("sine", "cycles"): {"cycles": 2},
+}
+SCENARIO_FLAG_CASES = [
+    *(pytest.param(scenario, STUDY_OF_SCENARIO[scenario], [f"--{flag}", value],
+                   SHOWN_IN_META.get((scenario, flag)),
+                   f"--{flag} is not a parameter of the {scenario} scenario",
+                   id=f"{scenario}-{flag}")
+      for scenario in STUDY_OF_SCENARIO for flag, value in FLAG_VALUES.items()),
+    *(pytest.param("gaussian", study, ["--theta", "0.3", "--theta", "0.4"],
+                   {"theta": 0.3} if study in ("mse", "coverage") else None,
+                   f"the {study} study runs at one --theta, got 2", id=f"{study}-two-thetas")
+      for study in ("mse", "coverage", "power", "combined", "multiclass", "regression")),
+]
+
+
+@pytest.mark.parametrize("scenario, study, flags, shown, message", SCENARIO_FLAG_CASES)
+def test_simulate_uses_each_scenario_flag_or_refuses_it(scenario, study, flags, shown, message,
+                                                        capsys, monkeypatch):
+    """A scenario flag either reaches the spec, shown in meta, or ends the run
+    with exit 2 and one error line before any dataset is drawn."""
+    from quantify import simulate
+
+    drawn, generate = [], simulate.generate
+
+    def counting_generate(*args, **kwargs):
+        drawn.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "generate", counting_generate)
+    monkeypatch.setenv("QUANTIFY_THREADS", "1")
+    code, stdout, err = run(["simulate", "--scenario", scenario, "--study", study, *flags,
+                             "--replicates", "1", "--n-unlabeled", "60", "--test-replicates", "5",
+                             "--grid-size", "21", "--size", "60", "--label-count", "10"], capsys)
+    if shown is None:
+        assert (code, stdout, drawn) == (2, "", [])
+        assert err == f"error: {message}\n"
+    else:
+        assert code == 0, err
+        meta = json.loads(stdout)["meta"]
+        assert {key: meta[key] for key in shown} == shown
+        if flags.count("--theta") == 2:
+            assert sorted({row[0] for row in json.loads(stdout)["rows"]}) == [0.3, 0.4]
+
+
+def test_cli_imports_no_private_name_of_another_module():
+    """cli.py reaches the other layers only through their public names."""
+    import ast
+
+    tree = ast.parse(Path(quantify.cli.__file__).read_text())
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").partition(".")[0] == "quantify")
+               for alias in node.names if alias.name.startswith("_")]
+    private += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.partition(".")[0] == "quantify"
+                and any(part.startswith("_") for part in alias.name.split(".")[1:])]
+    assert private == []
 
 
 def test_commands_on_one_file_parse_it_once(curve_csv, capsys, monkeypatch, tmp_path):
