@@ -13,7 +13,6 @@ unknown columns, unwritable output), 2 for statistical contract violations
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import math
@@ -47,14 +46,54 @@ SIZE_PRESETS = {
     "bank": (10000, 300),
 }
 
-# The scenarios that read each scenario flag of simulate; the others refuse it.
-_SCENARIO_FLAGS = {
-    "theta": ("gaussian", "exponential", "gaussian_exponential", "beta"),
-    "mu": ("gaussian", "sine"),
-    "mean0": ("gaussian", "gaussian_exponential"),
-    "mean1": ("gaussian",),
-    "cycles": ("sine",),
+_SIZED_STUDIES = ("mse", "coverage", "power", "combined", "regression")
+
+# For each command, the flags that pick a choice (its method, scenario or study)
+# and, for each optional flag, the choices that read it; any other choice refuses it.
+_READ_BY = {
+    "estimate": {"method": {"ci": ("ratio",), "regime": ("ratio",), "min_denom": ("ratio",),
+                            "threshold": ("cc",), "theta_train": ("em",)}},
+    "regress": {"method": {"min_denom": ("ratio",), "threshold": ("cc",)}},
+    "simulate": {
+        "scenario": {
+            "theta": ("gaussian", "exponential", "gaussian_exponential", "beta"),
+            "mu": ("gaussian", "sine"),
+            "mean0": ("gaussian", "gaussian_exponential"),
+            "mean1": ("gaussian",),
+            "cycles": ("sine",),
+        },
+        # the multiclass study's --size ladder sets both of its group sizes
+        "study": {
+            "n_unlabeled": _SIZED_STUDIES, "preset": _SIZED_STUDIES, "method": ("mse",),
+            "level": ("coverage",), "gamma": ("power",), "alpha": ("power",),
+            "test_replicates": ("power",), "grid_size": ("power",),
+            "label_count": ("combined",), "size": ("multiclass",), "threshold": ("regression",),
+        },
+    },
 }
+
+
+def _refuse_unread(args) -> None:
+    """Refuse each given flag that the command's method, scenario or study does not
+    read, that another given flag overrides, or that needs a flag not given."""
+    for choice_flag, readers in _READ_BY.get(args.command, {}).items():
+        choice = getattr(args, choice_flag)
+        for flag, choices in readers.items():
+            if getattr(args, flag) is not None and choice not in choices:
+                raise EstimationError(f"--{flag.replace('_', '-')} is not a parameter "
+                                      f"of the {choice} {choice_flag}")
+    if getattr(args, "weights", None) and args.score_col:
+        raise EstimationError("--weights and --score-col both give the score; pass one")
+    if getattr(args, "regime", None) and args.ci is None:
+        raise EstimationError("--regime is read only with --ci")
+
+
+def _given(args, *flags: str, **renamed: str) -> dict:
+    """``{parameter: value}`` for each of ``flags``, and each ``parameter=flag`` of
+    ``renamed``, given on the command line; the layer's default holds for the rest."""
+    pairs = [*zip(flags, flags), *renamed.items()]
+    return {param: getattr(args, flag) for param, flag in pairs if getattr(args, flag) is not None}
+
 
 def _finite_or_null(value):
     """``value`` with each non-finite float replaced by None, which JSON writes as null."""
@@ -214,22 +253,14 @@ def _cmd_estimate(args) -> None:
     data = _load_data(args)
     g = _resolve_score(args, data)
     scored = score_dataset(data, g)
-    if args.method == "multiclass":
-        result = multiclass_ratio(scored).to_dict()
-        _emit(result, args.output, args.quiet)
-        return
-    if args.method == "ratio":
-        est = ratio_estimate(scored, min_denom=args.min_denom)
-        if args.ci is not None:
-            est = ratio_ci(ratio_variance(est, args.regime), level=args.ci)
-    elif args.method == "cc":
-        est = classify_and_count(scored, threshold=args.threshold)
-    else:
-        est = em_estimate(scored, theta_train=args.theta_train)
+    estimate = {"ratio": ratio_estimate, "cc": classify_and_count, "em": em_estimate,
+                "multiclass": multiclass_ratio}[args.method]
+    est = estimate(scored, **_given(args, "min_denom", "threshold", "theta_train"))
     payload = est.to_dict()
-    if est.ci is not None:
+    if args.ci is not None:
+        est = ratio_ci(ratio_variance(est, **_given(args, "regime")), level=args.ci)
         lo, hi, _ = est.ci
-        payload["ci_clipped"] = {"lo": max(0.0, lo), "hi": min(1.0, hi)}
+        payload = {**est.to_dict(), "ci_clipped": {"lo": max(0.0, lo), "hi": min(1.0, hi)}}
     _emit(payload, args.output, args.quiet)
 
 
@@ -237,9 +268,7 @@ def _cmd_test_shift(args) -> None:
     data = _load_data(args)
     g = _resolve_score(args, data)
     scored = score_dataset(data, g)
-    result = shift_test(
-        scored, replicates=args.replicates, seed=args.seed, grid_size=args.grid_size
-    )
+    result = shift_test(scored, seed=args.seed, **_given(args, "replicates", "grid_size"))
     _emit(result.to_dict(), args.output, args.quiet)
 
 
@@ -249,14 +278,9 @@ def _cmd_select_g(args) -> None:
     data = _load_data(args)
     kernel = KernelSpec(family=args.kernel, bandwidth=args.bandwidth)
     pilot = ExternalScore.from_names(args.score_col, data) if args.score_col else None
-    selection = select_g(
-        data,
-        kernel=kernel,
-        gamma_grid=args.gamma if args.gamma else None,
-        split_seed=args.split_seed if args.split_seed is not None else args.seed,
-        pilot=pilot,
-        min_denom=args.min_denom,
-    )
+    # the split is select-g's only random step, so --seed seeds it
+    selection = select_g(data, kernel=kernel, split_seed=args.seed, pilot=pilot,
+                         **_given(args, "min_denom", gamma_grid="gamma"))
     payload = selection.to_dict()
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     summary = {"gamma": selection.gamma, "objective": selection.objective}
@@ -268,10 +292,9 @@ def _cmd_regress(args) -> None:
 
     data = _load_data(args)
     g = _resolve_score(args, data)
-    if args.method == "ratio":
-        curve = ratio_regress(data, g, args.grid, bandwidth=args.bandwidth, min_denom=args.min_denom)
-    else:
-        curve = cc_regress(data, g, args.grid, threshold=args.threshold, bandwidth=args.bandwidth)
+    regress = ratio_regress if args.method == "ratio" else cc_regress
+    curve = regress(data, g, args.grid, bandwidth=args.bandwidth,
+                    **_given(args, "min_denom", "threshold"))
     summary = {"method": curve.method, "bandwidth": curve.bandwidth}
     payload = {**summary, "curve": [{"z": z, "theta": value} for z, value in curve.rows()]}
     text = "z,theta\n" + "".join(f"{z},{value}\n" for z, value in curve.rows())
@@ -281,74 +304,39 @@ def _cmd_regress(args) -> None:
 def _simulate_spec(args) -> ScenarioSpec:
     from .simulate import ScenarioSpec, table_scenario
 
-    for flag, scenarios in _SCENARIO_FLAGS.items():
-        if getattr(args, flag) is not None and args.scenario not in scenarios:
-            raise EstimationError(f"--{flag} is not a parameter of the {args.scenario} scenario")
-    if args.theta and len(args.theta) > 1 and args.study not in ("mse", "coverage"):
-        raise EstimationError(f"the {args.study} study runs at one --theta, got {len(args.theta)}")
+    sizes = _given(args, "n_unlabeled")
     if args.preset:
+        if args.n_unlabeled is not None or args.n_class:
+            raise EstimationError("--preset sets --n-unlabeled and --n-class; give one or the other")
         n_unlabeled, n_labeled = SIZE_PRESETS[args.preset]
-        n_class: tuple[int, ...] = (n_labeled // 2, n_labeled - n_labeled // 2)
-    else:
-        n_unlabeled = args.n_unlabeled
-        n_class = tuple(args.n_class) if args.n_class else (150, 150)
+        sizes = {"n_unlabeled": n_unlabeled, "n_class": (n_labeled // 2, n_labeled - n_labeled // 2)}
+    if args.n_class:
+        sizes["n_class"] = tuple(args.n_class)
     if args.scenario == "multiclass":
-        n_class = tuple(args.n_class) if args.n_class else (20, 30, 50)
-        return ScenarioSpec(kind="multiclass_gaussian", n_unlabeled=n_unlabeled, n_class=n_class)
+        return ScenarioSpec(kind="multiclass_gaussian", **{"n_class": (20, 30, 50), **sizes})
     if args.scenario == "sine":
-        given = {"mu": args.mu, "cycles": args.cycles}
-        return ScenarioSpec(kind="regression_sine", n_unlabeled=n_unlabeled, n_class=n_class,
-                            **{name: value for name, value in given.items() if value is not None})
-    # a score kind
-    theta = args.theta[0] if args.theta else 0.6
-    spec = table_scenario(args.scenario, n_unlabeled=n_unlabeled, n_class=n_class, theta=theta)
-    if args.mu is not None:
-        spec = dataclasses.replace(spec, mean0=-args.mu, mean1=args.mu)
-    if args.mean0 is not None:
-        spec = dataclasses.replace(spec, mean0=args.mean0)
-    if args.mean1 is not None:
-        spec = dataclasses.replace(spec, mean1=args.mean1)
-    return spec
+        return ScenarioSpec(kind="regression_sine", **sizes, **_given(args, "mu", "cycles"))
+    # a score kind: --mu sets both class means, --mean0 and --mean1 then one each
+    fields = {"mean0": -args.mu, "mean1": args.mu} if args.mu is not None else {}
+    fields.update(_given(args, "mean0", "mean1"))
+    if args.theta:
+        fields["theta"] = args.theta[0]
+    return table_scenario(args.scenario, **sizes, **fields)
 
 
 def _cmd_simulate(args) -> None:
-    from .simulate import (
-        run_combined_study,
-        run_coverage_study,
-        run_mse_study,
-        run_multiclass_study,
-        run_power_study,
-        run_regression_study,
-    )
+    from . import simulate
 
+    flags = _given(args, "alpha", "level", "test_replicates", "grid_size", "threshold",
+                   methods="method", gammas="gamma", label_counts="label_count", sizes="size")
+    if args.study in ("mse", "coverage"):
+        flags.update(_given(args, thetas="theta"))
+    elif args.theta and len(args.theta) > 1:
+        raise EstimationError(f"the {args.study} study runs at one --theta, got {len(args.theta)}")
     spec = _simulate_spec(args)
-    thetas = args.theta if args.theta else [0.1, 0.2, 0.3, 0.4, 0.5]
-    if args.study == "mse":
-        methods = args.method if args.method else ["ratio", "cc"]
-        report = run_mse_study(spec, thetas, methods, args.replicates, args.seed)
-    elif args.study == "coverage":
-        report = run_coverage_study(spec, thetas, args.level, args.replicates, args.seed)
-    elif args.study == "power":
-        report = run_power_study(
-            spec,
-            args.gamma,
-            alpha=args.alpha,
-            replicates=args.replicates,
-            test_replicates=args.test_replicates,
-            seed=args.seed,
-            grid_size=args.grid_size,
-        )
-    elif args.study == "combined":
-        label_counts = args.label_count if args.label_count else [0, 10, 25, 50, 100]
-        report = run_combined_study(spec, label_counts, args.replicates, args.seed)
-    elif args.study == "multiclass":
-        sizes = args.size if args.size else [250, 500, 1000, 2000]
-        report = run_multiclass_study(spec, sizes, args.replicates, args.seed)
-    else:  # regression
-        grid = np.linspace(0.0, 1.0, 101)
-        report = run_regression_study(
-            spec, grid, args.replicates, args.seed, threshold=args.threshold
-        )
+    # looked up at call time, so that a wrapper bound on the module in its place runs
+    run_study = getattr(simulate, f"run_{args.study}_study")
+    report = run_study(spec, replicates=args.replicates, seed=args.seed, **flags)
     summary = {"study": report.study, "rows": len(report.raw_rows)}
     _emit_result(args, report.to_dict(), report.to_csv, summary)
 
@@ -366,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("ratio", "cc", "em", "multiclass"), default="ratio"
     )
     p_est.add_argument("--ci", type=float, default=None, help="confidence level, e.g. 0.95")
-    p_est.add_argument("--regime", choices=("auto", "dense", "sparse"), default="auto")
-    p_est.add_argument("--min-denom", type=float, default=1e-8)
-    p_est.add_argument("--threshold", type=float, default=0.5, help="cc threshold")
+    p_est.add_argument("--regime", choices=("auto", "dense", "sparse"), default=None)
+    p_est.add_argument("--min-denom", type=float, default=None)
+    p_est.add_argument("--threshold", type=float, default=None, help="cc threshold")
     p_est.add_argument("--theta-train", type=float, default=None, help="em training prevalence")
     p_est.add_argument("--weights", default=None, help="selection JSON from select-g")
     _add_common_flags(p_est)
@@ -376,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test-shift", help="Monte Carlo test of the mixture assumption")
     _add_schema_flags(p_test)
-    p_test.add_argument("--replicates", "--B", type=int, default=1000)
-    p_test.add_argument("--grid-size", "--grid", type=int, default=1001)
+    p_test.add_argument("--replicates", "--B", type=int, default=None)
+    p_test.add_argument("--grid-size", "--grid", type=int, default=None)
     p_test.add_argument("--weights", default=None, help="selection JSON from select-g")
     _add_common_flags(p_test)
     p_test.set_defaults(func=_cmd_test_shift)
@@ -387,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--kernel", choices=("gaussian", "linear"), default="gaussian")
     p_sel.add_argument("--bandwidth", type=_positive_arg, default=None)
     p_sel.add_argument("--gamma", "--gamma-grid", action="append", type=float, default=None)
-    p_sel.add_argument("--split-seed", type=_seed_arg, default=None, help="defaults to --seed")
-    p_sel.add_argument("--min-denom", type=float, default=1e-8)
+    p_sel.add_argument("--min-denom", type=float, default=None)
     p_sel.add_argument("--out", default=None, help="write the selection JSON here")
     _add_common_flags(p_sel)
     p_sel.set_defaults(func=_cmd_select_g)
@@ -400,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument(
         "--bandwidth", type=_bandwidth_arg, default=None, help="positive number or 'cv'"
     )
-    p_reg.add_argument("--threshold", type=float, default=0.5, help="cc threshold")
-    p_reg.add_argument("--min-denom", type=float, default=1e-8)
+    p_reg.add_argument("--threshold", type=float, default=None, help="cc threshold")
+    p_reg.add_argument("--min-denom", type=float, default=None)
     p_reg.add_argument("--weights", default=None, help="selection JSON from select-g")
     p_reg.add_argument("--out", default=None, help="write the curve CSV here")
     _add_common_flags(p_reg)
@@ -419,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p_sim.add_argument("--preset", choices=sorted(SIZE_PRESETS), default=None)
-    p_sim.add_argument("--n-unlabeled", type=int, default=300)
+    p_sim.add_argument("--n-unlabeled", type=int, default=None)
     p_sim.add_argument("--n-class", action="append", type=int, default=None)
     p_sim.add_argument("--theta", action="append", type=float, default=None)
     p_sim.add_argument("--gamma", action="append", type=float, default=None)
@@ -431,11 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mean1", type=float, default=None)
     p_sim.add_argument("--cycles", type=int, default=None, help="sine cycles (default 1)")
     p_sim.add_argument("--replicates", type=int, default=100)
-    p_sim.add_argument("--test-replicates", type=int, default=200)
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--level", type=float, default=0.95)
-    p_sim.add_argument("--grid-size", type=int, default=201)
-    p_sim.add_argument("--threshold", type=float, default=0.0)
+    p_sim.add_argument("--test-replicates", type=int, default=None)
+    p_sim.add_argument("--alpha", type=float, default=None)
+    p_sim.add_argument("--level", type=float, default=None)
+    p_sim.add_argument("--grid-size", type=int, default=None)
+    p_sim.add_argument("--threshold", type=float, default=None)
     p_sim.add_argument("--out", default=None, help="write the study CSV here")
     _add_common_flags(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
@@ -447,6 +434,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_unread(args)
         args.func(args)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

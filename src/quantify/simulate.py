@@ -102,8 +102,8 @@ class ScenarioSpec:
     """
 
     kind: str
-    n_unlabeled: int
-    n_class: tuple[int, ...]
+    n_unlabeled: int = 300
+    n_class: tuple[int, ...] = (150, 150)
     theta: float = 0.6
     gamma: float | None = None
     # gaussian / gaussian_exponential locations and common sd
@@ -143,18 +143,12 @@ class ScenarioSpec:
         return payload
 
 
-def table_scenario(
-    kind: str,
-    n_unlabeled: int = 300,
-    n_class: tuple[int, int] = (150, 150),
-    gamma: float | None = None,
-    theta: float = 0.6,
-) -> ScenarioSpec:
-    """Canonical parameterization of the four binary test scenarios."""
+def table_scenario(kind: str, **fields) -> ScenarioSpec:
+    """Canonical parameterization of the four binary test scenarios, with the
+    given :class:`ScenarioSpec` ``fields`` overlaid on it."""
     if kind not in _SCORE_TABLE:
         raise EstimationError(f"no canonical test parameterization for kind {kind!r}")
-    common = dict(kind=kind, n_unlabeled=n_unlabeled, n_class=n_class, gamma=gamma, theta=theta)
-    return ScenarioSpec(**common, **_SCORE_TABLE[kind].canonical)
+    return ScenarioSpec(kind=kind, **{**_SCORE_TABLE[kind].canonical, **fields})
 
 
 def symmetric_gaussian(
@@ -164,8 +158,8 @@ def symmetric_gaussian(
     mu: float = 1.0,
 ) -> ScenarioSpec:
     """Estimation scenario with score laws N(-mu, 1) and N(+mu, 1), no shift."""
-    spec = table_scenario("gaussian", n_unlabeled=n_unlabeled, n_class=n_class, theta=theta)
-    return dataclasses.replace(spec, mean0=-mu, mean1=mu)
+    return table_scenario("gaussian", n_unlabeled=n_unlabeled, n_class=n_class, theta=theta,
+                          mean0=-mu, mean1=mu)
 
 
 def null_gamma(spec: ScenarioSpec) -> float:
@@ -412,6 +406,7 @@ def _run_cells(cells: list[ScenarioSpec], replicate, replicates: int, seed: int)
 
 
 _SCORE = ExternalScore(columns=(0,))
+_THETAS = (0.1, 0.2, 0.3, 0.4, 0.5)  # the prevalences the mse and coverage studies sweep
 
 
 def _scored(cell: ScenarioSpec, path: tuple[int, ...]) -> ScoredDataset:
@@ -434,10 +429,11 @@ def _mse_replicate(cell: ScenarioSpec, path: tuple[int, ...], methods: list[str]
 
 def run_mse_study(
     spec: ScenarioSpec,
-    thetas,
-    methods,
+    thetas=_THETAS,
+    methods=("ratio", "cc"),
+    *,
     replicates: int,
-    seed: int,
+    seed: int = 0,
 ) -> ExperimentReport:
     """Monte Carlo MSE of point estimators across target prevalences.
 
@@ -484,10 +480,11 @@ def _coverage_replicate(
 
 def run_coverage_study(
     spec: ScenarioSpec,
-    thetas,
-    level: float,
+    thetas=_THETAS,
+    level: float = 0.95,
+    *,
     replicates: int,
-    seed: int,
+    seed: int = 0,
     regime: str = "auto",
 ) -> ExperimentReport:
     """Coverage of the normal interval for the ratio estimate, per prevalence."""
@@ -531,7 +528,7 @@ def run_power_study(
     spec: ScenarioSpec,
     gammas=None,
     *,
-    alpha: float,
+    alpha: float = 0.05,
     replicates: int,
     test_replicates: int = 200,
     seed: int = 0,
@@ -546,7 +543,7 @@ def run_power_study(
     with log(grid_size); the default stays at 201 so that seeded power
     studies keep their outputs bit for bit.
     Rejection means p-value <= alpha.  ``gammas`` defaults to the kind's
-    sweep around the spec's null, :func:`null_gamma`.
+    sweep around the spec's null, :func:`null_gamma`; a repeated gamma is refused.
     """
     _check_kind("power", spec)
     if not 0.0 < alpha < 1.0:
@@ -554,6 +551,8 @@ def run_power_study(
     null = null_gamma(spec)
     if gammas is None:
         gammas = [null + offset for offset in _SCORE_TABLE[spec.kind].power_offsets]
+    if len(set(gammas)) != len(gammas):
+        raise EstimationError(f"the gammas swept must be distinct, got {list(gammas)}")
     cells = [dataclasses.replace(spec, gamma=float(gamma)) for gamma in gammas]
     replicate = partial(
         _power_replicate, alpha=alpha, test_replicates=test_replicates, grid_size=grid_size
@@ -589,9 +588,10 @@ def _combined_replicate(
 
 def run_combined_study(
     spec: ScenarioSpec,
-    label_counts,
+    label_counts=(0, 10, 25, 50, 100),
+    *,
     replicates: int,
-    seed: int,
+    seed: int = 0,
     regime: str = "auto",
 ) -> ExperimentReport:
     """MSE of the ratio, labels-only, and combined estimators.
@@ -650,9 +650,10 @@ def _multiclass_replicate(
 
 def run_multiclass_study(
     spec: ScenarioSpec,
-    sizes,
+    sizes=(250, 500, 1000, 2000),
+    *,
     replicates: int,
-    seed: int,
+    seed: int = 0,
 ) -> ExperimentReport:
     """Vector MSE of the multiclass ratio estimate along a sample-size ladder.
 
@@ -717,19 +718,21 @@ def _regression_replicate(
 
 def run_regression_study(
     spec: ScenarioSpec,
-    grid: np.ndarray,
+    grid=None,
+    *,
     replicates: int,
-    seed: int,
+    seed: int = 0,
     threshold: float = 0.0,
 ) -> ExperimentReport:
     """Integrated squared error of the ratio and classify-and-count curves.
 
     The scenario's score is the raw feature (column 0); the
     classify-and-count curve thresholds it at ``threshold``.  The truth is
-    the scenario's sine prevalence curve evaluated on the grid.
+    the scenario's sine prevalence curve evaluated on the grid, 101 points
+    over [0, 1] unless ``grid`` is given.
     """
     _check_kind("regression", spec)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(0.0, 1.0, 101) if grid is None else np.asarray(grid, dtype=float)
     truth = 0.5 * (np.sin(2.0 * np.pi * grid * spec.cycles) + 1.0)
     replicate = partial(_regression_replicate, grid=grid, truth=truth, threshold=threshold)
     (outcomes,) = _run_cells([spec], replicate, replicates, seed)

@@ -11,7 +11,7 @@ import pytest
 
 import quantify
 from quantify import rng_from
-from quantify.cli import main
+from quantify.cli import _READ_BY, build_parser, main
 
 EIGHT_ROWS = """s,y,g
 1,0,0.1
@@ -277,11 +277,12 @@ class TestSelectG:
         b = run_json(["select-g", blobs_csv] + self.BASE + ["--gamma-grid", "0.5"], capsys)
         assert a == b
 
-    def test_split_seed_defaults_to_seed(self, blobs_csv, capsys):
-        a = run_json(["select-g", blobs_csv] + self.BASE + ["--seed", "4"], capsys)
-        b = run_json(["select-g", blobs_csv] + self.BASE + ["--seed", "4",
-                                                            "--split-seed", "4"], capsys)
-        assert a == b
+    def test_seed_is_the_split_seed(self, blobs_csv, capsys):
+        from quantify import CsvSchema, load_csv, select_g
+
+        payload = run_json(["select-g", blobs_csv] + self.BASE + ["--seed", "4"], capsys)
+        data = load_csv(blobs_csv, CsvSchema(set_column="s", label_column="y"))
+        assert payload == json.loads(json.dumps(select_g(data, split_seed=4).to_dict()))
 
     def test_saved_weights_drive_estimate(self, blobs_csv, tmp_path, capsys):
         out = str(tmp_path / "selection.json")
@@ -540,11 +541,23 @@ ZERO_REPLICATES = [((), "mse"), ((), "coverage"), ((), "power"), ((), "combined"
                  "argument --seed: seeds must be non-negative, got -1", id="test-shift-negative-seed"),
     pytest.param(["simulate", "--study", "mse", "--seed", "-1"],
                  "argument --seed: seeds must be non-negative, got -1", id="simulate-negative-seed"),
-    pytest.param(["select-g", "CURVE", *TestRegress.BASE[:4], "--split-seed", "-1"],
-                 "argument --split-seed: seeds must be non-negative, got -1",
-                 id="select-g-negative-split-seed"),
+    pytest.param(["select-g", "CURVE", *TestRegress.BASE[:4], "--seed", "-1"],
+                 "argument --seed: seeds must be non-negative, got -1", id="select-g-negative-seed"),
     pytest.param(["simulate", "--study", "mse", "--n-class", "50"],
                  "kind 'gaussian' needs 2 labeled class sizes, got 1", id="simulate-one-class-size"),
+    pytest.param(["simulate", "--study", "power", "--gamma", "0", "--gamma", "0"],
+                 "the gammas swept must be distinct, got [0.0, 0.0]", id="power-repeated-gamma"),
+    *(pytest.param(["simulate", "--study", "mse", "--preset", "cancer", *sizes],
+                   "--preset sets --n-unlabeled and --n-class; give one or the other",
+                   id=f"simulate-preset{sizes[0]}") for sizes in (("--n-unlabeled", "7"),
+                                                                  ("--n-class", "5", "--n-class", "5"))),
+    *(pytest.param([command, "CURVE", *base, "--weights", "missing.json"],
+                   "--weights and --score-col both give the score; pass one",
+                   id=f"{command}-weights-and-score-col")
+      for command, base in (("estimate", TestRegress.BASE[:6]), ("test-shift", TestRegress.BASE[:6]),
+                            ("regress", TestRegress.BASE))),
+    pytest.param(["estimate", "CURVE", *TestRegress.BASE[:6], "--regime", "dense"],
+                 "--regime is read only with --ci", id="estimate-regime-without-ci"),
 ])
 def test_refused_value_exits_2_with_one_error_line(argv, message, curve_csv):
     """A value a command cannot use ends the process with exit 2 and one line
@@ -559,8 +572,8 @@ def test_refused_value_exits_2_with_one_error_line(argv, message, curve_csv):
     assert len(errors) == 1 and errors[0].endswith(message), done.stderr
 
 
-SMALL_STUDY = ["simulate", "--replicates", "2", "--test-replicates", "5", "--grid-size", "21",
-               "--n-unlabeled", "100"]
+SMALL_STUDY = ["simulate", "--replicates", "2", "--n-unlabeled", "100"]
+SMALL_SHIFT_TEST = ["--test-replicates", "5", "--grid-size", "21"]
 OUT_OF_RANGE_BANDWIDTH = "argument --bandwidth: must be positive and finite, got "
 
 
@@ -577,8 +590,10 @@ OUT_OF_RANGE_BANDWIDTH = "argument --bandwidth: must be positive and finite, got
       for h in ("-1", "nan", "inf")),
     pytest.param(["regress", "CURVE", *TestRegress.BASE, "--bandwidth", "1e-300"], None,
                  id="regress-bandwidth-1e-300"),
-    *(pytest.param([*SMALL_STUDY, "--study", study, "--mu", "1e300"], None, id=f"{study}-mu-1e300")
-      for study in ("mse", "power")),
+    pytest.param([*SMALL_STUDY, "--study", "mse", "--mu", "1e300"], None, id="mse-mu-1e300"),
+    pytest.param([*SMALL_STUDY, *SMALL_SHIFT_TEST, "--study", "power", "--mu", "1e300"],
+                 "the gammas swept must be distinct, got [-1e+300, -1e+300, -1e+300, -1e+300]",
+                 id="power-mu-1e300"),
     *(pytest.param([*SMALL_STUDY, "--study", study, "--mu", "1e300"],
                    "the variance needs finite (mu1 - mu0)^2, var0 and var1, got inf, inf and inf",
                    id=f"{study}-mu-1e300") for study in ("coverage", "combined")),
@@ -630,9 +645,10 @@ def test_every_scenario_and_study_pair_runs_or_is_refused_up_front(scenario, stu
     monkeypatch.setattr(simulate, "generate", counting_generate)
     monkeypatch.setenv("QUANTIFY_THREADS", "1")
     theta = () if scenario in ("multiclass", "sine") else ("--theta", "0.3")
+    sizes = ("--size", "60") if study == "multiclass" else ("--n-unlabeled", "100")
+    shift_test = SMALL_SHIFT_TEST if study == "power" else ()
     code, stdout, err = run(["simulate", "--scenario", scenario, "--study", study,
-                             "--replicates", "1", "--n-unlabeled", "100", "--test-replicates", "5",
-                             "--grid-size", "21", "--size", "60", *theta], capsys)
+                             "--replicates", "1", *sizes, *shift_test, *theta], capsys)
     if study in STUDIES_OF.get(scenario, ("mse", "coverage", "power", "combined")):
         assert code == 0 and drawn, err
     else:
@@ -685,9 +701,11 @@ def test_simulate_uses_each_scenario_flag_or_refuses_it(scenario, study, flags, 
 
     monkeypatch.setattr(simulate, "generate", counting_generate)
     monkeypatch.setenv("QUANTIFY_THREADS", "1")
+    sizes = ("--size", "60") if study == "multiclass" else ("--n-unlabeled", "60")
+    shift_test = SMALL_SHIFT_TEST if study == "power" else ()
+    label_count = ("--label-count", "10") if study == "combined" else ()
     code, stdout, err = run(["simulate", "--scenario", scenario, "--study", study, *flags,
-                             "--replicates", "1", "--n-unlabeled", "60", "--test-replicates", "5",
-                             "--grid-size", "21", "--size", "60", "--label-count", "10"], capsys)
+                             "--replicates", "1", *sizes, *shift_test, *label_count], capsys)
     if shown is None:
         assert (code, stdout, drawn) == (2, "", [])
         assert err == f"error: {message}\n"
@@ -697,6 +715,64 @@ def test_simulate_uses_each_scenario_flag_or_refuses_it(scenario, study, flags, 
         assert {key: meta[key] for key in shown} == shown
         if flags.count("--theta") == 2:
             assert sorted({row[0] for row in json.loads(stdout)["rows"]}) == [0.3, 0.4]
+
+
+# A value each flag of the method and study tables accepts, and the scenario
+# each study runs on; the scenario rows have their own test above.
+READ_BY_VALUES = {"ci": "0.9", "regime": "dense", "min_denom": "1e-3", "threshold": "0.3",
+                  "theta_train": "0.4", "n_unlabeled": "50", "preset": "cancer", "method": "ratio",
+                  "level": "0.9", "gamma": "0", "alpha": "0.1", "test_replicates": "5",
+                  "grid_size": "21", "label_count": "10", "size": "60"}
+SCENARIO_OF_STUDY = {study: scenario for scenario, (study,) in STUDIES_OF.items()}
+COMMAND_HEAD = {"estimate": ["estimate", "missing.csv", "--set-col", "s"],
+                "regress": ["regress", "missing.csv", "--set-col", "s", "--covariate-col", "z"]}
+
+
+def _actions_of(command):
+    """The argparse action of each flag of ``command``, by destination."""
+    (commands,) = build_parser()._subparsers._group_actions
+    return {action.dest: action for action in commands.choices[command]._actions}
+
+
+def _unread_cases():
+    for command, choosers in _READ_BY.items():
+        actions = _actions_of(command)
+        for choice_flag, readers in choosers.items():
+            if choice_flag == "scenario":
+                continue
+            for choice in actions[choice_flag].choices:
+                for flag, readers_of_flag in readers.items():
+                    if choice not in readers_of_flag:
+                        yield pytest.param(command, choice_flag, choice, flag,
+                                           id=f"{command}-{choice}-{flag}")
+
+
+@pytest.mark.parametrize("command, choice_flag, choice, flag", _unread_cases())
+def test_a_flag_its_method_or_study_does_not_read_is_refused(command, choice_flag, choice, flag,
+                                                             capsys, monkeypatch):
+    """Exit 2 and one line naming the flag and the choice, before the data file
+    is read or a dataset is drawn."""
+    from quantify import simulate
+
+    drawn = []
+    monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
+    head = COMMAND_HEAD.get(command) or [
+        "simulate", "--scenario", SCENARIO_OF_STUDY.get(choice, "gaussian"), "--replicates", "1"]
+    code, stdout, err = run([*head, f"--{choice_flag}", choice,
+                             f"--{flag.replace('_', '-')}", READ_BY_VALUES[flag]], capsys)
+    assert (code, stdout, drawn) == (2, "", [])
+    assert err == f"error: --{flag.replace('_', '-')} is not a parameter of the {choice} {choice_flag}\n"
+
+
+def test_read_by_table_names_flags_and_choices_of_its_command():
+    """A misspelt flag or choice in the table would refuse nothing."""
+    for command, choosers in _READ_BY.items():
+        actions = _actions_of(command)
+        for choice_flag, readers in choosers.items():
+            assert actions[choice_flag].choices, (command, choice_flag)
+            for flag, readers_of_flag in readers.items():
+                assert flag in actions and actions[flag].default is None, (command, flag)
+                assert set(readers_of_flag) <= set(actions[choice_flag].choices), (command, flag)
 
 
 def test_cli_imports_no_private_name_of_another_module():

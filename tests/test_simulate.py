@@ -452,6 +452,19 @@ class TestPowerStudy:
         with pytest.raises(EstimationError, match="alpha"):
             run_power_study(self.SPEC, gammas=[0.0], alpha=0.0, replicates=1)
 
+    @pytest.mark.parametrize("spec, gammas", [
+        pytest.param(SPEC, [0.0, -2.0, 0.0], id="given-twice"),
+        # offsets of -2..1 vanish next to a null of -1e300
+        pytest.param(symmetric_gaussian(0.6, 80, (40, 40), mu=1e300), None, id="default-sweep"),
+    ])
+    def test_repeated_gamma_is_refused_before_any_replicate(self, spec, gammas, monkeypatch):
+        """Two cells at one gamma would print the same row twice."""
+        drawn = []
+        monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
+        with pytest.raises(EstimationError, match="the gammas swept must be distinct"):
+            run_power_study(spec, gammas, replicates=1)
+        assert drawn == []
+
 
 class TestCombinedStudy:
     def test_label_free_cells_report_only_the_ratio_arm(self):
