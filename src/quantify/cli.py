@@ -313,7 +313,7 @@ def _simulate_spec(args) -> ScenarioSpec:
     if args.n_class:
         sizes["n_class"] = tuple(args.n_class)
     if args.scenario == "multiclass":
-        return ScenarioSpec(kind="multiclass_gaussian", **{"n_class": (20, 30, 50), **sizes})
+        return ScenarioSpec(kind="multiclass_gaussian", **sizes)
     if args.scenario == "sine":
         return ScenarioSpec(kind="regression_sine", **sizes, **_given(args, "mu", "cycles"))
     # a score kind: --mu sets both class means, --mean0 and --mean1 then one each

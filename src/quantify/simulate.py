@@ -20,6 +20,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -103,7 +104,7 @@ class ScenarioSpec:
 
     kind: str
     n_unlabeled: int = 300
-    n_class: tuple[int, ...] = (150, 150)
+    n_class: tuple[int, ...] | None = None  # None: the kind's default, set in __post_init__
     theta: float = 0.6
     gamma: float | None = None
     # gaussian / gaussian_exponential locations and common sd
@@ -129,6 +130,9 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.kind not in SCENARIO_KINDS:
             raise EstimationError(f"unknown scenario kind {self.kind!r}")
+        if self.n_class is None:  # frozen, so the default is set through object.__setattr__
+            default = (20, 30, 50) if self.kind == "multiclass_gaussian" else (150, 150)
+            object.__setattr__(self, "n_class", default)
         if not 0.0 <= self.theta <= 1.0:
             raise EstimationError(f"theta must be in [0, 1], got {self.theta}")
         if self.n_unlabeled < 1 or any(n < 1 for n in self.n_class):
@@ -136,6 +140,9 @@ class ScenarioSpec:
         if self.kind in _SCORE_KINDS and len(self.n_class) != 2:
             raise EstimationError(
                 f"kind {self.kind!r} needs 2 labeled class sizes, got {len(self.n_class)}")
+        if self.kind == "multiclass_gaussian" and not (
+                len(self.n_class) == len(self.levels) == len(self.target_priors)):
+            raise EstimationError("levels, n_class and target_priors must agree in length")
 
     def meta(self) -> dict:
         payload = dataclasses.asdict(self)
@@ -252,8 +259,6 @@ def generate(spec: ScenarioSpec, seed: int) -> RawDataset:
     rng = rng_from(seed)
     if spec.kind == "multiclass_gaussian":
         k_plus_one = len(spec.levels)
-        if len(spec.n_class) != k_plus_one or len(spec.target_priors) != k_plus_one:
-            raise EstimationError("levels, n_class and target_priors must agree in length")
         if abs(sum(spec.target_priors) - 1.0) > 1e-9:
             raise EstimationError("target priors must sum to 1")
         means = np.asarray(spec.levels, dtype=float)[:, None] * np.ones(spec.dim)
@@ -358,12 +363,40 @@ class ExperimentReport:
 
 
 def _mean_and_halfwidth(values: np.ndarray) -> tuple[float, float]:
-    values = np.asarray(values, dtype=float)
     mean = float(values.mean())
     if values.size < 2:
         return mean, float("nan")
     half = 1.96 * float(values.std(ddof=1)) / float(np.sqrt(values.size))
     return mean, half
+
+
+def _summary_rows(raw: list[tuple], keys: tuple[int, ...], replicates: int, *columns,
+                  methods=(None,)) -> tuple:
+    """One summary row per distinct ``keys`` columns of the tidy ``raw``, in first-seen order:
+    the key, ``replicates``, then per method of ``methods`` (None: all the group's rows, else
+    those with that method in column 1) and per ``(value, reduce)`` of ``columns`` the cells
+    ``reduce`` (np.mean, np.max or _mean_and_halfwidth) makes of those rows' ``value(row)``
+    in replicate order, or one None cell if the method has no rows."""
+    groups: dict[tuple, list[tuple]] = {}
+    for row in raw:
+        groups.setdefault(tuple(row[k] for k in keys), []).append(row)
+    rows = []
+    for key, group in groups.items():
+        cells = []
+        for method in methods:
+            for value, reduce in columns:
+                picked = [value(row) for row in group if method in (None, row[1])]
+                values = np.array(picked, dtype=float)
+                cells += np.atleast_1d(reduce(values)).tolist() if values.size else [None]
+        rows.append((*key, replicates, *cells))
+    return tuple(rows)
+
+
+def _distinct(values, refusal: str) -> list:
+    """``values`` as a list, refused with ``refusal`` if one is given twice."""
+    if len(set(values := list(values))) != len(values):
+        raise EstimationError(f"{refusal}, got {values}")
+    return values
 
 
 def _child_seed(seed: int, *path: int) -> int:
@@ -445,24 +478,18 @@ def run_mse_study(
     for method in methods:
         if method not in ("ratio", "cc", "em"):
             raise EstimationError(f"unknown method {method!r}")
-    if len(set(methods)) != len(methods):
-        raise EstimationError(f"each method may be given once, got {methods}")
+    methods = _distinct(methods, "each method may be given once")
+    thetas = _distinct(thetas, "the thetas swept must be distinct")
     cells = [dataclasses.replace(spec, theta=float(theta)) for theta in thetas]
     outcomes = _run_cells(cells, partial(_mse_replicate, methods=methods), replicates, seed)
-    rows, raw = [], []
-    for theta, estimates in zip(thetas, outcomes):
-        errors: dict[str, list[float]] = {m: [] for m in methods}
-        for r, replicate in enumerate(estimates):
-            for method, estimate in zip(methods, replicate):
-                errors[method].append((estimate - theta) ** 2)
-                raw.append((spec.kind, method, float(theta), r, estimate))
-        for method in methods:
-            mse, half = _mean_and_halfwidth(np.array(errors[method]))
-            rows.append((float(theta), method, replicates, mse, half))
+    raw = [(spec.kind, method, float(theta), r, estimate)
+           for theta, estimates in zip(thetas, outcomes) for r, replicate in enumerate(estimates)
+           for method, estimate in zip(methods, replicate)]
     return ExperimentReport(
         study="mse",
         columns=("theta", "method", "replicates", "mse", "half_width"),
-        rows=tuple(rows),
+        rows=_summary_rows(raw, (2, 1), replicates,
+                           (lambda row: (row[4] - row[2]) ** 2, _mean_and_halfwidth)),
         seed=seed,
         meta=spec.meta(),
         raw_columns=("scenario", "method", "theta", "replicate", "estimate"),
@@ -489,21 +516,17 @@ def run_coverage_study(
 ) -> ExperimentReport:
     """Coverage of the normal interval for the ratio estimate, per prevalence."""
     _check_kind("coverage", spec)
+    thetas = _distinct(thetas, "the thetas swept must be distinct")
     cells = [dataclasses.replace(spec, theta=float(theta)) for theta in thetas]
     replicate = partial(_coverage_replicate, level=level, regime=regime)
-    rows, raw = [], []
-    for theta, intervals in zip(thetas, _run_cells(cells, replicate, replicates, seed)):
-        hits, widths = [], []
-        for r, (estimate, lo, hi) in enumerate(intervals):
-            covered = 1 if lo <= theta <= hi else 0
-            hits.append(float(covered))
-            widths.append(hi - lo)
-            raw.append((spec.kind, float(theta), r, estimate, lo, hi, covered))
-        rows.append((float(theta), replicates, float(np.mean(hits)), float(np.mean(widths))))
+    raw = [(spec.kind, float(theta), r, estimate, lo, hi, 1 if lo <= theta <= hi else 0)
+           for theta, intervals in zip(thetas, _run_cells(cells, replicate, replicates, seed))
+           for r, (estimate, lo, hi) in enumerate(intervals)]
     return ExperimentReport(
         study="coverage",
         columns=("theta", "replicates", "coverage", "mean_width"),
-        rows=tuple(rows),
+        rows=_summary_rows(raw, (1,), replicates,
+                           (itemgetter(6), np.mean), (lambda row: row[5] - row[4], np.mean)),
         seed=seed,
         meta={**spec.meta(), "level": level, "regime": regime},
         raw_columns=("scenario", "theta", "replicate", "estimate", "lower", "upper", "covered"),
@@ -551,18 +574,16 @@ def run_power_study(
     null = null_gamma(spec)
     if gammas is None:
         gammas = [null + offset for offset in _SCORE_TABLE[spec.kind].power_offsets]
-    if len(set(gammas)) != len(gammas):
-        raise EstimationError(f"the gammas swept must be distinct, got {list(gammas)}")
+    gammas = _distinct(gammas, "the gammas swept must be distinct")
     cells = [dataclasses.replace(spec, gamma=float(gamma)) for gamma in gammas]
     replicate = partial(
         _power_replicate, alpha=alpha, test_replicates=test_replicates, grid_size=grid_size
     )
-    rows, raw = [], []
-    for cell, outcomes in zip(cells, _run_cells(cells, replicate, replicates, seed)):
-        raw.extend((spec.kind, cell.gamma, r, *outcome) for r, outcome in enumerate(outcomes))
-        rate = float(np.mean([rejected for _, _, rejected in outcomes]))
-        is_null = 1.0 if cell.gamma == null else 0.0
-        rows.append((cell.gamma, replicates, test_replicates, rate, is_null))
+    raw = [(spec.kind, cell.gamma, r, *outcome)
+           for cell, outcomes in zip(cells, _run_cells(cells, replicate, replicates, seed))
+           for r, outcome in enumerate(outcomes)]
+    rows = [(gamma, n, test_replicates, rate, 1.0 if gamma == null else 0.0)
+            for gamma, n, rate in _summary_rows(raw, (1,), replicates, (itemgetter(5), np.mean))]
     return ExperimentReport(
         study="power",
         columns=("gamma", "replicates", "test_replicates", "rejection_rate", "is_null"),
@@ -605,8 +626,7 @@ def run_combined_study(
     label_counts = [int(m) for m in label_counts]
     if any(m < 0 or m > spec.n_unlabeled for m in label_counts):
         raise EstimationError("label counts must lie in [0, n_unlabeled]")
-    if len(set(label_counts)) != len(label_counts):
-        raise EstimationError(f"each label count may be given once, got {label_counts}")
+    label_counts = _distinct(label_counts, "each label count may be given once")
     replicate = partial(_combined_replicate, label_counts=label_counts, regime=regime)
     (outcomes,) = _run_cells([spec], replicate, replicates, seed)
     raw = []
@@ -616,19 +636,12 @@ def run_combined_study(
             if arm is not None:
                 raw.append((spec.kind, "labels", m, r, arm.theta_labels))
                 raw.append((spec.kind, "combined", m, r, arm.theta))
-
-    def mse(method: str, m: int) -> float:
-        errors = [(row[4] - theta) ** 2 for row in raw if row[1] == method and row[2] == m]
-        return _mean_and_halfwidth(np.array(errors))[0]
-
-    rows = []
-    for m in label_counts:
-        arms = (mse("labels", m), mse("combined", m)) if m else (None, None)
-        rows.append((m, replicates, mse("ratio", m), *arms))
     return ExperimentReport(
         study="combined",
         columns=("target_labels", "replicates", "mse_ratio", "mse_labels", "mse_combined"),
-        rows=tuple(rows),
+        # m = 0 has no labels or combined rows, so those two cells are None
+        rows=_summary_rows(raw, (2,), replicates, (lambda row: (row[4] - theta) ** 2, np.mean),
+                           methods=("ratio", "labels", "combined")),
         seed=seed,
         meta=spec.meta(),
         raw_columns=("scenario", "method", "target_labels", "replicate", "estimate"),
@@ -668,22 +681,17 @@ def run_multiclass_study(
     priors_labeled = tuple(base / base.sum())
     truth = np.asarray(spec.target_priors, dtype=float)
     cells = []
-    for size in sizes:
-        counts = _proportional_counts(int(size), priors_labeled)
+    # distinct as whole numbers: the tidy rows key on the size a cell runs at
+    for size in _distinct(map(int, sizes), "the sizes swept must be distinct"):
+        counts = _proportional_counts(size, priors_labeled)
         if np.any(counts < 1):
             raise EstimationError(f"ladder size {size} leaves an empty class")
         n_class = tuple(int(c) for c in counts)
-        cells.append(dataclasses.replace(spec, n_class=n_class, n_unlabeled=int(size)))
+        cells.append(dataclasses.replace(spec, n_class=n_class, n_unlabeled=size))
     outcomes = _run_cells(cells, partial(_multiclass_replicate, truth=truth), replicates, seed)
-    rows, raw = [], []
-    for cell, errors in zip(cells, outcomes):
-        size = cell.n_unlabeled
-        for r, (raw_error, proj_error) in enumerate(errors):
-            raw.append((spec.kind, "raw", size, r, raw_error))
-            raw.append((spec.kind, "projected", size, r, proj_error))
-        mse_raw, half_raw = _mean_and_halfwidth(np.array([e[0] for e in errors]))
-        mse_proj, half_proj = _mean_and_halfwidth(np.array([e[1] for e in errors]))
-        rows.append((size, replicates, mse_raw, half_raw, mse_proj, half_proj))
+    raw = [(spec.kind, method, cell.n_unlabeled, r, error)
+           for cell, errors in zip(cells, outcomes) for r, pair in enumerate(errors)
+           for method, error in zip(("raw", "projected"), pair)]
     return ExperimentReport(
         study="multiclass",
         columns=(
@@ -694,7 +702,8 @@ def run_multiclass_study(
             "mse_projected",
             "half_width_projected",
         ),
-        rows=tuple(rows),
+        rows=_summary_rows(raw, (2,), replicates, (itemgetter(4), _mean_and_halfwidth),
+                           methods=("raw", "projected")),
         seed=seed,
         meta=spec.meta(),
         raw_columns=("scenario", "method", "size", "replicate", "sq_error"),
@@ -737,18 +746,6 @@ def run_regression_study(
     replicate = partial(_regression_replicate, grid=grid, truth=truth, threshold=threshold)
     (outcomes,) = _run_cells([spec], replicate, replicates, seed)
     raw = [(spec.kind, r, *errors) for r, errors in enumerate(outcomes)]
-    table = np.asarray(outcomes, dtype=float)
-    mise_r, half_r = _mean_and_halfwidth(table[:, 0])
-    mise_c, half_c = _mean_and_halfwidth(table[:, 1])
-    summary = (
-        replicates,
-        mise_r,
-        half_r,
-        mise_c,
-        half_c,
-        float(table[:, 2].mean()),
-        float(table[:, 2].max()),
-    )
     return ExperimentReport(
         study="regression",
         columns=(
@@ -760,7 +757,9 @@ def run_regression_study(
             "mean_sup_gap",
             "max_sup_gap",
         ),
-        rows=(summary,),
+        rows=_summary_rows(raw, (), replicates, (itemgetter(2), _mean_and_halfwidth),
+                           (itemgetter(3), _mean_and_halfwidth), (itemgetter(4), np.mean),
+                           (itemgetter(4), np.max)),
         seed=seed,
         meta={**spec.meta(), "threshold": threshold, "grid_points": int(grid.size)},
         raw_columns=("scenario", "replicate", "mise_ratio", "mise_cc", "sup_gap"),

@@ -572,6 +572,49 @@ def test_refused_value_exits_2_with_one_error_line(argv, message, curve_csv):
     assert len(errors) == 1 and errors[0].endswith(message), done.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--study", "mse", "--theta", "0.2", "--theta", "0.2"],
+                 "the thetas swept must be distinct, got [0.2, 0.2]", id="mse-theta-twice"),
+    pytest.param(["--study", "coverage", "--theta", "0.2", "--theta", "0.2"],
+                 "the thetas swept must be distinct, got [0.2, 0.2]", id="coverage-theta-twice"),
+    pytest.param(["--scenario", "multiclass", "--study", "multiclass", "--size", "60", "--size", "60"],
+                 "the sizes swept must be distinct, got [60, 60]", id="multiclass-size-twice"),
+    pytest.param(["--scenario", "multiclass", "--study", "multiclass", "--n-class", "5",
+                  "--n-class", "5", "--size", "60"],
+                 "levels, n_class and target_priors must agree in length",
+                 id="multiclass-two-class-sizes"),
+])
+def test_repeated_sweep_value_or_short_class_list_exits_2_before_any_replicate(
+        argv, message, capsys, monkeypatch):
+    """A sweep that repeats a value would print two summary rows under one key,
+    and a multiclass spec with two class sizes cannot be drawn: both end with
+    exit 2 and one error line before any dataset is drawn."""
+    from quantify import simulate
+
+    drawn, generate = [], simulate.generate
+
+    def counting_generate(*args, **kwargs):
+        drawn.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "generate", counting_generate)
+    monkeypatch.setenv("QUANTIFY_THREADS", "1")
+    code, stdout, err = run(["simulate", *argv, "--replicates", "1"], capsys)
+    assert (code, stdout, drawn) == (2, "", [])
+    assert err == f"error: {message}\n"
+
+
+def test_multiclass_scenario_meta_keeps_its_default_class_sizes(capsys):
+    payload = run_json(["simulate", "--scenario", "multiclass", "--study", "multiclass",
+                        "--size", "60", "--replicates", "1"], capsys)
+    assert payload["meta"] == {
+        "a0": 1.0, "a1": 1.0, "b0": 1.0, "b1": 10.0, "cycles": 1, "dim": 10, "gamma": None,
+        "kind": "multiclass_gaussian", "levels": [0.0, 0.75, 1.25], "mean0": 0.0, "mean1": 2.0,
+        "mu": 1.0, "n_class": [20, 30, 50], "n_unlabeled": 300, "rate0": 1.0, "rate1": 5.0,
+        "sd": 1.0, "target_priors": [0.25, 0.1, 0.65], "theta": 0.6,
+    }
+
+
 SMALL_STUDY = ["simulate", "--replicates", "2", "--n-unlabeled", "100"]
 SMALL_SHIFT_TEST = ["--test-replicates", "5", "--grid-size", "21"]
 OUT_OF_RANGE_BANDWIDTH = "argument --bandwidth: must be positive and finite, got "

@@ -196,6 +196,25 @@ class TestGenerateMulticlass:
                 seed=0,
             )
 
+    def test_the_kind_carries_its_own_class_sizes(self):
+        assert ScenarioSpec(kind="multiclass_gaussian").n_class == (20, 30, 50)
+        assert ScenarioSpec(kind="gaussian").n_class == (150, 150)
+        assert ScenarioSpec(kind="regression_sine").n_class == (150, 150)
+
+    @pytest.mark.parametrize("fields", [
+        {"n_class": (5, 5)},
+        {"n_class": (5, 5, 5, 5)},
+        {"levels": (0.0, 1.0)},
+        {"target_priors": (0.5, 0.5)},
+    ], ids=["two-sizes", "four-sizes", "two-levels", "two-priors"])
+    def test_lengths_are_checked_when_the_spec_is_built(self, fields, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
+        with pytest.raises(EstimationError, match="agree in length"):
+            run_multiclass_study(ScenarioSpec(kind="multiclass_gaussian", **fields), sizes=[60],
+                                 replicates=1)
+        assert drawn == []
+
     def test_priors_must_sum_to_one(self):
         bad = ScenarioSpec(
             kind="multiclass_gaussian",
@@ -301,7 +320,57 @@ SMALL_STUDIES = {
 }
 
 
+def summary_by_hand(study: str, report: ExperimentReport) -> list[tuple]:
+    """``report.rows`` recomputed from ``report.raw_rows`` with one plain loop per study."""
+    replicates = 1 + max(row[report.raw_columns.index("replicate")] for row in report.raw_rows)
+
+    def mean_and_half(values):
+        values = np.array(values)
+        half = 1.96 * float(values.std(ddof=1)) / float(np.sqrt(values.size))
+        return float(values.mean()), half
+
+    groups: dict = {}
+    if study == "mse":
+        for _, method, theta, _, estimate in report.raw_rows:
+            groups.setdefault((theta, method), []).append((estimate - theta) ** 2)
+        return [(*key, replicates, *mean_and_half(errors)) for key, errors in groups.items()]
+    if study == "coverage":
+        for _, theta, _, _, lower, upper, covered in report.raw_rows:
+            groups.setdefault(theta, []).append((covered, upper - lower))
+        return [(theta, replicates, float(np.mean([c for c, _ in pairs])),
+                 float(np.mean([w for _, w in pairs]))) for theta, pairs in groups.items()]
+    if study == "power":
+        for _, gamma, _, _, _, rejected in report.raw_rows:
+            groups.setdefault(gamma, []).append(rejected)
+        # test_replicates=11 in SMALL_STUDIES; the gaussian null is the spec's mean0
+        return [(gamma, replicates, 11, float(np.mean(rejected)),
+                 1.0 if gamma == report.meta["mean0"] else 0.0)
+                for gamma, rejected in groups.items()]
+    if study == "combined":
+        theta = report.meta["theta"]
+        for _, method, m, _, estimate in report.raw_rows:
+            groups.setdefault(m, {}).setdefault(method, []).append((estimate - theta) ** 2)
+        return [(m, replicates, *(float(np.mean(arms[method])) if method in arms else None
+                                  for method in ("ratio", "labels", "combined")))
+                for m, arms in groups.items()]
+    if study == "multiclass":
+        for _, method, size, _, error in report.raw_rows:
+            groups.setdefault(size, {}).setdefault(method, []).append(error)
+        return [(size, replicates, *mean_and_half(errors["raw"]),
+                 *mean_and_half(errors["projected"])) for size, errors in groups.items()]
+    gaps = np.array([row[4] for row in report.raw_rows])
+    return [(replicates, *mean_and_half([row[2] for row in report.raw_rows]),
+             *mean_and_half([row[3] for row in report.raw_rows]),
+             float(gaps.mean()), float(gaps.max()))]
+
+
 class TestStudyDriver:
+    @pytest.mark.parametrize("study", sorted(SMALL_STUDIES))
+    def test_summary_rows_are_a_reduction_of_the_raw_rows(self, study):
+        """Groups in first-seen order, each reduced over its replicates in order."""
+        report = SMALL_STUDIES[study]()
+        assert list(report.rows) == summary_by_hand(study, report)
+
     @pytest.mark.parametrize("study", sorted(SMALL_STUDIES))
     def test_worker_count_does_not_change_results(self, monkeypatch, study):
         pools = []
@@ -464,6 +533,30 @@ class TestPowerStudy:
         with pytest.raises(EstimationError, match="the gammas swept must be distinct"):
             run_power_study(spec, gammas, replicates=1)
         assert drawn == []
+
+
+@pytest.mark.parametrize("run_study, message", [
+    pytest.param(lambda: run_mse_study(symmetric_gaussian(0.3, 60, (30, 30)), thetas=[0.2, 0.4, 0.2],
+                                       replicates=1),
+                 "the thetas swept must be distinct, got [0.2, 0.4, 0.2]", id="mse-thetas"),
+    pytest.param(lambda: run_coverage_study(symmetric_gaussian(0.3, 60, (30, 30)),
+                                            thetas=[0.3, 0.3], replicates=1),
+                 "the thetas swept must be distinct, got [0.3, 0.3]", id="coverage-thetas"),
+    pytest.param(lambda: run_multiclass_study(TestMulticlassStudy.SPEC, sizes=[60, 60],
+                                              replicates=1),
+                 "the sizes swept must be distinct, got [60, 60]", id="multiclass-sizes"),
+    pytest.param(lambda: run_multiclass_study(TestMulticlassStudy.SPEC, sizes=[60.2, 60.7],
+                                              replicates=1),
+                 "the sizes swept must be distinct, got [60, 60]", id="multiclass-sizes-as-run"),
+])
+def test_repeated_sweep_value_is_refused_before_any_replicate(run_study, message, monkeypatch):
+    """Two cells at one swept value would give two summary rows under one key."""
+    drawn = []
+    monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
+    with pytest.raises(EstimationError) as info:
+        run_study()
+    assert str(info.value) == message
+    assert drawn == []
 
 
 class TestCombinedStudy:
