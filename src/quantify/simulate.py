@@ -53,6 +53,9 @@ class _ScoreKind(NamedTuple):
     canonical: dict  # what table_scenario sets beyond ScenarioSpec's defaults
     shifted: str  # the field gamma replaces in the unlabeled class-0 law; its value is the null
     power_offsets: tuple[float, ...]  # the power study's default sweep, as gamma - null
+    laws: tuple  # the class-0 and class-1 score laws, each law(spec, rng, n) -> n draws
+    positive: tuple[str, ...] = ()  # the fields the laws need positive, gamma included if shifted
+    refusal: str = ""  # the message when one of them is not
 
 
 # Default shift sweeps put the null at an interior point with a unique
@@ -61,12 +64,23 @@ class _ScoreKind(NamedTuple):
 # the class-1 law (gaussian gamma=2, exponential gamma=5): there the
 # unlabeled sample is again an exact mixture, so the test correctly loses power.
 _SCORE_TABLE = {
-    "gaussian": _ScoreKind({}, "mean0", (-2.0, -1.0, 0.0, 1.0)),
-    "exponential": _ScoreKind({}, "rate0", (-0.75, -0.5, 0.0, 1.0, 2.0)),
+    "gaussian": _ScoreKind({}, "mean0", (-2.0, -1.0, 0.0, 1.0), (
+        lambda spec, rng, n: rng.normal(spec.mean0, spec.sd, n),
+        lambda spec, rng, n: rng.normal(spec.mean1, spec.sd, n),
+    )),
+    "exponential": _ScoreKind({}, "rate0", (-0.75, -0.5, 0.0, 1.0, 2.0), (
+        lambda spec, rng, n: rng.exponential(1.0 / spec.rate0, n),
+        lambda spec, rng, n: rng.exponential(1.0 / spec.rate1, n),
+    ), ("rate0", "rate1"), "exponential rates must be positive"),
     "gaussian_exponential": _ScoreKind(
-        {"mean0": 1.0, "rate1": 1.0}, "mean0", (-2.0, -1.0, 0.0, 1.0, 2.0)
-    ),
-    "beta": _ScoreKind({}, "a0", (-0.75, -0.5, 0.0, 1.0, 2.0)),
+        {"mean0": 1.0, "rate1": 1.0}, "mean0", (-2.0, -1.0, 0.0, 1.0, 2.0), (
+            lambda spec, rng, n: rng.normal(spec.mean0, spec.sd, n),
+            lambda spec, rng, n: rng.exponential(1.0 / spec.rate1, n),
+        ), ("rate1",), "exponential rate must be positive"),
+    "beta": _ScoreKind({}, "a0", (-0.75, -0.5, 0.0, 1.0, 2.0), (
+        lambda spec, rng, n: rng.beta(spec.a0, spec.b0, n),
+        lambda spec, rng, n: rng.beta(spec.a1, spec.b1, n),
+    ), ("a0", "b0", "a1", "b1"), "beta shape parameters must be positive"),
 }
 _SCORE_KINDS = tuple(_SCORE_TABLE)
 SCENARIO_KINDS = (*_SCORE_KINDS, "multiclass_gaussian", "regression_sine")
@@ -143,6 +157,15 @@ class ScenarioSpec:
         if self.kind == "multiclass_gaussian" and not (
                 len(self.n_class) == len(self.levels) == len(self.target_priors)):
             raise EstimationError("levels, n_class and target_priors must agree in length")
+        if self.kind == "multiclass_gaussian" and abs(sum(self.target_priors) - 1.0) > 1e-9:
+            raise EstimationError("target priors must sum to 1")
+        row = _SCORE_TABLE.get(self.kind)
+        if row is not None:
+            values = [getattr(self, name) for name in row.positive]
+            if self.gamma is not None and row.shifted in row.positive:
+                values.append(self.gamma)  # the unlabeled class-0 law reads gamma in its place
+            if any(value <= 0 for value in values):
+                raise EstimationError(row.refusal)
 
     def meta(self) -> dict:
         payload = dataclasses.asdict(self)
@@ -176,46 +199,6 @@ def null_gamma(spec: ScenarioSpec) -> float:
     return getattr(spec, _SCORE_TABLE[spec.kind].shifted)
 
 
-def _binary_law_samplers(spec: ScenarioSpec):
-    """(labeled class 0, class 1, unlabeled class 0) samplers for score kinds."""
-
-    def class_laws(spec: ScenarioSpec):
-        if spec.kind == "gaussian":
-            return (
-                lambda rng, n: rng.normal(spec.mean0, spec.sd, n),
-                lambda rng, n: rng.normal(spec.mean1, spec.sd, n),
-            )
-        if spec.kind == "exponential":
-            if min(spec.rate0, spec.rate1) <= 0:
-                raise EstimationError("exponential rates must be positive")
-            return (
-                lambda rng, n: rng.exponential(1.0 / spec.rate0, n),
-                lambda rng, n: rng.exponential(1.0 / spec.rate1, n),
-            )
-        if spec.kind == "gaussian_exponential":
-            if spec.rate1 <= 0:
-                raise EstimationError("exponential rate must be positive")
-            return (
-                lambda rng, n: rng.normal(spec.mean0, spec.sd, n),
-                lambda rng, n: rng.exponential(1.0 / spec.rate1, n),
-            )
-        if spec.kind == "beta":
-            if min(spec.a0, spec.b0, spec.a1, spec.b1) <= 0:
-                raise EstimationError("beta shape parameters must be positive")
-            return (
-                lambda rng, n: rng.beta(spec.a0, spec.b0, n),
-                lambda rng, n: rng.beta(spec.a1, spec.b1, n),
-            )
-        raise EstimationError(f"kind {spec.kind!r} is not a binary score scenario")
-
-    sample0, sample1 = class_laws(spec)
-    if spec.gamma is None:
-        return sample0, sample1, sample0
-    # the unlabeled class-0 law is class 0's with gamma in the kind's shifted field
-    shifted = dataclasses.replace(spec, **{_SCORE_TABLE[spec.kind].shifted: spec.gamma})
-    return sample0, sample1, class_laws(shifted)[0]
-
-
 def _assemble_binary(
     labeled0: np.ndarray,
     labeled1: np.ndarray,
@@ -246,6 +229,11 @@ def _proportional_counts(total: int, priors: tuple[float, ...]) -> np.ndarray:
     return counts
 
 
+def _sine_prevalence(z: np.ndarray, cycles: int) -> np.ndarray:
+    """The sine kind's unlabeled prevalence at covariate z: (sin(2 pi z cycles) + 1) / 2."""
+    return 0.5 * (np.sin(2.0 * np.pi * z * cycles) + 1.0)
+
+
 def generate(spec: ScenarioSpec, seed: int) -> RawDataset:
     """Draw one dataset with exact group sizes per class.
 
@@ -259,8 +247,6 @@ def generate(spec: ScenarioSpec, seed: int) -> RawDataset:
     rng = rng_from(seed)
     if spec.kind == "multiclass_gaussian":
         k_plus_one = len(spec.levels)
-        if abs(sum(spec.target_priors) - 1.0) > 1e-9:
-            raise EstimationError("target priors must sum to 1")
         means = np.asarray(spec.levels, dtype=float)[:, None] * np.ones(spec.dim)
         blocks, labels = [], []
         for label, count in enumerate(spec.n_class):
@@ -280,13 +266,13 @@ def generate(spec: ScenarioSpec, seed: int) -> RawDataset:
 
     if spec.kind == "regression_sine":
         # Labeled prevalence is flat at 1/2; the unlabeled prevalence follows
-        # theta(z) = (sin(2 pi z cycles) + 1) / 2 over z ~ U(0, 1).
+        # the sine curve over z ~ U(0, 1).
         n_labeled = sum(spec.n_class)
         z_labeled = rng.random(n_labeled)
         y_labeled = (rng.random(n_labeled) < 0.5).astype(int)
         x_labeled = rng.standard_normal(n_labeled) + np.where(y_labeled == 1, spec.mu, -spec.mu)
         z_u = rng.random(spec.n_unlabeled)
-        theta_z = 0.5 * (np.sin(2.0 * np.pi * z_u * spec.cycles) + 1.0)
+        theta_z = _sine_prevalence(z_u, spec.cycles)
         y_u = (rng.random(spec.n_unlabeled) < theta_z).astype(int)
         x_u = rng.standard_normal(spec.n_unlabeled) + np.where(y_u == 1, spec.mu, -spec.mu)
         return _assemble_binary(
@@ -300,14 +286,17 @@ def generate(spec: ScenarioSpec, seed: int) -> RawDataset:
             covariate_unlabeled=z_u,
         )
 
-    # the four score kinds; _binary_law_samplers refuses any other
-    sample0, sample1, sample_unlabeled0 = _binary_law_samplers(spec)
+    # a score kind, whose spec was checked against its row's rule when it was built
+    row = _SCORE_TABLE[spec.kind]
+    law0, law1 = row.laws
+    # the unlabeled class-0 law is class 0's with gamma in the kind's shifted field
+    shifted = spec if spec.gamma is None else dataclasses.replace(spec, **{row.shifted: spec.gamma})
     n0, n1 = spec.n_class[0], spec.n_class[1]
-    labeled0 = sample0(rng, n0)
-    labeled1 = sample1(rng, n1)
+    labeled0 = law0(spec, rng, n0)
+    labeled1 = law1(spec, rng, n1)
     counts = _proportional_counts(spec.n_unlabeled, (1.0 - spec.theta, spec.theta))
     unlabeled = np.concatenate(
-        [sample_unlabeled0(rng, counts[0]), sample1(rng, counts[1])]
+        [law0(shifted, rng, counts[0]), law1(spec, rng, counts[1])]
     )
     labels_u = np.repeat(np.arange(2), counts)
     order = rng.permutation(spec.n_unlabeled)
@@ -742,7 +731,7 @@ def run_regression_study(
     """
     _check_kind("regression", spec)
     grid = np.linspace(0.0, 1.0, 101) if grid is None else np.asarray(grid, dtype=float)
-    truth = 0.5 * (np.sin(2.0 * np.pi * grid * spec.cycles) + 1.0)
+    truth = _sine_prevalence(grid, spec.cycles)
     replicate = partial(_regression_replicate, grid=grid, truth=truth, threshold=threshold)
     (outcomes,) = _run_cells([spec], replicate, replicates, seed)
     raw = [(spec.kind, r, *errors) for r, errors in enumerate(outcomes)]

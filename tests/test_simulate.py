@@ -216,14 +216,13 @@ class TestGenerateMulticlass:
         assert drawn == []
 
     def test_priors_must_sum_to_one(self):
-        bad = ScenarioSpec(
-            kind="multiclass_gaussian",
-            n_unlabeled=30,
-            n_class=(5, 5, 5),
-            target_priors=(0.5, 0.4, 0.4),
-        )
         with pytest.raises(EstimationError, match="sum to 1"):
-            generate(bad, seed=0)
+            ScenarioSpec(
+                kind="multiclass_gaussian",
+                n_unlabeled=30,
+                n_class=(5, 5, 5),
+                target_priors=(0.5, 0.4, 0.4),
+            )
 
 
 class TestGenerateRegressionSine:
