@@ -48,6 +48,9 @@ SIZE_PRESETS = {
 
 _SIZED_STUDIES = ("mse", "coverage", "power", "combined", "regression")
 
+# The simulate scenarios that are not score kinds, and their ScenarioSpec kinds.
+_SCENARIO_KINDS = {"multiclass": "multiclass_gaussian", "sine": "regression_sine"}
+
 # For each command, the flags that pick a choice (its method, scenario or study)
 # and, for each optional flag, the choices that read it; any other choice refuses it.
 _READ_BY = {
@@ -301,7 +304,7 @@ def _cmd_regress(args) -> None:
     _emit_result(args, payload, lambda out: out.write(text), summary)
 
 
-def _simulate_spec(args) -> ScenarioSpec:
+def _simulate_spec(args, kind: str) -> ScenarioSpec:
     from .simulate import ScenarioSpec, table_scenario
 
     sizes = _given(args, "n_unlabeled")
@@ -312,16 +315,14 @@ def _simulate_spec(args) -> ScenarioSpec:
         sizes = {"n_unlabeled": n_unlabeled, "n_class": (n_labeled // 2, n_labeled - n_labeled // 2)}
     if args.n_class:
         sizes["n_class"] = tuple(args.n_class)
-    if args.scenario == "multiclass":
-        return ScenarioSpec(kind="multiclass_gaussian", **sizes)
-    if args.scenario == "sine":
-        return ScenarioSpec(kind="regression_sine", **sizes, **_given(args, "mu", "cycles"))
+    if args.scenario in _SCENARIO_KINDS:  # --mu and --cycles are refused for multiclass
+        return ScenarioSpec(kind=kind, **sizes, **_given(args, "mu", "cycles"))
     # a score kind: --mu sets both class means, --mean0 and --mean1 then one each
     fields = {"mean0": -args.mu, "mean1": args.mu} if args.mu is not None else {}
     fields.update(_given(args, "mean0", "mean1"))
     if args.theta:
         fields["theta"] = args.theta[0]
-    return table_scenario(args.scenario, **sizes, **fields)
+    return table_scenario(kind, **sizes, **fields)
 
 
 def _cmd_simulate(args) -> None:
@@ -333,7 +334,9 @@ def _cmd_simulate(args) -> None:
         flags.update(_given(args, thetas="theta"))
     elif args.theta and len(args.theta) > 1:
         raise EstimationError(f"the {args.study} study runs at one --theta, got {len(args.theta)}")
-    spec = _simulate_spec(args)
+    kind = _SCENARIO_KINDS.get(args.scenario, args.scenario)
+    simulate.check_study_kind(args.study, kind)
+    spec = _simulate_spec(args, kind)
     # looked up at call time, so that a wrapper bound on the module in its place runs
     run_study = getattr(simulate, f"run_{args.study}_study")
     report = run_study(spec, replicates=args.replicates, seed=args.seed, **flags)

@@ -26,9 +26,12 @@ def _clip01(x: float) -> float:
     return float(min(1.0, max(0.0, x)))
 
 
-def _single_score_column(scores: ScoredDataset, op: str) -> None:
+def _binary_scores(scores: ScoredDataset, op: str) -> None:
+    """Refuse ``scores`` unless they are one score column over two labeled classes."""
     if scores.n_score_dims != 1:
         raise EstimationError(f"{op} needs a single score column, got {scores.n_score_dims}")
+    if len(scores.classes) != 2:
+        raise EstimationError(f"{op} is binary; use multiclass_ratio for k > 1")
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ def _group_stats(g0: np.ndarray, g1: np.ndarray) -> tuple[float, float, float, f
 
 def _separation(mu0: float, mu1: float, min_denom: float) -> float:
     """mu1 - mu0, or EstimationError when it is too small to divide by."""
+    if not min_denom >= 0.0:  # a NaN or negative bound would let every denominator through
+        raise EstimationError(f"min_denom must be non-negative, got {min_denom}")
     denom = mu1 - mu0
     if abs(denom) <= min_denom:
         raise EstimationError(
@@ -114,9 +119,7 @@ def ratio_estimate(scores: ScoredDataset, min_denom: float = DEFAULT_MIN_DENOM) 
     a denominator smaller than ``min_denom`` in absolute value raises
     :class:`EstimationError`.
     """
-    _single_score_column(scores, "ratio_estimate")
-    if len(scores.classes) != 2:
-        raise EstimationError("ratio_estimate is binary; use multiclass_ratio for k > 1")
+    _binary_scores(scores, "ratio_estimate")
     mu0, mu1, var0, var1 = _group_stats(scores.classes[0], scores.classes[1])
     denom = _separation(mu0, mu1, min_denom)
     mean_unlabeled = float(scores.unlabeled.mean())
@@ -138,7 +141,11 @@ def ratio_estimate(scores: ScoredDataset, min_denom: float = DEFAULT_MIN_DENOM) 
 
 def classify_and_count(scores: ScoredDataset, threshold: float = 0.5) -> ThetaEstimate:
     """Fraction of unlabeled scores above ``threshold`` (no shift correction)."""
-    _single_score_column(scores, "classify_and_count")
+    if scores.n_score_dims != 1:
+        raise EstimationError(
+            f"classify_and_count needs a single score column, got {scores.n_score_dims}")
+    if math.isnan(threshold):  # every score compares false with NaN
+        raise EstimationError(f"the cc threshold must be a number, got {threshold}")
     frac = float(np.mean(scores.unlabeled.ravel() > threshold))
     return ThetaEstimate(theta=frac, theta_raw=frac, method="cc")
 
@@ -230,7 +237,7 @@ def empirical_mse(
     labeled sample is small relative to the unlabeled one, and it is the
     selection criterion the kernel score search minimizes.
     """
-    _single_score_column(scores, "empirical_mse")
+    _binary_scores(scores, "empirical_mse")
     return _empirical_mse_from_groups(
         scores.classes[0], scores.classes[1], theta, min_denom
     )
@@ -308,9 +315,7 @@ def em_estimate(
     class 1 is averaged.  Iteration starts at ``theta_train``, which defaults
     to the labeled class-1 share n1 / (n0 + n1).
     """
-    _single_score_column(scores, "em_estimate")
-    if len(scores.classes) != 2:
-        raise EstimationError("em_estimate is binary; use multiclass_ratio for k > 1")
+    _binary_scores(scores, "em_estimate")
     if theta_train is None:
         n0, n1 = scores.class_counts
         theta_train = n1 / (n0 + n1)

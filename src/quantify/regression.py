@@ -247,6 +247,8 @@ def cc_regress(
     bandwidth: float | str | None = None,
 ) -> RegressionCurve:
     """Classify-and-count curve: smoothed fraction of scores above a threshold."""
+    if math.isnan(threshold):  # every score compares false with NaN
+        raise EstimationError(f"the cc threshold must be a number, got {threshold}")
     grid = _validate_grid(grid)
     z, values, bandwidth = _unlabeled_pairs(data, g, bandwidth)
     indicator = (values > threshold).astype(float)

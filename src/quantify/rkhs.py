@@ -169,8 +169,8 @@ def solve_weights(
     (N + gamma I)^{-1} (mean1 - mean0) up to scale.  The sign is fixed so
     w'(mean1 - mean0) > 0.  ``n_spread`` must be d x d for means of length d.
     """
-    if gamma < 0:
-        raise EstimationError("regularization gamma must be nonnegative")
+    if not 0.0 <= gamma < np.inf:  # NaN too: it would give NaN weights, inf a NaN system
+        raise EstimationError(f"regularization gamma must be nonnegative and finite, got {gamma}")
     n_spread = np.asarray(n_spread, dtype=float)
     mean0 = np.asarray(mean0, dtype=float)
     mean1 = np.asarray(mean1, dtype=float)
@@ -273,8 +273,8 @@ def candidate_gammas(n_spread: np.ndarray, grid=None) -> tuple[float, ...]:
     unique = sorted(set(values))
     if not unique:
         raise EstimationError("empty regularization grid")
-    if unique[0] < 0:
-        raise EstimationError("regularization gamma must be nonnegative")
+    if not all(0.0 <= gamma < np.inf for gamma in unique):
+        raise EstimationError(f"regularization gamma must be nonnegative and finite, got {unique}")
     return tuple(unique)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -98,11 +99,13 @@ _STUDY_KINDS = {
 }
 
 
-def _check_kind(study: str, spec: ScenarioSpec) -> None:
+def check_study_kind(study: str, kind: str) -> None:
+    """Refuse a study on a scenario kind it has no truth for; the kind alone is needed,
+    so a caller may check before it builds the spec."""
     kinds = _STUDY_KINDS[study]
-    if spec.kind not in kinds:
+    if kind not in kinds:
         raise EstimationError(
-            f"the {study} study cannot run on the {spec.kind!r} scenario kind, only on {', '.join(kinds)}")
+            f"the {study} study cannot run on the {kind!r} scenario kind, only on {', '.join(kinds)}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,8 @@ class ScenarioSpec:
     unlabeled class-0 law away from its labeled counterpart (location for
     the gaussian kinds, rate for the exponential, first shape parameter for
     the beta); ``None`` keeps the two laws equal, under which the mixture
-    assumption holds exactly.
+    assumption holds exactly.  Every field is checked when the spec is built:
+    each number must be finite, and the kind's laws must be able to draw it.
     """
 
     kind: str
@@ -166,6 +170,11 @@ class ScenarioSpec:
                 values.append(self.gamma)  # the unlabeled class-0 law reads gamma in its place
             if any(value <= 0 for value in values):
                 raise EstimationError(row.refusal)
+        # a NaN or infinite parameter would draw non-finite scores in every replicate
+        for name, value in vars(self).items():
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise EstimationError(f"scenario field {name} must be finite, got {value}")
 
     def meta(self) -> dict:
         payload = dataclasses.asdict(self)
@@ -462,7 +471,7 @@ def run_mse_study(
     Feature column 0 is the score (binary score-level scenarios only).
     Reports a normal-approximation half-width for each MSE cell.
     """
-    _check_kind("mse", spec)
+    check_study_kind("mse", spec.kind)
     methods = list(methods)
     for method in methods:
         if method not in ("ratio", "cc", "em"):
@@ -504,7 +513,7 @@ def run_coverage_study(
     regime: str = "auto",
 ) -> ExperimentReport:
     """Coverage of the normal interval for the ratio estimate, per prevalence."""
-    _check_kind("coverage", spec)
+    check_study_kind("coverage", spec.kind)
     thetas = _distinct(thetas, "the thetas swept must be distinct")
     cells = [dataclasses.replace(spec, theta=float(theta)) for theta in thetas]
     replicate = partial(_coverage_replicate, level=level, regime=regime)
@@ -557,7 +566,7 @@ def run_power_study(
     Rejection means p-value <= alpha.  ``gammas`` defaults to the kind's
     sweep around the spec's null, :func:`null_gamma`; a repeated gamma is refused.
     """
-    _check_kind("power", spec)
+    check_study_kind("power", spec.kind)
     if not 0.0 < alpha < 1.0:
         raise EstimationError(f"alpha must be in (0, 1), got {alpha}")
     null = null_gamma(spec)
@@ -610,7 +619,7 @@ def run_combined_study(
     carried by the generator) play the role of a labeled subsample of the
     target population.  ``m = 0`` reports the ratio arm alone.
     """
-    _check_kind("combined", spec)
+    check_study_kind("combined", spec.kind)
     theta = spec.theta
     label_counts = [int(m) for m in label_counts]
     if any(m < 0 or m > spec.n_unlabeled for m in label_counts):
@@ -665,7 +674,7 @@ def run_multiclass_study(
     replicate.  Reports raw and simplex-projected MSE (squared Euclidean
     distance to the true prior vector).
     """
-    _check_kind("multiclass", spec)
+    check_study_kind("multiclass", spec.kind)
     base = np.asarray(spec.n_class, dtype=float)
     priors_labeled = tuple(base / base.sum())
     truth = np.asarray(spec.target_priors, dtype=float)
@@ -729,7 +738,7 @@ def run_regression_study(
     the scenario's sine prevalence curve evaluated on the grid, 101 points
     over [0, 1] unless ``grid`` is given.
     """
-    _check_kind("regression", spec)
+    check_study_kind("regression", spec.kind)
     grid = np.linspace(0.0, 1.0, 101) if grid is None else np.asarray(grid, dtype=float)
     truth = _sine_prevalence(grid, spec.cycles)
     replicate = partial(_regression_replicate, grid=grid, truth=truth, threshold=threshold)

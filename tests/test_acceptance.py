@@ -152,6 +152,7 @@ class TestAcceptance:
                 max_residual < 1e-8 and rayleigh_wins,
                 f"max residual {max_residual:.2e}, beats 1000 directions: {rayleigh_wins}")
 
+    @pytest.mark.slow
     def test_07_shift_test_size_and_power(self):
         """Null rejection near the 5% level; full power at the far shift.
         gamma = -2 is the default sweep's most-shifted point (the +2 side is

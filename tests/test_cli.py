@@ -583,12 +583,20 @@ def test_refused_value_exits_2_with_one_error_line(argv, message, curve_csv):
                   "--n-class", "5", "--size", "60"],
                  "levels, n_class and target_priors must agree in length",
                  id="multiclass-two-class-sizes"),
+    pytest.param(["--scenario", "multiclass", "--study", "mse", "--preset", "cancer"],
+                 "the mse study cannot run on the 'multiclass_gaussian' scenario kind, "
+                 "only on gaussian, exponential, gaussian_exponential, beta",
+                 id="multiclass-mse-preset"),
+    pytest.param(["--scenario", "gaussian", "--study", "multiclass", "--n-class", "5"],
+                 "the multiclass study cannot run on the 'gaussian' scenario kind, "
+                 "only on multiclass_gaussian", id="gaussian-multiclass-one-class-size"),
 ])
 def test_repeated_sweep_value_or_short_class_list_exits_2_before_any_replicate(
         argv, message, capsys, monkeypatch):
     """A sweep that repeats a value would print two summary rows under one key,
     and a multiclass spec with two class sizes cannot be drawn: both end with
-    exit 2 and one error line before any dataset is drawn."""
+    exit 2 and one error line before any dataset is drawn.  A study paired with
+    a scenario it has no truth for is refused before the sizes are checked."""
     from quantify import simulate
 
     drawn, generate = [], simulate.generate
@@ -641,6 +649,32 @@ OUT_OF_RANGE_BANDWIDTH = "argument --bandwidth: must be positive and finite, got
                    "the variance needs finite (mu1 - mu0)^2, var0 and var1, got inf, inf and inf",
                    id=f"{study}-mu-1e300") for study in ("coverage", "combined")),
     pytest.param(["simulate", "--study", "mse", "--replicates", "1"], None, id="mse-one-replicate"),
+    *(pytest.param([*SMALL_STUDY, *argv], message, id=name) for name, argv, message in [
+        ("mse-mu-nan", ["--study", "mse", "--mu", "nan"],
+         "scenario field mean0 must be finite, got nan"),
+        ("mse-mean1-inf", ["--study", "mse", "--mean1", "inf"],
+         "scenario field mean1 must be finite, got inf"),
+        ("regression-mu-inf", ["--scenario", "sine", "--study", "regression", "--mu", "inf"],
+         "scenario field mu must be finite, got inf"),
+        ("power-gamma-nan", [*SMALL_SHIFT_TEST, "--study", "power", "--gamma", "nan"],
+         "scenario field gamma must be finite, got nan"),
+        ("regression-threshold-nan",
+         ["--scenario", "sine", "--study", "regression", "--threshold", "nan"],
+         "the cc threshold must be a number, got nan"),
+    ]),
+    pytest.param(["estimate", "CURVE", *ESTIMATE[1:], "--method", "cc", "--threshold", "nan"],
+                 "the cc threshold must be a number, got nan", id="estimate-threshold-nan"),
+    pytest.param(["regress", "CURVE", *TestRegress.BASE, "--method", "cc", "--threshold", "nan"],
+                 "the cc threshold must be a number, got nan", id="regress-threshold-nan"),
+    *(pytest.param([*command, "--min-denom", value],
+                   f"min_denom must be non-negative, got {float(value)}",
+                   id=f"{command[0]}-min-denom-{value}")
+      for command in (["estimate", "CURVE", *ESTIMATE[1:]], ["regress", "CURVE", *TestRegress.BASE],
+                      ["select-g", "BLOBS", *TestSelectG.BASE])
+      for value in ("nan", "-1")),
+    *(pytest.param(["select-g", "BLOBS", *TestSelectG.BASE, "--gamma", value],
+                   f"regularization gamma must be nonnegative and finite, got [{value}]",
+                   id=f"select-g-gamma-{value}") for value in ("nan", "inf")),
 ])
 def test_extreme_values_are_refused_or_print_strict_json(argv, message, blobs_csv, curve_csv):
     """An extreme value either ends the process with exit 2 and one line saying

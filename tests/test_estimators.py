@@ -281,6 +281,14 @@ class TestEmpiricalMse:
         with pytest.raises(EstimationError, match="separability"):
             empirical_mse(scored([0.5], [0.2, 0.4], [0.4, 0.2]), theta=0.5)
 
+    def test_a_third_class_is_refused_not_dropped(self):
+        """The proxy is binary: a third class is refused, not silently left out."""
+        three = ScoredDataset(unlabeled=np.array([[0.5]]),
+                              classes=(np.array([[0.1], [0.2]]), np.array([[0.8], [0.9]]),
+                                       np.array([[2.0], [3.0]])))
+        with pytest.raises(EstimationError, match="empirical_mse is binary"):
+            empirical_mse(three, theta=0.5)
+
 
 class TestProjectSimplex:
     """Euclidean projection onto the probability simplex."""

@@ -328,6 +328,11 @@ class TestSolveWeights:
         with pytest.raises(EstimationError, match="nonnegative"):
             solve_weights(np.eye(2), np.zeros(2), np.ones(2), gamma=-1.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma(self, gamma):
+        with pytest.raises(EstimationError, match="nonnegative and finite"):
+            solve_weights(np.eye(2), np.zeros(2), np.ones(2), gamma=gamma)
+
     def test_singular_system(self):
         with pytest.raises(EstimationError, match="singular"):
             solve_weights(np.zeros((2, 2)), np.zeros(2), np.ones(2), gamma=0.0)

@@ -169,6 +169,35 @@ class TestGenerateBinary:
     def test_no_covariate_for_score_scenarios(self):
         assert generate(table_scenario("gaussian"), 0).covariate is None
 
+    @pytest.mark.parametrize("kind, field, message", [
+        pytest.param(kind, field, message, id=f"{kind}-{field}") for kind, fields, message in [
+            ("exponential", ("rate0", "rate1"), "exponential rates must be positive"),
+            ("gaussian_exponential", ("rate1",), "exponential rate must be positive"),
+            ("beta", ("a0", "b0", "a1", "b1"), "beta shape parameters must be positive"),
+        ] for field in fields
+    ])
+    def test_positive_fields_are_checked_when_the_spec_is_built(self, kind, field, message,
+                                                                monkeypatch):
+        drawn = []
+        monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
+        with pytest.raises(EstimationError, match=message):
+            run_mse_study(table_scenario(kind, **{field: 0.0}), thetas=[0.3], replicates=1)
+        assert drawn == []
+
+    @pytest.mark.parametrize("kind, gamma, message", [
+        ("exponential", 0.0, "exponential rates must be positive"),
+        ("beta", -1.0, "beta shape parameters must be positive"),
+    ], ids=["exponential", "beta"])
+    def test_a_non_positive_shift_is_refused_before_any_replicate(self, kind, gamma, message,
+                                                                  monkeypatch):
+        """gamma replaces a rate or shape there, so it must be positive like the field."""
+        drawn = []
+        monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
+        with pytest.raises(EstimationError, match=message):
+            run_power_study(table_scenario(kind), gammas=[1.0, gamma], replicates=1,
+                            test_replicates=5, grid_size=21)
+        assert drawn == []
+
 
 class TestGenerateMulticlass:
     SPEC = ScenarioSpec(
