@@ -1,104 +1,47 @@
 """Prevalence estimation under prior probability shift.
 
-``core`` and ``shift_test`` load with the package; every other layer loads on
-first use of one of its public names (PEP 562), so a command line run imports
-only the layers its command calls.  ``quantify.shift_test`` is the function,
-which hides the submodule of the same name.
+The package exports each layer's public names: the functions and classes the
+layer defines under a name with no leading underscore.  ``core`` and
+``shift_test`` load with the package; every other layer loads on first use
+(PEP 562), so a command line run imports only the layers its command calls.
+Listing the package (``dir``, ``__all__``, ``import *``) or asking for a name
+that no layer defines loads them all.  ``quantify.shift_test`` is the
+function, which hides the submodule of the same name.
 """
 
 import importlib
+import inspect
 
-from .core import (
-    CsvSchema,
-    DataError,
-    EstimationError,
-    ExternalScore,
-    LogisticScore,
-    RawDataset,
-    ScoreFunction,
-    ScoredDataset,
-    fit_logistic,
-    fit_logistic_ovr,
-    load_csv,
-    rng_from,
-    score_dataset,
-)
-from .shift_test import KernelDensity, ShiftTestResult, kde_fit, shift_test, t_statistic
+from .shift_test import shift_test
 
-_LAZY = {
-    "estimators": (
-        "CombinedEstimate",
-        "SimplexEstimate",
-        "ThetaEstimate",
-        "classify_and_count",
-        "combined_estimate",
-        "em_estimate",
-        "empirical_mse",
-        "multiclass_ratio",
-        "project_simplex",
-        "ratio_ci",
-        "ratio_estimate",
-        "ratio_variance",
-    ),
-    "regression": (
-        "RegressionCurve",
-        "cc_regress",
-        "cv_bandwidth",
-        "nadaraya_watson",
-        "ratio_regress",
-    ),
-    "rkhs": (
-        "KernelMatrices",
-        "KernelScore",
-        "KernelSpec",
-        "RkhsSelection",
-        "build_matrices",
-        "median_bandwidth",
-        "select_g",
-        "solve_weights",
-        "stratified_split",
-    ),
-    "simulate": (
-        "ExperimentReport",
-        "ScenarioSpec",
-        "generate",
-        "null_gamma",
-        "run_combined_study",
-        "run_coverage_study",
-        "run_mse_study",
-        "run_multiclass_study",
-        "run_power_study",
-        "run_regression_study",
-        "symmetric_gaussian",
-        "table_scenario",
-    ),
-}
-_HOME = {name: layer for layer, names in _LAZY.items() for name in names}
+__version__ = "0.1.0"
+
+_LAYERS = ("core", "shift_test", "estimators", "regression", "rkhs", "simulate")
+
+
+def _defines(layer, name: str) -> bool:
+    value = vars(layer).get(name)
+    return ((inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == layer.__name__ and not name.startswith("_"))
 
 
 def __getattr__(name: str):
-    """A lazy layer, or one of its public names, read from the layer on every access.
+    """A layer, ``__all__``, or a public name read from its layer on every access.
 
     The value is not stored here, so anything that rebinds the name in its
     layer (such as a tracing wrapper) is seen, and nothing of it is left behind.
     """
-    if name in _LAZY:
+    if name in _LAYERS:
         return importlib.import_module(f".{name}", __name__)
-    if name in _HOME:
-        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    layers = map(__getattr__, _LAYERS)  # lazy: a layer loads only when the search reaches it
+    if name == "__all__":
+        return sorted(n for layer in layers for n in vars(layer) if _defines(layer, n))
+    if not name.startswith("_"):
+        for layer in layers:
+            if _defines(layer, name):
+                return getattr(layer, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY, *_HOME})
-
-
-__version__ = "0.1.0"
-
-# The eager imports above, without the modules they bind (``core``, ``importlib``),
-# and every lazy name.
-__all__ = sorted(
-    [name for name, value in globals().items()
-     if not name.startswith("_") and not isinstance(value, type(importlib))]
-    + list(_HOME)
-)
+    return sorted({*globals(), *_LAYERS, *__getattr__("__all__")})

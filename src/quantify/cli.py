@@ -196,7 +196,7 @@ def _add_schema_flags(parser: argparse.ArgumentParser, covariate: bool = False) 
         parser.add_argument("--covariate-col", required=True, help="covariate column z")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, seed: bool = False) -> None:
     parser.add_argument(
         "--output",
         "--format",
@@ -205,7 +205,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="stdout format for scalar results",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress stdout result")
-    parser.add_argument("--seed", type=_seed_arg, default=0, help="seed for any randomized step")
+    if seed:  # only the commands with a random step read it
+        parser.add_argument("--seed", type=_seed_arg, default=0, help="seed for any randomized step")
 
 
 def _seed_arg(text: str) -> int:
@@ -370,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--replicates", "--B", type=int, default=None)
     p_test.add_argument("--grid-size", "--grid", type=int, default=None)
     p_test.add_argument("--weights", default=None, help="selection JSON from select-g")
-    _add_common_flags(p_test)
+    _add_common_flags(p_test, seed=True)
     p_test.set_defaults(func=_cmd_test_shift)
 
     p_sel = sub.add_parser("select-g", help="pick kernel score weights on labeled data")
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--gamma", "--gamma-grid", action="append", type=float, default=None)
     p_sel.add_argument("--min-denom", type=float, default=None)
     p_sel.add_argument("--out", default=None, help="write the selection JSON here")
-    _add_common_flags(p_sel)
+    _add_common_flags(p_sel, seed=True)
     p_sel.set_defaults(func=_cmd_select_g)
 
     p_reg = sub.add_parser("regress", help="prevalence curve against a covariate")
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--grid-size", type=int, default=None)
     p_sim.add_argument("--threshold", type=float, default=None)
     p_sim.add_argument("--out", default=None, help="write the study CSV here")
-    _add_common_flags(p_sim)
+    _add_common_flags(p_sim, seed=True)
     p_sim.set_defaults(func=_cmd_simulate)
 
     return parser

@@ -139,14 +139,18 @@ def ratio_estimate(scores: ScoredDataset, min_denom: float = DEFAULT_MIN_DENOM) 
     )
 
 
-def classify_and_count(scores: ScoredDataset, threshold: float = 0.5) -> ThetaEstimate:
-    """Fraction of unlabeled scores above ``threshold`` (no shift correction)."""
-    if scores.n_score_dims != 1:
-        raise EstimationError(
-            f"classify_and_count needs a single score column, got {scores.n_score_dims}")
+def _cc_indicator(scores: np.ndarray, threshold: float, op: str) -> np.ndarray:
+    """The classify-and-count rule: 1.0 where the one score column exceeds ``threshold``."""
+    if scores.shape[1] != 1:
+        raise EstimationError(f"{op} needs a single score column, got {scores.shape[1]}")
     if math.isnan(threshold):  # every score compares false with NaN
         raise EstimationError(f"the cc threshold must be a number, got {threshold}")
-    frac = float(np.mean(scores.unlabeled.ravel() > threshold))
+    return (scores.ravel() > threshold).astype(float)
+
+
+def classify_and_count(scores: ScoredDataset, threshold: float = 0.5) -> ThetaEstimate:
+    """Fraction of unlabeled scores above ``threshold`` (no shift correction)."""
+    frac = float(np.mean(_cc_indicator(scores.unlabeled, threshold, "classify_and_count")))
     return ThetaEstimate(theta=frac, theta_raw=frac, method="cc")
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EstimationError, RawDataset, ScoreFunction
-from .estimators import DEFAULT_MIN_DENOM, _separation
+from .core import EstimationError, RawDataset, ScoredDataset, ScoreFunction
+from .estimators import DEFAULT_MIN_DENOM, _cc_indicator, ratio_estimate
 
 
 def nadaraya_watson(
@@ -181,32 +181,34 @@ class RegressionCurve:
         return list(zip(self.grid.tolist(), self.values.tolist()))
 
 
-def _validate_grid(grid: np.ndarray) -> np.ndarray:
+def _curve_inputs(
+    data: RawDataset, g: ScoreFunction, grid: np.ndarray, n_classes: int
+) -> tuple[np.ndarray, np.ndarray, ScoredDataset]:
+    """The checked grid, the covariate of the unlabeled rows, and the scores of those
+    rows and of labeled classes 0 .. n_classes - 1, each group scored by its own call."""
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0 or not np.all(np.isfinite(grid)):
         raise EstimationError("evaluation grid must be nonempty and finite")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise EstimationError("evaluation grid must be strictly increasing")
-    return grid
-
-
-def _unlabeled_pairs(
-    data: RawDataset, g: ScoreFunction, bandwidth: float | str | None
-) -> tuple[np.ndarray, np.ndarray, float]:
     if data.covariate is None:
         raise EstimationError("regression needs a covariate column")
     idx = data.unlabeled_indices()
-    if idx.size == 0:
-        raise EstimationError("no unlabeled rows")
-    z = data.covariate[idx]
-    values = g.scores(data.features[idx]).ravel()
+    scores = ScoredDataset(
+        unlabeled=g.scores(data.features[idx]),
+        classes=[g.scores(data.features[data.labeled_class_indices(c)]) for c in range(n_classes)],
+    )
+    return grid, data.covariate[idx], scores
+
+
+def _bandwidth(bandwidth: float | str | None, z: np.ndarray, values: np.ndarray) -> float:
+    """A positive number as given, "cv" chosen on the unlabeled scores, or None for
+    the rule of thumb."""
     if bandwidth == "cv":
-        bandwidth = cv_bandwidth(z, values)
-    elif isinstance(bandwidth, str):
+        return cv_bandwidth(z, values)
+    if isinstance(bandwidth, str):
         raise EstimationError(f"bandwidth must be a positive number or 'cv', got {bandwidth!r}")
-    elif bandwidth is None:
-        bandwidth = _rule_of_thumb(z)
-    return z, values, float(bandwidth)
+    return _rule_of_thumb(z) if bandwidth is None else float(bandwidth)
 
 
 def ratio_regress(
@@ -218,24 +220,19 @@ def ratio_regress(
 ) -> RegressionCurve:
     """Prevalence curve: ratio correction applied to a smoothed score curve.
 
-    The class score means come from the labeled sample (they do not depend
-    on z); the local unlabeled mean of g comes from a Nadaraya-Watson
-    smoother.  The default bandwidth is sd(z) * n^(-1/5); pass "cv" for the
-    leave-one-out choice.  Values are trimmed to [0, 1].
+    The class score means and their separation come from :func:`ratio_estimate`
+    on the labeled sample (they do not depend on z); the local unlabeled mean
+    of g comes from a Nadaraya-Watson smoother.  The default bandwidth is
+    sd(z) * n^(-1/5); pass "cv" for the leave-one-out choice.  Values are
+    trimmed to [0, 1].
     """
-    grid = _validate_grid(grid)
-    if data.n_classes != 2:
+    if data.n_classes > 2:
         raise EstimationError("prevalence regression is binary")
-    labeled0 = data.labeled_class_indices(0)
-    labeled1 = data.labeled_class_indices(1)
-    if labeled0.size == 0 or labeled1.size == 0:
-        raise EstimationError("both labeled classes must be nonempty")
-    mu0 = float(g.scores(data.features[labeled0]).mean())
-    mu1 = float(g.scores(data.features[labeled1]).mean())
-    denom = _separation(mu0, mu1, min_denom)
-    z, values, bandwidth = _unlabeled_pairs(data, g, bandwidth)
-    smoothed = nadaraya_watson(z, values, bandwidth, grid)
-    curve = np.clip((smoothed - mu0) / denom, 0.0, 1.0)
+    grid, z, scores = _curve_inputs(data, g, grid, n_classes=2)
+    est = ratio_estimate(scores, min_denom)
+    bandwidth = _bandwidth(bandwidth, z, scores.unlabeled)
+    smoothed = nadaraya_watson(z, scores.unlabeled, bandwidth, grid)
+    curve = np.clip((smoothed - est.mu0) / est.denominator, 0.0, 1.0)
     return RegressionCurve(grid=grid, values=curve, bandwidth=bandwidth, method="ratio")
 
 
@@ -247,10 +244,8 @@ def cc_regress(
     bandwidth: float | str | None = None,
 ) -> RegressionCurve:
     """Classify-and-count curve: smoothed fraction of scores above a threshold."""
-    if math.isnan(threshold):  # every score compares false with NaN
-        raise EstimationError(f"the cc threshold must be a number, got {threshold}")
-    grid = _validate_grid(grid)
-    z, values, bandwidth = _unlabeled_pairs(data, g, bandwidth)
-    indicator = (values > threshold).astype(float)
+    grid, z, scores = _curve_inputs(data, g, grid, n_classes=0)
+    indicator = _cc_indicator(scores.unlabeled, threshold, "cc_regress")
+    bandwidth = _bandwidth(bandwidth, z, scores.unlabeled)
     curve = np.clip(nadaraya_watson(z, indicator, bandwidth, grid), 0.0, 1.0)
     return RegressionCurve(grid=grid, values=curve, bandwidth=bandwidth, method="cc")

@@ -38,6 +38,7 @@ from .core import (
 )
 from .estimators import (
     CombinedEstimate,
+    _cc_indicator,
     classify_and_count,
     combined_estimate,
     em_estimate,
@@ -170,6 +171,8 @@ class ScenarioSpec:
                 values.append(self.gamma)  # the unlabeled class-0 law reads gamma in its place
             if any(value <= 0 for value in values):
                 raise EstimationError(row.refusal)
+        if self.sd < 0:  # sd = 0 draws constant gaussian scores, which is allowed
+            raise EstimationError(f"scenario field sd must be non-negative, got {self.sd}")
         # a NaN or infinite parameter would draw non-finite scores in every replicate
         for name, value in vars(self).items():
             if any(isinstance(v, float) and not math.isfinite(v)
@@ -739,6 +742,7 @@ def run_regression_study(
     over [0, 1] unless ``grid`` is given.
     """
     check_study_kind("regression", spec.kind)
+    _cc_indicator(np.empty((0, 1)), threshold, "cc_regress")  # refuses a NaN before any replicate
     grid = np.linspace(0.0, 1.0, 101) if grid is None else np.asarray(grid, dtype=float)
     truth = _sine_prevalence(grid, spec.cycles)
     replicate = partial(_regression_replicate, grid=grid, truth=truth, threshold=threshold)

@@ -1,5 +1,6 @@
 """End-to-end command line tests: everything runs in-process via main()."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -543,6 +544,9 @@ ZERO_REPLICATES = [((), "mse"), ((), "coverage"), ((), "power"), ((), "combined"
                  "argument --seed: seeds must be non-negative, got -1", id="simulate-negative-seed"),
     pytest.param(["select-g", "CURVE", *TestRegress.BASE[:4], "--seed", "-1"],
                  "argument --seed: seeds must be non-negative, got -1", id="select-g-negative-seed"),
+    *(pytest.param([command, "CURVE", *base, "--seed", "7"],
+                   "unrecognized arguments: --seed 7", id=f"{command}-seed")
+      for command, base in (("estimate", TestRegress.BASE[:6]), ("regress", TestRegress.BASE))),
     pytest.param(["simulate", "--study", "mse", "--n-class", "50"],
                  "kind 'gaussian' needs 2 labeled class sizes, got 1", id="simulate-one-class-size"),
     pytest.param(["simulate", "--study", "power", "--gamma", "0", "--gamma", "0"],
@@ -917,7 +921,13 @@ def test_public_names_resolve_to_their_layers():
         value = getattr(quantify, name)
         assert vars(sys.modules[value.__module__])[name] is value is star[name]
         assert name in dir(quantify)
-    assert set(quantify.__all__) - set(vars(quantify)) == set(quantify._HOME)
+    layers = [sys.modules[f"quantify.{name}"] for name in
+              ("core", "shift_test", "estimators", "regression", "rkhs", "simulate")]
+    defined = [[name for name, value in vars(layer).items()
+                if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+                and value.__module__ == layer.__name__] for layer in layers]
+    assert sorted(sum(defined, [])) == quantify.__all__
+    assert not set(vars(quantify)) & set(sum(defined[2:], []))
     assert quantify.shift_test is sys.modules["quantify.shift_test"].shift_test
     with pytest.raises(AttributeError, match="no attribute 'nothing'"):
         quantify.nothing

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quantify import (
     EstimationError,
@@ -23,6 +25,12 @@ from quantify import (
     rng_from,
     t_statistic,
 )
+
+
+# Derandomized, so every run checks the same examples and tier-1 stays deterministic.
+EXACTNESS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+SCORE_GROUP = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40).map(np.array)
+EPS = np.finfo(float).eps
 
 
 def scored(unlabeled, class0, class1) -> ScoredDataset:
@@ -123,6 +131,35 @@ class TestRatioEstimate:
             b = rng.uniform(-10.0, 10.0)
             moved = ratio_estimate(scored(a * gu + b, a * g0 + b, a * g1 + b)).theta_raw
             np.testing.assert_allclose(moved, base, atol=1e-12)
+
+    @EXACTNESS
+    @given(SCORE_GROUP, SCORE_GROUP, SCORE_GROUP, st.floats(-5.0, 5.0))
+    def test_an_indicator_score_gives_adjusted_classify_and_count(self, gu, g0, g1, t):
+        """On the score 1{g > t} the class means are the false and true positive
+        rates, so the ratio estimate is (cc - fpr) / (tpr - fpr), bit for bit."""
+        fpr, tpr = np.mean(g0 > t), np.mean(g1 > t)
+        assume(fpr != tpr)
+        cc = classify_and_count(scored(gu, g0, g1), threshold=t).theta
+        est = ratio_estimate(scored(gu > t, g0 > t, g1 > t))
+        assert est.theta_raw == (cc - fpr) / (tpr - fpr)
+
+    @EXACTNESS
+    @given(SCORE_GROUP, SCORE_GROUP, SCORE_GROUP)
+    def test_swapping_the_labels_maps_theta_to_one_minus_theta(self, gu, g0, g1):
+        """Both estimates divide differences of the same doubles m, mu0 and mu1, and
+        fl(mu0 - mu1) = -fl(mu1 - mu0).  With p = (m - mu0) / (mu1 - mu0) and
+        q = (mu1 - m) / (mu1 - mu0), p + q = 1.  The two numerators, the two
+        quotients, the shared denominator and this test's sum are each rounded
+        once, by a factor 1 + d with |d| <= eps/2, so to first order
+        |theta + theta' - 1| <= eps * (1 + |p| + |q|); the bound doubles that to
+        cover the higher-order terms."""
+        assume(abs(g1.mean() - g0.mean()) > 1e-8)  # the separability check's default bound
+        est = ratio_estimate(scored(gu, g0, g1))
+        swapped = ratio_estimate(scored(gu, g1, g0))
+        assert (swapped.mu0, swapped.mu1) == (est.mu1, est.mu0)
+        spread = (abs(est.mean_unlabeled - est.mu0) + abs(est.mu1 - est.mean_unlabeled)) / abs(
+            est.mu1 - est.mu0)
+        assert abs(est.theta_raw + swapped.theta_raw - 1.0) <= 2 * EPS * (1 + spread)
 
     def test_requires_single_score_column(self):
         two_col = ScoredDataset(

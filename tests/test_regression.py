@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantify import (
+    DataError,
     EstimationError,
     ExternalScore,
     RawDataset,
@@ -395,6 +396,37 @@ class TestRatioRegress:
         )
         with pytest.raises(EstimationError, match="covariate"):
             ratio_regress(no_z, SCORE, grid)
+
+        one_class = RawDataset(features=[[0.0], [0.1], [0.5], [0.6]], labels=[0, 0, -1, -1],
+                               set_indicator=[1, 1, 0, 0], covariate=[0.0, 0.0, 0.2, 0.8])
+        with pytest.raises(EstimationError, match="class 1 has no labeled rows"):
+            ratio_regress(one_class, SCORE, grid)
+
+
+class Overflowing(ExternalScore):
+    """A score that is infinite on every row."""
+
+    def scores(self, features):
+        return np.full_like(super().scores(features), np.inf)
+
+
+@pytest.mark.parametrize("regress, op", [(ratio_regress, "ratio_estimate"),
+                                         (cc_regress, "cc_regress")], ids=["ratio", "cc"])
+def test_score_columns_and_values_are_checked_before_the_bandwidth_search(regress, op,
+                                                                          monkeypatch):
+    """A curve needs one finite score column (and cc a threshold) before it searches."""
+    monkeypatch.setattr(regression, "cv_bandwidth", lambda *args: pytest.fail("searched"))
+    data = covariate_dataset(np.linspace(0, 1, 10), np.linspace(0.1, 0.9, 10))
+    data = RawDataset(features=np.column_stack([data.features, data.features]), labels=data.labels,
+                      set_indicator=data.set_indicator, covariate=data.covariate)
+    grid = np.linspace(0, 1, 5)
+    with pytest.raises(EstimationError, match=f"{op} needs a single score column, got 2"):
+        regress(data, ExternalScore(columns=(0, 1)), grid, bandwidth="cv")
+    with pytest.raises(DataError, match="scores contain non-finite values"):
+        regress(data, Overflowing(columns=(0,)), grid, bandwidth="cv")
+    if regress is cc_regress:
+        with pytest.raises(EstimationError, match="the cc threshold must be a number, got nan"):
+            regress(data, SCORE, grid, threshold=math.nan, bandwidth="cv")
 
 
 class TestCcRegress:

@@ -51,6 +51,13 @@ class TestScenarioSpec:
         with pytest.raises(EstimationError, match="group sizes"):
             ScenarioSpec(kind="gaussian", n_unlabeled=10, n_class=(5, 0))
 
+    def test_a_negative_sd_is_refused_when_the_spec_is_built(self):
+        """The gaussian laws draw with scale sd: 0 gives constant scores, below 0 nothing."""
+        with pytest.raises(EstimationError, match="sd must be non-negative, got -1.0"):
+            ScenarioSpec(kind="gaussian", sd=-1.0)
+        data = generate(ScenarioSpec(kind="gaussian", n_unlabeled=10, n_class=(5, 5), sd=0.0), 0)
+        assert set(data.features[data.labeled_class_indices(1), 0]) == {2.0}
+
     def test_meta_is_plain_data(self):
         spec = table_scenario("gaussian", theta=0.3)
         meta = spec.meta()
@@ -677,6 +684,13 @@ class TestRegressionStudy:
         a = run_regression_study(self.SPEC, grid=grid, replicates=2, seed=9)
         b = run_regression_study(self.SPEC, grid=grid, replicates=2, seed=9)
         assert a.rows == b.rows
+
+    def test_a_nan_threshold_is_refused_before_any_replicate(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
+        with pytest.raises(EstimationError, match="the cc threshold must be a number, got nan"):
+            run_regression_study(self.SPEC, replicates=1, threshold=float("nan"))
+        assert drawn == []
 
     def test_wrong_kind(self):
         with pytest.raises(EstimationError, match="regression_sine"):
