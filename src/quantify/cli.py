@@ -1,9 +1,9 @@
 """Command line interface.
 
 Scalar results go to stdout as JSON with sorted keys; study and curve
-outputs go to CSV files (or stdout without ``--out``).  Nothing in the
-output depends on time, locale, or directory layout, so identical
-invocations produce byte-identical output.
+outputs go to CSV files (or stdout with ``--output csv`` and no ``--out``).
+Nothing in the output depends on time, locale, or directory layout, so
+identical invocations produce byte-identical output.
 
 Exit codes: 0 on success, 1 for input/output problems (missing files,
 unknown columns, unwritable output), 2 for statistical contract violations
@@ -124,7 +124,8 @@ def _emit(payload: dict, fmt: str, quiet: bool) -> None:
 
 
 def _emit_result(args, payload: dict, write, summary: dict) -> None:
-    """Print ``payload``, or ``write`` the ``--out`` file and print its path and ``summary``."""
+    """Print ``payload``, or ``write`` the ``--out`` file and print its path and ``summary``;
+    with ``--output csv`` and no ``--out``, ``write`` prints the file to stdout."""
     if args.out:
         try:
             with open(args.out, "w", newline="") as handle:
@@ -132,6 +133,10 @@ def _emit_result(args, payload: dict, write, summary: dict) -> None:
         except OSError as exc:
             raise DataError(f"cannot write {args.out}: {exc}") from exc
         payload = {"out": args.out, **summary}
+    elif args.output == "csv":
+        if not args.quiet:
+            write(sys.stdout)
+        return
     _emit(payload, args.output, args.quiet)
 
 
@@ -279,6 +284,8 @@ def _cmd_test_shift(args) -> None:
 def _cmd_select_g(args) -> None:
     from .rkhs import KernelSpec, select_g
 
+    if args.output == "csv" and not args.out:
+        raise EstimationError("select-g writes its selection as JSON; pass --out with --output csv")
     data = _load_data(args)
     kernel = KernelSpec(family=args.kernel, bandwidth=args.bandwidth)
     pilot = ExternalScore.from_names(args.score_col, data) if args.score_col else None

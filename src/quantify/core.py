@@ -364,11 +364,10 @@ def _fast_columns(data: bytes, header_line: int, feature_names: list[str], layou
     return feature_names, features, labels, sets, covariate
 
 
-def _exact_columns(path: str, data: bytes, schema: CsvSchema, header=None):
+def _exact_columns(path: str, data: bytes, schema: CsvSchema):
     """The feature names, features, labels, set indicators and covariate of the
     records after the header of ``data``, the bytes of ``path``, checked and
     converted one record at a time by :func:`csv.reader` and :meth:`_Layout.parse`.
-    ``header`` is what :func:`_parsed_header` gave for ``data``, if anything.
 
     The bytes are refused at the first byte that is not UTF-8 before anything
     else is checked.  Every other fault raises :class:`DataError` only after the
@@ -390,8 +389,7 @@ def _exact_columns(path: str, data: bytes, schema: CsvSchema, header=None):
             raise DataError(f"{path}: empty file")
         fault = None
         try:
-            feature_names, layout = header[2:] if header else _resolve_schema(
-                path, reader.line_num, fieldnames, schema)
+            feature_names, layout = _resolve_schema(path, reader.line_num, fieldnames, schema)
         except DataError as exc:
             fault = exc
         for row in reader:  # after a fault, the rest of the file is only read
@@ -607,7 +605,7 @@ def load_csv(path: str, schema: CsvSchema, *, cache: bool = False) -> RawDataset
     if cached is not None:
         columns = (feature_names, *cached)
     else:
-        columns = (header and _fast_columns(data, *header[1:])) or _exact_columns(path, data, schema, header)
+        columns = (header and _fast_columns(data, *header[1:])) or _exact_columns(path, data, schema)
     feature_names, features, labels, sets, covariate = columns
     dataset = RawDataset(
         features=features,

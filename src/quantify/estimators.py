@@ -20,6 +20,7 @@ import numpy as np
 from .core import EstimationError, ScoredDataset
 
 DEFAULT_MIN_DENOM = 1e-8
+_MAX_CONDITION = 1e8  # multiclass_ratio refuses a class-mean system worse conditioned than this
 
 
 def _clip01(x: float) -> float:
@@ -277,7 +278,7 @@ class SimplexEstimate:
         }
 
 
-def multiclass_ratio(scores: ScoredDataset, max_condition: float = 1e8) -> SimplexEstimate:
+def multiclass_ratio(scores: ScoredDataset) -> SimplexEstimate:
     """Prevalence vector over k+1 classes from an m >= k dimensional score.
 
     Solves the stacked least-squares system [G; 1'] theta = [g_bar; 1],
@@ -295,7 +296,7 @@ def multiclass_ratio(scores: ScoredDataset, max_condition: float = 1e8) -> Simpl
     system = np.vstack([group_means, np.ones(k_plus_one)])
     rhs = np.append(g_bar, 1.0)
     condition = float(np.linalg.cond(system))
-    if not np.isfinite(condition) or condition > max_condition:
+    if not np.isfinite(condition) or condition > _MAX_CONDITION:
         raise EstimationError(
             f"class-mean system is ill-conditioned (cond = {condition:.3e}); "
             "the score does not separate the classes"

@@ -202,8 +202,8 @@ def _curve_inputs(
 
 
 def _bandwidth(bandwidth: float | str | None, z: np.ndarray, values: np.ndarray) -> float:
-    """A positive number as given, "cv" chosen on the unlabeled scores, or None for
-    the rule of thumb."""
+    """A positive number as given, "cv" chosen on the ``values`` the curve smooths,
+    or None for the rule of thumb."""
     if bandwidth == "cv":
         return cv_bandwidth(z, values)
     if isinstance(bandwidth, str):
@@ -246,6 +246,6 @@ def cc_regress(
     """Classify-and-count curve: smoothed fraction of scores above a threshold."""
     grid, z, scores = _curve_inputs(data, g, grid, n_classes=0)
     indicator = _cc_indicator(scores.unlabeled, threshold, "cc_regress")
-    bandwidth = _bandwidth(bandwidth, z, scores.unlabeled)
+    bandwidth = _bandwidth(bandwidth, z, indicator)
     curve = np.clip(nadaraya_watson(z, indicator, bandwidth, grid), 0.0, 1.0)
     return RegressionCurve(grid=grid, values=curve, bandwidth=bandwidth, method="cc")

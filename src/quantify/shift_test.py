@@ -75,8 +75,7 @@ def t_statistic(scores: ScoredDataset, grid_size: int = 1001) -> tuple[float, fl
     weights = np.linspace(0.0, 1.0, grid_size)
 
     def distances(start: int, stop: int) -> np.ndarray:
-        rows = weights[start:stop, None]
-        return np.max(np.abs(base[None, :] + rows * delta[None, :]), axis=1)
+        return np.abs(base + weights[start:stop, None] * delta).max(axis=1)
 
     best, distance = _first_minimum(distances, grid_size, 4.0 * grid_size * np.finfo(float).eps)
     return distance, float(weights[best])
@@ -186,9 +185,9 @@ def kde_fit(values: np.ndarray) -> KernelDensity:
 class ShiftTestResult:
     """Observed statistic, best mixing weight, and the Monte Carlo p-value.
 
-    ``p_star`` is the raw minimizing mixture weight; ``theta_hat`` is the
-    prevalence actually used to redraw unlabeled replicates (``p_star``
-    clamped to [0, 1]).
+    ``p_star`` is the minimizing mixture weight and ``theta_hat`` the
+    prevalence used to redraw unlabeled replicates.  They are equal: every
+    weight of the mixture grid already lies in [0, 1].
     """
 
     statistic: float
@@ -222,7 +221,6 @@ def shift_test(
     if replicates < 1:
         raise EstimationError("need at least one Monte Carlo replicate")
     statistic, p_star = t_statistic(scores, grid_size=grid_size)
-    theta_hat = min(1.0, max(0.0, p_star))
     g0 = scores.classes[0].ravel()
     g1 = scores.classes[1].ravel()
     n0, n1, n_u = g0.size, g1.size, scores.n_unlabeled
@@ -233,7 +231,7 @@ def shift_test(
         rng = rng_from(seed, b)
         synth0 = kde0.sample(rng, n0)
         synth1 = kde1.sample(rng, n1)
-        from_class1 = rng.random(n_u) < theta_hat
+        from_class1 = rng.random(n_u) < p_star
         count1 = int(from_class1.sum())
         synth_u = np.empty(n_u)
         synth_u[from_class1] = kde1.sample(rng, count1)
@@ -245,7 +243,7 @@ def shift_test(
     return ShiftTestResult(
         statistic=statistic,
         p_star=p_star,
-        theta_hat=theta_hat,
+        theta_hat=p_star,
         p_value=exceeded / replicates,
         replicates=replicates,
         bandwidth0=kde0.bandwidth,

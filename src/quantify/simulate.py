@@ -193,17 +193,6 @@ def table_scenario(kind: str, **fields) -> ScenarioSpec:
     return ScenarioSpec(kind=kind, **{**_SCORE_TABLE[kind].canonical, **fields})
 
 
-def symmetric_gaussian(
-    theta: float,
-    n_unlabeled: int,
-    n_class: tuple[int, int],
-    mu: float = 1.0,
-) -> ScenarioSpec:
-    """Estimation scenario with score laws N(-mu, 1) and N(+mu, 1), no shift."""
-    return table_scenario("gaussian", n_unlabeled=n_unlabeled, n_class=n_class, theta=theta,
-                          mean0=-mu, mean1=mu)
-
-
 def null_gamma(spec: ScenarioSpec) -> float:
     """The gamma value under which the unlabeled class-0 law is unshifted."""
     if spec.kind not in _SCORE_TABLE:

@@ -24,7 +24,6 @@ from quantify import (
     run_power_study,
     run_regression_study,
     solve_weights,
-    symmetric_gaussian,
     table_scenario,
 )
 from quantify.cli import main
@@ -173,7 +172,8 @@ class TestAcceptance:
     def test_08_pooling_target_labels_halves_the_mse(self):
         """With m = 77 target labels the labels-only arm matches the ratio
         arm's MSE, so the pooled estimate should run at roughly half."""
-        spec = symmetric_gaussian(0.3, 300, (150, 150), mu=1.0)
+        spec = table_scenario("gaussian", theta=0.3, n_unlabeled=300, n_class=(150, 150),
+                              mean0=-1.0, mean1=1.0)
         report = run_combined_study(spec, label_counts=[77], replicates=300, seed=10)
         mse_ratio = report.value("mse_ratio", target_labels=77)
         mse_combined = report.value("mse_combined", target_labels=77)

@@ -519,6 +519,24 @@ class TestSimulate:
         assert "cannot write" in err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["regress", "CURVE", *TestRegress.BASE, "--grid", "0:1:5"], id="regress"),
+    pytest.param(["regress", "CURVE", *TestRegress.BASE, "--method", "cc", "--bandwidth", "cv"],
+                 id="regress-cc-cv"),
+    pytest.param(TestSimulate.MSE, id="simulate-mse"),
+    pytest.param(["simulate", "--scenario", "sine", "--study", "regression", "--replicates", "2",
+                  "--n-unlabeled", "60", "--n-class", "30", "--n-class", "30"], id="simulate-regression"),
+])
+def test_csv_stdout_is_the_out_file(argv, curve_csv, tmp_path, capsysbinary):
+    """Without --out, --output csv prints the file that --out writes, byte for byte."""
+    argv = [curve_csv if arg == "CURVE" else arg for arg in argv]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--output", "csv"]) == 0
+    printed = capsysbinary.readouterr().out
+    assert main([*argv, "--out", str(out)]) == 0
+    assert printed == out.read_bytes()
+
+
 ZERO_REPLICATES = [((), "mse"), ((), "coverage"), ((), "power"), ((), "combined"),
                    (("--scenario", "multiclass"), "multiclass"), (("--scenario", "sine"), "regression")]
 
@@ -562,6 +580,10 @@ ZERO_REPLICATES = [((), "mse"), ((), "coverage"), ((), "power"), ((), "combined"
                             ("regress", TestRegress.BASE))),
     pytest.param(["estimate", "CURVE", *TestRegress.BASE[:6], "--regime", "dense"],
                  "--regime is read only with --ci", id="estimate-regime-without-ci"),
+    # the data file does not exist: the refusal comes before it is read
+    pytest.param(["select-g", "missing.csv", *TestRegress.BASE[:4], "--output", "csv"],
+                 "select-g writes its selection as JSON; pass --out with --output csv",
+                 id="select-g-csv-without-out"),
 ])
 def test_refused_value_exits_2_with_one_error_line(argv, message, curve_csv):
     """A value a command cannot use ends the process with exit 2 and one line

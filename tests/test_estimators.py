@@ -31,6 +31,34 @@ from quantify import (
 EXACTNESS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 SCORE_GROUP = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40).map(np.array)
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal
+
+
+def mean_error(values) -> float:
+    """A bound on |computed mean - exact mean| of ``values``, summed in any order.
+
+    A sum of n doubles in any order is off by at most gamma_(n-1) sum |x|, with
+    gamma_k = k u / (1 - k u) and u = eps / 2, and dividing by n adds u relative
+    error, or half a subnormal below the normal range.  For the n <= 40 values
+    drawn here, n eps mean |x| plus one subnormal covers both with room to spare.
+    """
+    values = np.asarray(values, dtype=float)
+    return values.size * EPS * float(np.mean(np.abs(values))) + TINY
+
+
+def ratio_error(est, errors) -> float:
+    """A first-order bound on |est.theta_raw - theta*|, where theta* is the ratio of
+    the exact group means and ``errors`` bound how far est's unlabeled, class-0 and
+    class-1 means are from those.
+
+    theta = (m - mu0) / d with d = mu1 - mu0 moves by 1/d, (theta - 1)/d and -theta/d
+    per unit change of m, mu0 and mu1.  Its two subtractions and its division each
+    round once, which adds at most 3u |theta|, or a subnormal if the quotient underflows.
+    """
+    e_u, e_0, e_1 = errors
+    theta = est.theta_raw
+    spread = e_u + abs(theta - 1.0) * e_0 + abs(theta) * e_1
+    return spread / abs(est.denominator) + 1.5 * EPS * abs(theta) + TINY
 
 
 def scored(unlabeled, class0, class1) -> ScoredDataset:
@@ -160,6 +188,47 @@ class TestRatioEstimate:
         spread = (abs(est.mean_unlabeled - est.mu0) + abs(est.mu1 - est.mean_unlabeled)) / abs(
             est.mu1 - est.mu0)
         assert abs(est.theta_raw + swapped.theta_raw - 1.0) <= 2 * EPS * (1 + spread)
+
+    @EXACTNESS
+    @given(SCORE_GROUP, SCORE_GROUP, SCORE_GROUP, st.integers(0, 2), st.data())
+    def test_permuting_the_rows_of_one_group_moves_theta_by_at_most_the_bound(
+            self, gu, g0, g1, group, data):
+        """Row order only changes the order in which a group's mean is summed.  The
+        estimate of each order is within :func:`ratio_error` of the one theta of the
+        exact means, so the two are within the sum of their bounds; the bound doubles
+        that sum to cover the higher-order terms."""
+        groups = [gu, g0, g1]
+        moved = list(groups)
+        moved[group] = groups[group][data.draw(st.permutations(range(groups[group].size)))]
+        assume(min(abs(g1.mean() - g0.mean()), abs(moved[2].mean() - moved[1].mean())) > 1e-8)
+        est = ratio_estimate(scored(*groups))
+        permuted = ratio_estimate(scored(*moved))
+        errors = [mean_error(g) for g in groups]
+        bound = 2 * (ratio_error(est, errors) + ratio_error(permuted, errors))
+        assert abs(permuted.theta_raw - est.theta_raw) <= bound
+
+    @EXACTNESS
+    @given(SCORE_GROUP, SCORE_GROUP, SCORE_GROUP, st.floats(0.01, 100.0), st.booleans(),
+           st.floats(-100.0, 100.0))
+    def test_an_affine_map_of_the_score_moves_theta_by_at_most_the_bound(
+            self, gu, g0, g1, scale, flip, shift):
+        """In exact arithmetic a g + b has the same theta as g for any a != 0.  The
+        computed map fl(fl(a g) + b) rounds each value twice, by at most
+        u (|a g| + |a g + b|), so a mapped group's computed mean is within
+        mean_error(a g + b) + eps mean(|a g| + |a g + b|) of a m + b, m the exact mean
+        of g.  Each estimate is then within :func:`ratio_error` of the one exact theta,
+        and the bound doubles the sum of the two to cover the higher-order terms."""
+        a = -scale if flip else scale
+        groups = [gu, g0, g1]
+        mapped = [a * g + shift for g in groups]
+        assume(min(abs(g1.mean() - g0.mean()), abs(mapped[2].mean() - mapped[1].mean())) > 1e-8)
+        est = ratio_estimate(scored(*groups))
+        moved = ratio_estimate(scored(*mapped))
+        errors = [mean_error(g) for g in groups]
+        mapped_errors = [mean_error(y) + EPS * float(np.mean(np.abs(a * g) + np.abs(y)))
+                         for g, y in zip(groups, mapped)]
+        bound = 2 * (ratio_error(est, errors) + ratio_error(moved, mapped_errors))
+        assert abs(moved.theta_raw - est.theta_raw) <= bound
 
     def test_requires_single_score_column(self):
         two_col = ScoredDataset(
@@ -368,6 +437,31 @@ class TestProjectSimplex:
             best = grid3[np.argmin(np.sum((grid3 - v) ** 2, axis=1))]
             assert np.linalg.norm(p - best) <= 2.0 / steps
 
+    @EXACTNESS
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12).map(np.array))
+    def test_kkt_conditions(self, v):
+        """The projection is p = max(v - tau, 0) for the one tau with sum p = 1.
+
+        Where p_i > 0 it is fl(v_i - tau), so t_i = fl(v_i - p_i) is within
+        u (|t_i| + p_i) of tau to first order; the test allows eps (|t_i| + p_i), and
+        some tau must lie in every such interval and be at least each v_j with p_j = 0.
+        With S the k entries above tau, tau comes from a running sum of S, off by at most
+        (k - 1) u sum_S |v|, then a subtraction and a division, which move the sum of
+        the k terms v_i - tau by 2u k |tau|; rounding each p_i adds u in total and
+        summing them (n - 1) u.  So |sum p - 1| <= u (n + (k - 1) sum_S |v| + 2 k |tau|)
+        to first order, which is n eps / 2 for entries near zero.  The test doubles it
+        and takes k = n and S = all entries, which only widens it."""
+        p = project_simplex(v)
+        assert np.all(p >= 0.0)
+        inside = p > 0.0
+        t = v[inside] - p[inside]
+        slack = EPS * (np.abs(t) + p[inside])
+        lo, hi = np.max(t - slack), np.min(t + slack)
+        assert lo <= hi
+        assert np.all(v[~inside] <= hi)
+        n = v.size
+        assert abs(p.sum() - 1.0) <= EPS * (n + (n - 1) * np.abs(v).sum() + 2 * n * abs(hi))
+
     def test_rejects_non_finite_input(self):
         with pytest.raises(EstimationError, match="finite"):
             project_simplex([np.inf, 0.0])
@@ -402,6 +496,32 @@ class TestMulticlassRatio:
             vector = multiclass_ratio(rows)
             np.testing.assert_allclose(vector.theta_raw[1], single.theta_raw, atol=1e-12)
             np.testing.assert_allclose(vector.theta_raw.sum(), 1.0, atol=1e-12)
+
+    @EXACTNESS
+    @given(SCORE_GROUP, SCORE_GROUP, SCORE_GROUP)
+    def test_two_classes_match_ratio_estimate_within_the_bound(self, gu, g0, g1):
+        """On two classes the system [mu0 mu1; 1 1] theta = [m; 1] is square, and its
+        exact solution has theta_1 = (m - mu0) / (mu1 - mu0), the ratio estimate.
+
+        The multiclass path computes its means along axis 0, so the bound counts
+        :func:`ratio_error` against the theta of the exact means once per method.  The SVD
+        least-squares solve is backward stable: for a system with zero residual, LAPACK's
+        error bound is p(n) u 2 kappa ||theta||, kappa the condition number that
+        multiclass_ratio keeps at most 1e8, with p(n) a modest function of n, taken as
+        4 for n = 2.  The bound doubles the sum of the three to cover the
+        higher-order terms."""
+        assume(abs(g1.mean() - g0.mean()) > 1e-8)
+        rows = scored(gu, g0, g1)
+        try:
+            vector = multiclass_ratio(rows)
+        except EstimationError:
+            assume(False)  # the class-mean system is too ill-conditioned to solve
+        est = ratio_estimate(rows)
+        errors = [mean_error(g) for g in (gu, g0, g1)]
+        kappa = np.linalg.cond([[est.mu0, est.mu1], [1.0, 1.0]])
+        solve = 4 * EPS * kappa * np.linalg.norm(vector.theta_raw)
+        bound = 2 * (2 * ratio_error(est, errors) + solve)
+        assert abs(vector.theta_raw[1] - est.theta_raw) <= bound
 
     def test_projection_and_residual_are_consistent(self):
         rows = scored([2.5, 2.5], [0.0, 0.0], [2.0, 2.0])

@@ -456,6 +456,17 @@ class TestCcRegress:
         assert curve.values.max() - curve.values.min() < 0.25
         assert abs(curve.values.mean() - 0.4) < 0.1
 
+    def test_cv_bandwidth_is_chosen_on_the_smoothed_indicator(self):
+        """The curve smooths 1{g > threshold}, so cross-validation predicts that, not g;
+        on these data the two choices differ."""
+        rng = rng_from(20)
+        z = rng.random(500)
+        g = z + rng.normal(size=500)
+        curve = cc_regress(covariate_dataset(z, g), SCORE, np.linspace(0, 1, 5), threshold=0.0,
+                           bandwidth="cv")
+        assert curve.bandwidth == cv_bandwidth(z, (g > 0.0).astype(float))
+        assert curve.bandwidth != cv_bandwidth(z, g)
+
 
 class TestSineScenarioSmoke:
     def test_single_seed_curve_recovery(self):

@@ -24,7 +24,6 @@ from quantify import (
     run_multiclass_study,
     run_power_study,
     run_regression_study,
-    symmetric_gaussian,
     table_scenario,
 )
 from quantify import simulate
@@ -79,10 +78,6 @@ class TestTableScenario:
     def test_unknown_table_kind(self):
         with pytest.raises(EstimationError, match="canonical"):
             table_scenario("multiclass_gaussian")
-
-    def test_symmetric_gaussian(self):
-        spec = symmetric_gaussian(0.3, 300, (150, 150), mu=1.5)
-        assert (spec.mean0, spec.mean1, spec.theta) == (-1.5, 1.5, 0.3)
 
     def test_null_gamma(self):
         assert null_gamma(table_scenario("gaussian")) == 0.0
@@ -339,13 +334,16 @@ SMALL_STUDIES = {
         table_scenario("beta", n_unlabeled=60, n_class=(30, 30)),
         thetas=[0.2, 0.5], methods=["ratio", "cc", "em"], replicates=3, seed=4),
     "coverage": lambda: run_coverage_study(
-        symmetric_gaussian(0.3, 60, (30, 30)), thetas=[0.3, 0.6], level=0.9,
-        replicates=3, seed=1),
+        table_scenario("gaussian", theta=0.3, n_unlabeled=60, n_class=(30, 30),
+                       mean0=-1.0, mean1=1.0),
+        thetas=[0.3, 0.6], level=0.9, replicates=3, seed=1),
     "power": lambda: run_power_study(
         table_scenario("gaussian", n_unlabeled=80, n_class=(40, 40)), gammas=[0.0, -2.0],
         alpha=0.05, replicates=2, test_replicates=11, seed=6, grid_size=51),
     "combined": lambda: run_combined_study(
-        symmetric_gaussian(0.3, 60, (30, 30)), label_counts=[0, 10, 20], replicates=3, seed=2),
+        table_scenario("gaussian", theta=0.3, n_unlabeled=60, n_class=(30, 30),
+                       mean0=-1.0, mean1=1.0),
+        label_counts=[0, 10, 20], replicates=3, seed=2),
     "multiclass": lambda: run_multiclass_study(
         ScenarioSpec(kind="multiclass_gaussian", n_unlabeled=90, n_class=(30, 30, 30)),
         sizes=[60, 90], replicates=2, seed=1),
@@ -509,7 +507,8 @@ class TestCoverageStudy:
         assert report.value("mean_width", theta=0.4) > 0.0
 
     def test_nominal_coverage_is_roughly_met(self):
-        spec = symmetric_gaussian(0.3, 400, (200, 200))
+        spec = table_scenario("gaussian", theta=0.3, n_unlabeled=400, n_class=(200, 200),
+                              mean0=-1.0, mean1=1.0)
         report = run_coverage_study(spec, thetas=[0.3], level=0.95,
                                     replicates=40, seed=3)
         assert report.value("coverage", theta=0.3) >= 0.85
@@ -559,7 +558,8 @@ class TestPowerStudy:
     @pytest.mark.parametrize("spec, gammas", [
         pytest.param(SPEC, [0.0, -2.0, 0.0], id="given-twice"),
         # offsets of -2..1 vanish next to a null of -1e300
-        pytest.param(symmetric_gaussian(0.6, 80, (40, 40), mu=1e300), None, id="default-sweep"),
+        pytest.param(table_scenario("gaussian", theta=0.6, n_unlabeled=80, n_class=(40, 40),
+                                    mean0=-1e300, mean1=1e300), None, id="default-sweep"),
     ])
     def test_repeated_gamma_is_refused_before_any_replicate(self, spec, gammas, monkeypatch):
         """Two cells at one gamma would print the same row twice."""
@@ -571,10 +571,12 @@ class TestPowerStudy:
 
 
 @pytest.mark.parametrize("run_study, message", [
-    pytest.param(lambda: run_mse_study(symmetric_gaussian(0.3, 60, (30, 30)), thetas=[0.2, 0.4, 0.2],
-                                       replicates=1),
+    pytest.param(lambda: run_mse_study(table_scenario("gaussian", theta=0.3, n_unlabeled=60,
+                                                      n_class=(30, 30), mean0=-1.0, mean1=1.0),
+                                       thetas=[0.2, 0.4, 0.2], replicates=1),
                  "the thetas swept must be distinct, got [0.2, 0.4, 0.2]", id="mse-thetas"),
-    pytest.param(lambda: run_coverage_study(symmetric_gaussian(0.3, 60, (30, 30)),
+    pytest.param(lambda: run_coverage_study(table_scenario("gaussian", theta=0.3, n_unlabeled=60,
+                                                           n_class=(30, 30), mean0=-1.0, mean1=1.0),
                                             thetas=[0.3, 0.3], replicates=1),
                  "the thetas swept must be distinct, got [0.3, 0.3]", id="coverage-thetas"),
     pytest.param(lambda: run_multiclass_study(TestMulticlassStudy.SPEC, sizes=[60, 60],
@@ -596,7 +598,8 @@ def test_repeated_sweep_value_is_refused_before_any_replicate(run_study, message
 
 class TestCombinedStudy:
     def test_label_free_cells_report_only_the_ratio_arm(self):
-        spec = symmetric_gaussian(0.3, 60, (40, 40))
+        spec = table_scenario("gaussian", theta=0.3, n_unlabeled=60, n_class=(40, 40),
+                              mean0=-1.0, mean1=1.0)
         report = run_combined_study(spec, label_counts=[0, 20], replicates=6, seed=2)
         zero = report.cell(target_labels=0)
         assert zero[3] is None and zero[4] is None
@@ -608,20 +611,23 @@ class TestCombinedStudy:
     def test_labels_arm_matches_subsampling_variance(self):
         """First-m labels of a shuffled exact mixture form a without-
         replacement sample, so MSE(labels) tracks theta(1-theta)/m."""
-        spec = symmetric_gaussian(0.3, 300, (50, 50))
+        spec = table_scenario("gaussian", theta=0.3, n_unlabeled=300, n_class=(50, 50),
+                              mean0=-1.0, mean1=1.0)
         report = run_combined_study(spec, label_counts=[40], replicates=60, seed=3)
         mse_labels = report.value("mse_labels", target_labels=40)
         assert 0.002 <= mse_labels <= 0.011
 
     def test_count_bounds(self):
-        spec = symmetric_gaussian(0.3, 30, (10, 10))
+        spec = table_scenario("gaussian", theta=0.3, n_unlabeled=30, n_class=(10, 10),
+                              mean0=-1.0, mean1=1.0)
         with pytest.raises(EstimationError, match="label counts"):
             run_combined_study(spec, label_counts=[31], replicates=1, seed=0)
         with pytest.raises(EstimationError, match="label counts"):
             run_combined_study(spec, label_counts=[-1], replicates=1, seed=0)
 
     def test_repeated_label_count(self):
-        spec = symmetric_gaussian(0.3, 30, (10, 10))
+        spec = table_scenario("gaussian", theta=0.3, n_unlabeled=30, n_class=(10, 10),
+                              mean0=-1.0, mean1=1.0)
         with pytest.raises(EstimationError, match="once"):
             run_combined_study(spec, label_counts=[10, 0, 10], replicates=1, seed=0)
 
