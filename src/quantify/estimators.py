@@ -88,10 +88,19 @@ class ThetaEstimate:
         return payload
 
 
+def _mean(scores: np.ndarray, group: str) -> float:
+    """The mean of ``scores``, or EstimationError when their sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is refused below
+        mean = float(scores.mean())
+    if not math.isfinite(mean):
+        raise EstimationError(f"the {group} score mean is not finite: the sum of its scores overflows")
+    return mean
+
+
 def _group_stats(g0: np.ndarray, g1: np.ndarray) -> tuple[float, float, float, float]:
     g0 = g0.ravel()
     g1 = g1.ravel()
-    mu0, mu1 = float(g0.mean()), float(g1.mean())
+    mu0, mu1 = _mean(g0, "class 0"), _mean(g1, "class 1")
     # 1/n normalization: keeps the plug-in identities with the kernel
     # objective exact and is harmless at the sample sizes quantification uses.
     with np.errstate(over="ignore"):  # an infinite variance is refused by ratio_variance
@@ -117,13 +126,13 @@ def ratio_estimate(scores: ScoredDataset, min_denom: float = DEFAULT_MIN_DENOM) 
 
     theta_raw = (mean of g on unlabeled - mu0) / (mu1 - mu0), trimmed to
     [0, 1].  Scores whose class means coincide cannot separate the classes;
-    a denominator smaller than ``min_denom`` in absolute value raises
-    :class:`EstimationError`.
+    a denominator smaller than ``min_denom`` in absolute value, or a class
+    or unlabeled mean whose sum overflows, raises :class:`EstimationError`.
     """
     _binary_scores(scores, "ratio_estimate")
     mu0, mu1, var0, var1 = _group_stats(scores.classes[0], scores.classes[1])
     denom = _separation(mu0, mu1, min_denom)
-    mean_unlabeled = float(scores.unlabeled.mean())
+    mean_unlabeled = _mean(scores.unlabeled, "unlabeled")
     theta_raw = (mean_unlabeled - mu0) / denom
     return ThetaEstimate(
         theta=_clip01(theta_raw),

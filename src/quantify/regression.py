@@ -51,9 +51,12 @@ _CV_REACH = 40.0  # bandwidths; farther apart, -0.5 * (d / h) ** 2 < -800 and ex
 
 def _rule_of_thumb(z: np.ndarray) -> float:
     """The default bandwidth sd(z) * n^(-1/5)."""
-    spread = float(np.std(z, ddof=1)) if z.size > 1 else 0.0
+    with np.errstate(over="ignore"):  # an infinite sd is refused below
+        spread = float(np.std(z, ddof=1)) if z.size > 1 else 0.0
     if spread <= 0.0:
         raise EstimationError("covariate has no spread; pass a bandwidth explicitly")
+    if not math.isfinite(spread):
+        raise EstimationError("the covariate's sd overflows; pass a bandwidth explicitly")
     return spread * z.size ** (-0.2)
 
 
@@ -85,7 +88,9 @@ def cv_bandwidth(z: np.ndarray, values: np.ndarray, candidates=None) -> float:
     for h, err in zip(hs, _cv_errors(z, values, hs)):
         if err < best_err:
             best_h, best_err = h, err
-    return float(best_h)
+    if best_h is None:
+        raise EstimationError("no bandwidth candidate has a finite error")
+    return best_h
 
 
 def _shared_bases(hs: list[float]) -> tuple[list[float], list[float]]:
@@ -164,7 +169,8 @@ def _cv_errors(z: np.ndarray, values: np.ndarray, hs: list[float]) -> np.ndarray
             gaps = np.abs(z[stranded, None] - z[None, :])
             gaps[np.arange(stranded.size), stranded] = np.inf
             preds[stranded] = values[gaps.argmin(axis=1)]
-        errors[c] = np.sum((preds - values) ** 2)
+        with np.errstate(over="ignore"):  # an infinite error never wins the choice
+            errors[c] = np.sum((preds - values) ** 2)
     return errors
 
 

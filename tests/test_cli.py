@@ -256,6 +256,12 @@ class TestTestShift:
         payload = run_json(self.base(eight_csv) + ["--B", "1"], capsys)
         assert payload["p_value"] in (0.0, 1.0)
 
+    def test_huge_grid_runs_in_memory_linear_in_the_rows(self, eight_csv, capsys):
+        """No grid array is built, so 10**12 weights cost what 101 do."""
+        args = self.base(eight_csv)[:-1] + ["1000000000000", "--B", "5"]
+        payload = run_json(args, capsys)
+        assert payload["replicates"] == 5 and 0.0 <= payload["p_star"] <= 1.0
+
     def test_grid_alias(self, eight_csv, capsys):
         args = ["test-shift", eight_csv, "--set-col", "s", "--label-col", "y",
                 "--score-col", "g", "--B", "10", "--grid", "101", "--seed", "3"]
@@ -649,6 +655,15 @@ def test_multiclass_scenario_meta_keeps_its_default_class_sizes(capsys):
     }
 
 
+# finite cells whose sums or squares overflow, keyed by the placeholder an argv names them by
+EXTREME_CSV = {
+    "HUGE_CLASS_MEAN": "s,y,g\n1,0,1.7e308\n1,0,1.7e308\n1,1,-1.7e308\n1,1,1\n0,,0.5\n",
+    "HUGE_UNLABELED_MEAN": "s,y,g\n1,0,0\n1,0,0.2\n1,1,1\n1,1,0.9\n0,,1.7e308\n0,,1.7e308\n",
+    "HUGE_CV_ERRORS": "s,y,g,z\n1,0,-1e300,0\n1,1,1e300,0\n"
+                      + "".join(f"0,,{(-1) ** i}e300,{i / 11}\n" for i in range(12)),
+    "HUGE_COVARIATE": "s,y,g,z\n1,0,0,0\n1,1,1,0\n"
+                      + "".join(f"0,,{i % 2},{(-1) ** i}e300\n" for i in range(12)),
+}
 SMALL_STUDY = ["simulate", "--replicates", "2", "--n-unlabeled", "100"]
 SMALL_SHIFT_TEST = ["--test-replicates", "5", "--grid-size", "21"]
 OUT_OF_RANGE_BANDWIDTH = "argument --bandwidth: must be positive and finite, got "
@@ -701,12 +716,29 @@ OUT_OF_RANGE_BANDWIDTH = "argument --bandwidth: must be positive and finite, got
     *(pytest.param(["select-g", "BLOBS", *TestSelectG.BASE, "--gamma", value],
                    f"regularization gamma must be nonnegative and finite, got [{value}]",
                    id=f"select-g-gamma-{value}") for value in ("nan", "inf")),
+    *(pytest.param([command, name, "--set-col", "s", "--label-col", "y", "--score-col", "g",
+                    *extra], message, id=name.lower().replace("_", "-"))
+      for command, name, extra, message in [
+          ("estimate", "HUGE_CLASS_MEAN", [],
+           "the class 0 score mean is not finite: the sum of its scores overflows"),
+          ("estimate", "HUGE_UNLABELED_MEAN", [],
+           "the unlabeled score mean is not finite: the sum of its scores overflows"),
+          ("regress", "HUGE_CV_ERRORS", ["--covariate-col", "z", "--bandwidth", "cv"],
+           "no bandwidth candidate has a finite error"),
+          ("regress", "HUGE_COVARIATE", ["--covariate-col", "z"],
+           "the covariate's sd overflows; pass a bandwidth explicitly"),
+      ]),
 ])
-def test_extreme_values_are_refused_or_print_strict_json(argv, message, blobs_csv, curve_csv):
+def test_extreme_values_are_refused_or_print_strict_json(argv, message, blobs_csv, curve_csv,
+                                                         tmp_path):
     """An extreme value either ends the process with exit 2 and one line saying
     why (``message``), or runs to exit 0 with stdout that strict JSON accepts,
     undefined values as null; neither writes a traceback or a warning."""
-    argv = [{"BLOBS": blobs_csv, "CURVE": curve_csv}.get(arg, arg) for arg in argv]
+    paths = {"BLOBS": blobs_csv, "CURVE": curve_csv}
+    for name, text in EXTREME_CSV.items():
+        paths[name] = tmp_path / f"{name.lower()}.csv"
+        paths[name].write_text(text)
+    argv = [str(paths.get(arg, arg)) for arg in argv]
     src = str(Path(quantify.__file__).parents[1])
     done = subprocess.run([sys.executable, "-m", "quantify.cli", *argv], capture_output=True,
                           text=True, timeout=120,

@@ -126,6 +126,16 @@ class TestRatioEstimate:
         with pytest.raises(EstimationError, match="separability violated"):
             ratio_estimate(scored([0.5], [0.4, 0.6], [0.6, 0.4]))
 
+    @pytest.mark.parametrize("group, blocks", [
+        ("class 0", ([0.5], [1.7e308, 1.7e308], [0.0, 1.0])),
+        ("class 1", ([0.5], [0.0, 1.0], [-1.7e308, -1.7e308])),
+        ("unlabeled", ([1.7e308, 1.7e308], [0.0, 0.2], [1.0, 0.9])),
+    ])
+    def test_a_mean_whose_sum_overflows_is_refused(self, group, blocks):
+        """Finite scores of 1.7e308 sum to inf: a NaN denominator once gave theta 0.0."""
+        with pytest.raises(EstimationError, match=f"^the {group} score mean is not finite"):
+            ratio_estimate(scored(*blocks))
+
     def test_fisher_consistency_on_exact_mixtures(self):
         """Unlabeled groups mixed in exact proportion recover theta exactly.
 

@@ -303,6 +303,10 @@ class TestCvBandwidth:
             cv_bandwidth(np.linspace(0, 1, 5), np.zeros(5), candidates=[np.nan])
         with pytest.raises(EstimationError, match="no spread"):
             cv_bandwidth(np.zeros(5), np.arange(5.0))
+        with pytest.raises(EstimationError, match="sd overflows"):
+            cv_bandwidth(np.array([-1e300, 1e300, -1e300, 1e300]), np.arange(4.0))
+        with pytest.raises(EstimationError, match="no bandwidth candidate has a finite error"):
+            cv_bandwidth(np.linspace(0, 1, 6), np.array([1e300, -1e300] * 3))
 
     @pytest.mark.parametrize("candidates", [None, [0.1, 0.3]])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

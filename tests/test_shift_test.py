@@ -17,7 +17,7 @@ from quantify import (
     t_statistic,
 )
 from quantify.core import _middle
-from quantify.shift_test import _first_minimum, _quartiles
+from quantify.shift_test import _quartiles
 
 # Derandomized, so every run checks the same examples and tier-1 stays deterministic.
 EXACTNESS = settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -38,17 +38,22 @@ def ecdf_values(sample: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def dense_t(g0, g1, gu, grid_size):
-    """The full grid x points scan: the reference ``t_statistic`` must equal bit for bit."""
+    """The full grid x points scan in integers, each quotient rounded once: the
+    reference ``t_statistic`` must equal bit for bit.
+
+    At w_j = j / s, s = G - 1, the distance times L = n0 n1 n_u s is
+    |(s - j) c0 n1 n_u + j c1 n0 n_u - s cu n0 n1| for the ``searchsorted``
+    counts c; at most 60**3 * 1000 here, so int64 is exact.
+    """
     points = np.unique(np.concatenate([g0, g1, gu]))
-    f0 = ecdf_values(g0, points)
-    f1 = ecdf_values(g1, points)
-    fu = ecdf_values(gu, points)
-    base = f0 - fu
-    delta = f1 - f0
-    weights = np.linspace(0.0, 1.0, grid_size)
-    distances = np.max(np.abs(base[None, :] + weights[:, None] * delta[None, :]), axis=1)
-    best = int(np.argmin(distances))
-    return float(distances[best]), float(weights[best])
+    c0, c1, cu = (np.searchsorted(np.sort(g), points, side="right") for g in (g0, g1, gu))
+    n0, n1, n_u = g0.size, g1.size, gu.size
+    steps = grid_size - 1
+    j = np.arange(grid_size)[:, None]
+    numerators = np.abs((steps - j) * (c0 * n1 * n_u) + j * (c1 * n0 * n_u)
+                        - steps * (cu * n0 * n1)).max(axis=1)
+    best = int(np.argmin(numerators))
+    return int(numerators[best]) / (n0 * n1 * n_u * steps), float(np.linspace(0.0, 1.0, grid_size)[best])
 
 
 @st.composite
@@ -174,17 +179,6 @@ class TestTStatistic:
         with pytest.raises(DataError, match="^scores contain non-finite values$"):
             scored(*blocks)
 
-    @EXACTNESS
-    @given(size=st.integers(2, 300), centre=st.floats(0.0, 1.0), flat=st.integers(0, 40),
-           seed=st.integers(0, 2**32 - 1))
-    def test_rounding_guard_finds_the_first_minimum(self, size, centre, flat, seed):
-        """Noise as large as the slope puts false minima beside the true one;
-        with tol >= 4 x the noise the search still returns the first argmin."""
-        steps = np.abs(np.arange(size) - centre * size) - flat
-        values = 1e-3 * np.maximum(steps, 0.0) + 1e-3 * rng_from(seed).uniform(-1.0, 1.0, size)
-        found = _first_minimum(lambda start, stop: values[start:stop], size, tol=5e-3)
-        assert found == (int(np.argmin(values)), float(values.min()))
-
     def test_memory_is_linear_in_the_pooled_sample(self):
         """A grid x points matrix at n_u = 10 000 and G = 1001 would take 159 MiB."""
         rng = rng_from(63)
@@ -204,6 +198,31 @@ class TestTStatistic:
         _, p_star = t_statistic(rows)
         assert p_star == 0.0
 
+    def test_exact_tie_goes_to_the_smallest_weight(self):
+        """Against classes {1} and {1,0,0}, the unlabeled {0,0,1,1} is at distance
+        |2w/3 - 1/2| from the mixture at weight w: exactly 1/6 at w = 1/2 and at w = 1.
+        In floats 2/3 rounds down, so the distance comes out as 0.16666666666666669
+        at w = 1/2 and 0.16666666666666663 at w = 1, and a float scan picks w = 1."""
+        rows = scored([0.0, 0.0, 1.0, 1.0], [1.0], [1.0, 0.0, 0.0])
+        assert t_statistic(rows, grid_size=3) == (1.0 / 6.0, 0.5)
+
+    @pytest.mark.parametrize("grid_size", [3 * 10**11 + 1, 3 * 2**61 + 1])
+    def test_huge_grid_needs_no_grid_memory(self, grid_size):
+        """The hand case's minimizer 1/3 is the weight j = (G - 1) / 3; L = 2 (G - 1)
+        is below 2**61 at the first size and above it at the second."""
+        rows = scored([0.0, 2.0], [0.0, 1.0], [2.0, 3.0])
+        tracemalloc.start()
+        try:
+            t, p_star = t_statistic(rows, grid_size=grid_size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        steps = grid_size - 1
+        assert t == 1.0 / 6.0
+        assert p_star == steps // 3 * (1.0 / steps)  # linspace's j * step
+        assert abs(p_star - 1.0 / 3.0) <= 1e-16
+        assert peak < 8 * 2**20
+
     def test_two_point_grid(self):
         rows = scored([0.0, 2.0], [0.0, 1.0], [2.0, 3.0])
         t, p_star = t_statistic(rows, grid_size=2)
@@ -215,6 +234,8 @@ class TestTStatistic:
         rows = scored([0.5], [0.0], [1.0])
         with pytest.raises(EstimationError, match="at least 2"):
             t_statistic(rows, grid_size=1)
+        with pytest.raises(TypeError, match="integer"):
+            t_statistic(rows, grid_size=4.0)
         with pytest.raises(EstimationError, match="no unlabeled"):
             t_statistic(scored(np.empty(0), [0.0], [1.0]))
         with pytest.raises(EstimationError, match="class 1 has no labeled rows"):
