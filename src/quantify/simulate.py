@@ -53,11 +53,10 @@ from .shift_test import shift_test
 
 class _ScoreKind(NamedTuple):
     canonical: dict  # what table_scenario sets beyond ScenarioSpec's defaults
-    shifted: str  # the field gamma replaces in the unlabeled class-0 law; its value is the null
+    null: float | None  # the class-0 law parameter gamma replaces; None: the spec's mean0
     power_offsets: tuple[float, ...]  # the power study's default sweep, as gamma - null
-    laws: tuple  # the class-0 and class-1 score laws, each law(spec, rng, n) -> n draws
-    positive: tuple[str, ...] = ()  # the fields the laws need positive, gamma included if shifted
-    refusal: str = ""  # the message when one of them is not
+    laws: tuple  # the class-0 law(rng, n, null or gamma) and class-1 law(rng, n, spec) -> n draws
+    refusal: str = ""  # the message when gamma is not positive; empty: any finite gamma will do
 
 
 # Default shift sweeps put the null at an interior point with a unique
@@ -66,26 +65,27 @@ class _ScoreKind(NamedTuple):
 # the class-1 law (gaussian gamma=2, exponential gamma=5): there the
 # unlabeled sample is again an exact mixture, so the test correctly loses power.
 _SCORE_TABLE = {
-    "gaussian": _ScoreKind({}, "mean0", (-2.0, -1.0, 0.0, 1.0), (
-        lambda spec, rng, n: rng.normal(spec.mean0, spec.sd, n),
-        lambda spec, rng, n: rng.normal(spec.mean1, spec.sd, n),
-    )),
-    "exponential": _ScoreKind({}, "rate0", (-0.75, -0.5, 0.0, 1.0, 2.0), (
-        lambda spec, rng, n: rng.exponential(1.0 / spec.rate0, n),
-        lambda spec, rng, n: rng.exponential(1.0 / spec.rate1, n),
-    ), ("rate0", "rate1"), "exponential rates must be positive"),
-    "gaussian_exponential": _ScoreKind(
-        {"mean0": 1.0, "rate1": 1.0}, "mean0", (-2.0, -1.0, 0.0, 1.0, 2.0), (
-            lambda spec, rng, n: rng.normal(spec.mean0, spec.sd, n),
-            lambda spec, rng, n: rng.exponential(1.0 / spec.rate1, n),
-        ), ("rate1",), "exponential rate must be positive"),
-    "beta": _ScoreKind({}, "a0", (-0.75, -0.5, 0.0, 1.0, 2.0), (
-        lambda spec, rng, n: rng.beta(spec.a0, spec.b0, n),
-        lambda spec, rng, n: rng.beta(spec.a1, spec.b1, n),
-    ), ("a0", "b0", "a1", "b1"), "beta shape parameters must be positive"),
+    "gaussian": _ScoreKind({}, None, (-2.0, -1.0, 0.0, 1.0), (  # N(mean0, 1) against N(mean1, 1)
+        lambda rng, n, mean0: rng.normal(mean0, 1.0, n),
+        lambda rng, n, spec: rng.normal(spec.mean1, 1.0, n))),
+    "exponential": _ScoreKind({}, 1.0, (-0.75, -0.5, 0.0, 1.0, 2.0), (  # rate 1 against rate 5
+        lambda rng, n, rate0: rng.exponential(1.0 / rate0, n),
+        lambda rng, n, spec: rng.exponential(1.0 / 5.0, n)), "exponential rates must be positive"),
+    "gaussian_exponential": _ScoreKind(  # N(mean0, 1) against rate 1
+        {"mean0": 1.0}, None, (-2.0, -1.0, 0.0, 1.0, 2.0), (
+            lambda rng, n, mean0: rng.normal(mean0, 1.0, n),
+            lambda rng, n, spec: rng.exponential(1.0, n))),
+    "beta": _ScoreKind({}, 1.0, (-0.75, -0.5, 0.0, 1.0, 2.0), (  # Beta(1, 1) against Beta(1, 10)
+        lambda rng, n, a0: rng.beta(a0, 1.0, n),
+        lambda rng, n, spec: rng.beta(1.0, 10.0, n)), "beta shape parameters must be positive"),
 }
 _SCORE_KINDS = tuple(_SCORE_TABLE)
 SCENARIO_KINDS = (*_SCORE_KINDS, "multiclass_gaussian", "regression_sine")
+
+# The multiclass kind: a Gaussian bump per class at level * ones(_DIM); its unlabeled priors.
+_LEVELS = (0.0, 0.75, 1.25)
+_DIM = 10
+_TARGET_PRIORS = (0.25, 0.10, 0.65)
 
 # The scenario kinds each study has a truth for.  The sine kind ignores theta
 # (its unlabeled prevalence follows a curve in z) and has no shift parameter,
@@ -126,22 +126,9 @@ class ScenarioSpec:
     n_class: tuple[int, ...] | None = None  # None: the kind's default, set in __post_init__
     theta: float = 0.6
     gamma: float | None = None
-    # gaussian / gaussian_exponential locations and common sd
+    # gaussian / gaussian_exponential class locations
     mean0: float = 0.0
     mean1: float = 2.0
-    sd: float = 1.0
-    # exponential rates (class 1 also used by gaussian_exponential)
-    rate0: float = 1.0
-    rate1: float = 5.0
-    # beta shapes
-    a0: float = 1.0
-    b0: float = 1.0
-    a1: float = 1.0
-    b1: float = 10.0
-    # multiclass: one isotropic Gaussian bump per class at level * ones(dim)
-    levels: tuple[float, ...] = (0.0, 0.75, 1.25)
-    dim: int = 10
-    target_priors: tuple[float, ...] = (0.25, 0.10, 0.65)
     # regression: score separation and sine cycles of the prevalence curve
     mu: float = 1.0
     cycles: int = 1
@@ -156,23 +143,14 @@ class ScenarioSpec:
             raise EstimationError(f"theta must be in [0, 1], got {self.theta}")
         if self.n_unlabeled < 1 or any(n < 1 for n in self.n_class):
             raise EstimationError("all group sizes must be at least 1")
-        if self.kind in _SCORE_KINDS and len(self.n_class) != 2:
-            raise EstimationError(
-                f"kind {self.kind!r} needs 2 labeled class sizes, got {len(self.n_class)}")
-        if self.kind == "multiclass_gaussian" and not (
-                len(self.n_class) == len(self.levels) == len(self.target_priors)):
-            raise EstimationError("levels, n_class and target_priors must agree in length")
-        if self.kind == "multiclass_gaussian" and abs(sum(self.target_priors) - 1.0) > 1e-9:
-            raise EstimationError("target priors must sum to 1")
+        if self.kind != "regression_sine":  # the sine kind draws its labeled classes by coin
+            classes = len(_LEVELS) if self.kind == "multiclass_gaussian" else 2
+            if len(self.n_class) != classes:
+                raise EstimationError(f"kind {self.kind!r} needs {classes} labeled class sizes, "
+                                      f"got {len(self.n_class)}")
         row = _SCORE_TABLE.get(self.kind)
-        if row is not None:
-            values = [getattr(self, name) for name in row.positive]
-            if self.gamma is not None and row.shifted in row.positive:
-                values.append(self.gamma)  # the unlabeled class-0 law reads gamma in its place
-            if any(value <= 0 for value in values):
-                raise EstimationError(row.refusal)
-        if self.sd < 0:  # sd = 0 draws constant gaussian scores, which is allowed
-            raise EstimationError(f"scenario field sd must be non-negative, got {self.sd}")
+        if row is not None and row.refusal and self.gamma is not None and self.gamma <= 0:
+            raise EstimationError(row.refusal)  # gamma replaces a rate or a shape there
         # a NaN or infinite parameter would draw non-finite scores in every replicate
         for name, value in vars(self).items():
             if any(isinstance(v, float) and not math.isfinite(v)
@@ -197,7 +175,8 @@ def null_gamma(spec: ScenarioSpec) -> float:
     """The gamma value under which the unlabeled class-0 law is unshifted."""
     if spec.kind not in _SCORE_TABLE:
         raise EstimationError(f"kind {spec.kind!r} has no shift parameter")
-    return getattr(spec, _SCORE_TABLE[spec.kind].shifted)
+    null = _SCORE_TABLE[spec.kind].null
+    return spec.mean0 if null is None else null
 
 
 def _assemble_binary(
@@ -247,15 +226,14 @@ def generate(spec: ScenarioSpec, seed: int) -> RawDataset:
     """
     rng = rng_from(seed)
     if spec.kind == "multiclass_gaussian":
-        k_plus_one = len(spec.levels)
-        means = np.asarray(spec.levels, dtype=float)[:, None] * np.ones(spec.dim)
+        means = np.asarray(_LEVELS, dtype=float)[:, None] * np.ones(_DIM)
         blocks, labels = [], []
         for label, count in enumerate(spec.n_class):
-            blocks.append(rng.standard_normal((count, spec.dim)) + means[label])
+            blocks.append(rng.standard_normal((count, _DIM)) + means[label])
             labels.append(np.full(count, label))
-        counts_u = _proportional_counts(spec.n_unlabeled, spec.target_priors)
-        labels_u = rng.permutation(np.repeat(np.arange(k_plus_one), counts_u))
-        blocks.append(rng.standard_normal((spec.n_unlabeled, spec.dim)) + means[labels_u])
+        counts_u = _proportional_counts(spec.n_unlabeled, _TARGET_PRIORS)
+        labels_u = rng.permutation(np.repeat(np.arange(len(_LEVELS)), counts_u))
+        blocks.append(rng.standard_normal((spec.n_unlabeled, _DIM)) + means[labels_u])
         labels.append(labels_u)
         n_labeled = sum(spec.n_class)
         sets = np.concatenate(
@@ -288,16 +266,15 @@ def generate(spec: ScenarioSpec, seed: int) -> RawDataset:
         )
 
     # a score kind, whose spec was checked against its row's rule when it was built
-    row = _SCORE_TABLE[spec.kind]
-    law0, law1 = row.laws
-    # the unlabeled class-0 law is class 0's with gamma in the kind's shifted field
-    shifted = spec if spec.gamma is None else dataclasses.replace(spec, **{row.shifted: spec.gamma})
-    n0, n1 = spec.n_class[0], spec.n_class[1]
-    labeled0 = law0(spec, rng, n0)
-    labeled1 = law1(spec, rng, n1)
+    law0, law1 = _SCORE_TABLE[spec.kind].laws
+    null = null_gamma(spec)
+    labeled0 = law0(rng, spec.n_class[0], null)
+    labeled1 = law1(rng, spec.n_class[1], spec)
     counts = _proportional_counts(spec.n_unlabeled, (1.0 - spec.theta, spec.theta))
+    # the unlabeled class-0 law is class 0's with gamma in place of the null
+    shifted = null if spec.gamma is None else spec.gamma
     unlabeled = np.concatenate(
-        [law0(shifted, rng, counts[0]), law1(spec, rng, counts[1])]
+        [law0(rng, counts[0], shifted), law1(rng, counts[1], spec)]
     )
     labels_u = np.repeat(np.arange(2), counts)
     order = rng.permutation(spec.n_unlabeled)
@@ -669,7 +646,7 @@ def run_multiclass_study(
     check_study_kind("multiclass", spec.kind)
     base = np.asarray(spec.n_class, dtype=float)
     priors_labeled = tuple(base / base.sum())
-    truth = np.asarray(spec.target_priors, dtype=float)
+    truth = np.asarray(_TARGET_PRIORS, dtype=float)
     cells = []
     # distinct as whole numbers: the tidy rows key on the size a cell runs at
     for size in _distinct(map(int, sizes), "the sizes swept must be distinct"):

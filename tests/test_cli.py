@@ -613,7 +613,7 @@ def test_refused_value_exits_2_with_one_error_line(argv, message, curve_csv):
                  "the sizes swept must be distinct, got [60, 60]", id="multiclass-size-twice"),
     pytest.param(["--scenario", "multiclass", "--study", "multiclass", "--n-class", "5",
                   "--n-class", "5", "--size", "60"],
-                 "levels, n_class and target_priors must agree in length",
+                 "kind 'multiclass_gaussian' needs 3 labeled class sizes, got 2",
                  id="multiclass-two-class-sizes"),
     pytest.param(["--scenario", "multiclass", "--study", "mse", "--preset", "cancer"],
                  "the mse study cannot run on the 'multiclass_gaussian' scenario kind, "
@@ -648,10 +648,8 @@ def test_multiclass_scenario_meta_keeps_its_default_class_sizes(capsys):
     payload = run_json(["simulate", "--scenario", "multiclass", "--study", "multiclass",
                         "--size", "60", "--replicates", "1"], capsys)
     assert payload["meta"] == {
-        "a0": 1.0, "a1": 1.0, "b0": 1.0, "b1": 10.0, "cycles": 1, "dim": 10, "gamma": None,
-        "kind": "multiclass_gaussian", "levels": [0.0, 0.75, 1.25], "mean0": 0.0, "mean1": 2.0,
-        "mu": 1.0, "n_class": [20, 30, 50], "n_unlabeled": 300, "rate0": 1.0, "rate1": 5.0,
-        "sd": 1.0, "target_priors": [0.25, 0.1, 0.65], "theta": 0.6,
+        "cycles": 1, "gamma": None, "kind": "multiclass_gaussian", "mean0": 0.0, "mean1": 2.0,
+        "mu": 1.0, "n_class": [20, 30, 50], "n_unlabeled": 300, "theta": 0.6,
     }
 
 

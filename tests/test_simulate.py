@@ -16,6 +16,8 @@ from quantify import (
     ExperimentReport,
     RawDataset,
     ScenarioSpec,
+    ScoredDataset,
+    ThetaEstimate,
     generate,
     null_gamma,
     run_combined_study,
@@ -24,6 +26,9 @@ from quantify import (
     run_multiclass_study,
     run_power_study,
     run_regression_study,
+    ratio_ci,
+    ratio_estimate,
+    ratio_variance,
     table_scenario,
 )
 from quantify import simulate
@@ -50,13 +55,6 @@ class TestScenarioSpec:
         with pytest.raises(EstimationError, match="group sizes"):
             ScenarioSpec(kind="gaussian", n_unlabeled=10, n_class=(5, 0))
 
-    def test_a_negative_sd_is_refused_when_the_spec_is_built(self):
-        """The gaussian laws draw with scale sd: 0 gives constant scores, below 0 nothing."""
-        with pytest.raises(EstimationError, match="sd must be non-negative, got -1.0"):
-            ScenarioSpec(kind="gaussian", sd=-1.0)
-        data = generate(ScenarioSpec(kind="gaussian", n_unlabeled=10, n_class=(5, 5), sd=0.0), 0)
-        assert set(data.features[data.labeled_class_indices(1), 0]) == {2.0}
-
     def test_meta_is_plain_data(self):
         spec = table_scenario("gaussian", theta=0.3)
         meta = spec.meta()
@@ -68,12 +66,23 @@ class TestScenarioSpec:
 class TestTableScenario:
     def test_gaussian_parameters(self):
         spec = table_scenario("gaussian")
-        assert (spec.mean0, spec.mean1, spec.sd) == (0.0, 2.0, 1.0)
+        assert (spec.mean0, spec.mean1) == (0.0, 2.0)
         assert (spec.n_unlabeled, spec.n_class, spec.theta) == (300, (150, 150), 0.6)
 
     def test_gaussian_exponential_parameters(self):
-        spec = table_scenario("gaussian_exponential")
-        assert (spec.mean0, spec.rate1) == (1.0, 1.0)
+        """N(1, 1) against the rate-1 exponential."""
+        spec = table_scenario("gaussian_exponential", n_unlabeled=10, n_class=(4000, 4000))
+        assert spec.mean0 == 1.0
+        data = generate(spec, seed=9)
+        scores0 = data.features[data.labeled_class_indices(0), 0]
+        scores1 = data.features[data.labeled_class_indices(1), 0]
+        assert abs(scores0.mean() - 1.0) < 0.08 and abs(scores0.std() - 1.0) < 0.08
+        assert abs(scores1.mean() - 1.0) < 0.08 and scores1.min() >= 0.0
+
+    def test_each_kind_has_only_the_fields_a_caller_sets(self):
+        """The kinds' other law parameters are constants of their table rows."""
+        assert list(table_scenario("beta").meta()) == [
+            "kind", "n_unlabeled", "n_class", "theta", "gamma", "mean0", "mean1", "mu", "cycles"]
 
     def test_unknown_table_kind(self):
         with pytest.raises(EstimationError, match="canonical"):
@@ -171,21 +180,6 @@ class TestGenerateBinary:
     def test_no_covariate_for_score_scenarios(self):
         assert generate(table_scenario("gaussian"), 0).covariate is None
 
-    @pytest.mark.parametrize("kind, field, message", [
-        pytest.param(kind, field, message, id=f"{kind}-{field}") for kind, fields, message in [
-            ("exponential", ("rate0", "rate1"), "exponential rates must be positive"),
-            ("gaussian_exponential", ("rate1",), "exponential rate must be positive"),
-            ("beta", ("a0", "b0", "a1", "b1"), "beta shape parameters must be positive"),
-        ] for field in fields
-    ])
-    def test_positive_fields_are_checked_when_the_spec_is_built(self, kind, field, message,
-                                                                monkeypatch):
-        drawn = []
-        monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
-        with pytest.raises(EstimationError, match=message):
-            run_mse_study(table_scenario(kind, **{field: 0.0}), thetas=[0.3], replicates=1)
-        assert drawn == []
-
     @pytest.mark.parametrize("kind, gamma, message", [
         ("exponential", 0.0, "exponential rates must be positive"),
         ("beta", -1.0, "beta shape parameters must be positive"),
@@ -221,7 +215,7 @@ class TestGenerateMulticlass:
             assert abs(rows[labels_u == j].mean() - level) < 0.12
 
     def test_mismatched_lengths(self):
-        with pytest.raises(EstimationError, match="agree in length"):
+        with pytest.raises(EstimationError, match="needs 3 labeled class sizes, got 2"):
             generate(
                 ScenarioSpec(kind="multiclass_gaussian", n_unlabeled=30, n_class=(5, 5)),
                 seed=0,
@@ -235,25 +229,15 @@ class TestGenerateMulticlass:
     @pytest.mark.parametrize("fields", [
         {"n_class": (5, 5)},
         {"n_class": (5, 5, 5, 5)},
-        {"levels": (0.0, 1.0)},
-        {"target_priors": (0.5, 0.5)},
-    ], ids=["two-sizes", "four-sizes", "two-levels", "two-priors"])
+    ], ids=["two-sizes", "four-sizes"])
     def test_lengths_are_checked_when_the_spec_is_built(self, fields, monkeypatch):
         drawn = []
         monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
-        with pytest.raises(EstimationError, match="agree in length"):
+        with pytest.raises(EstimationError, match="kind 'multiclass_gaussian' needs 3 labeled "
+                                                  f"class sizes, got {len(fields['n_class'])}"):
             run_multiclass_study(ScenarioSpec(kind="multiclass_gaussian", **fields), sizes=[60],
                                  replicates=1)
         assert drawn == []
-
-    def test_priors_must_sum_to_one(self):
-        with pytest.raises(EstimationError, match="sum to 1"):
-            ScenarioSpec(
-                kind="multiclass_gaussian",
-                n_unlabeled=30,
-                n_class=(5, 5, 5),
-                target_priors=(0.5, 0.4, 0.4),
-            )
 
 
 class TestGenerateRegressionSine:
@@ -488,23 +472,23 @@ class TestMseStudy:
 
 
 class TestCoverageStudy:
+    @staticmethod
+    def zero_spread_interval(n_class: int, regime: str) -> ThetaEstimate:
+        """A coverage replicate's interval on scores no scenario draws: constant
+        class scores 0 and 2, and 300 unlabeled rows mixed exactly at theta = 0.4."""
+        scores = ScoredDataset(unlabeled=np.repeat([0.0, 2.0], (180, 120)),
+                               classes=(np.zeros(n_class), np.full(n_class, 2.0)))
+        return ratio_ci(ratio_variance(ratio_estimate(scores), regime), level=0.95)
+
     def test_degenerate_scores_cover_exactly(self):
-        """With zero within-class spread the estimate equals the rounded
-        mixture weight, so every interval covers and sparse widths vanish."""
-        spec = table_scenario("gaussian", n_unlabeled=300, n_class=(20, 20))
-        spec = ScenarioSpec(**{**spec.meta(), "n_class": (20, 20), "sd": 0.0})
-        report = run_coverage_study(spec, thetas=[0.4], level=0.95,
-                                    replicates=5, seed=1, regime="sparse")
-        assert report.value("coverage", theta=0.4) == 1.0
-        assert report.value("mean_width", theta=0.4) == 0.0
+        """With zero within-class spread the estimate equals the mixture
+        weight, so the interval covers and its sparse width vanishes."""
+        est = self.zero_spread_interval(20, "sparse")
+        assert est.ci[:2] == (est.theta, est.theta) and est.theta == 0.4
 
     def test_dense_regime_keeps_a_positive_width(self):
-        spec = table_scenario("gaussian", n_unlabeled=300, n_class=(200, 200))
-        spec = ScenarioSpec(**{**spec.meta(), "n_class": (200, 200), "sd": 0.0})
-        report = run_coverage_study(spec, thetas=[0.4], level=0.95,
-                                    replicates=5, seed=1, regime="dense")
-        assert report.value("coverage", theta=0.4) == 1.0
-        assert report.value("mean_width", theta=0.4) > 0.0
+        lo, hi, _ = self.zero_spread_interval(200, "dense").ci
+        assert lo <= 0.4 <= hi and hi - lo > 0.0
 
     def test_nominal_coverage_is_roughly_met(self):
         spec = table_scenario("gaussian", theta=0.3, n_unlabeled=400, n_class=(200, 200),
