@@ -21,7 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -118,7 +118,8 @@ class ScenarioSpec:
     the gaussian kinds, rate for the exponential, first shape parameter for
     the beta); ``None`` keeps the two laws equal, under which the mixture
     assumption holds exactly.  Every field is checked when the spec is built:
-    each number must be finite, and the kind's laws must be able to draw it.
+    each size must be a whole number, each number finite, and the kind's
+    laws must be able to draw it.
     """
 
     kind: str
@@ -141,6 +142,11 @@ class ScenarioSpec:
             object.__setattr__(self, "n_class", default)
         if not 0.0 <= self.theta <= 1.0:
             raise EstimationError(f"theta must be in [0, 1], got {self.theta}")
+        for size in (self.n_unlabeled, *self.n_class):
+            try:  # a float size would pass every check here and fail only when drawn
+                index(size)
+            except TypeError:
+                raise EstimationError(f"group sizes must be whole numbers, got {size!r}") from None
         if self.n_unlabeled < 1 or any(n < 1 for n in self.n_class):
             raise EstimationError("all group sizes must be at least 1")
         if self.kind != "regression_sine":  # the sine kind draws its labeled classes by coin

@@ -55,6 +55,23 @@ class TestScenarioSpec:
         with pytest.raises(EstimationError, match="group sizes"):
             ScenarioSpec(kind="gaussian", n_unlabeled=10, n_class=(5, 0))
 
+    @pytest.mark.parametrize("fields, size", [
+        ({"n_class": (5.5, 5)}, 5.5),
+        ({"n_unlabeled": 10.5}, 10.5),
+        ({"n_unlabeled": np.float64(10.0)}, np.float64(10.0)),
+    ], ids=["class-size", "unlabeled-size", "numpy-float"])
+    def test_a_size_that_is_not_a_whole_number_is_refused_when_the_spec_is_built(
+            self, fields, size, monkeypatch):
+        """A float size would pass the build and fail at draw time inside numpy."""
+        drawn = []
+        monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
+        with pytest.raises(EstimationError) as info:
+            run_mse_study(table_scenario("gaussian", **fields), thetas=[0.3], replicates=1)
+        assert str(info.value) == f"group sizes must be whole numbers, got {size!r}"
+        assert drawn == []
+        assert generate(table_scenario("gaussian", n_unlabeled=np.int64(10), n_class=(5, 5)),
+                        seed=0).features.shape == (20, 1)
+
     def test_meta_is_plain_data(self):
         spec = table_scenario("gaussian", theta=0.3)
         meta = spec.meta()
