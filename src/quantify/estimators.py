@@ -88,13 +88,14 @@ class ThetaEstimate:
         return payload
 
 
-def _mean(scores: np.ndarray, group: str) -> float:
-    """The mean of ``scores``, or EstimationError when their sum overflows."""
+def _mean(scores: np.ndarray, group: str, axis: int | None = None):
+    """The mean of ``scores`` (a float, or per column with ``axis=0``), or
+    EstimationError when the sum of any column overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is refused below
-        mean = float(scores.mean())
-    if not math.isfinite(mean):
+        mean = scores.mean(axis=axis)
+    if not np.all(np.isfinite(mean)):
         raise EstimationError(f"the {group} score mean is not finite: the sum of its scores overflows")
-    return mean
+    return float(mean) if axis is None else mean
 
 
 def _group_stats(g0: np.ndarray, g1: np.ndarray) -> tuple[float, float, float, float]:
@@ -300,8 +301,9 @@ def multiclass_ratio(scores: ScoredDataset) -> SimplexEstimate:
         raise EstimationError("need at least two classes")
     if m < k_plus_one - 1:
         raise EstimationError(f"{m} score dimensions cannot identify {k_plus_one} classes")
-    g_bar = scores.unlabeled.mean(axis=0)
-    group_means = np.column_stack([c.mean(axis=0) for c in scores.classes])
+    g_bar = _mean(scores.unlabeled, "unlabeled", axis=0)
+    group_means = np.column_stack(
+        [_mean(c, f"class {j}", axis=0) for j, c in enumerate(scores.classes)])
     system = np.vstack([group_means, np.ones(k_plus_one)])
     rhs = np.append(g_bar, 1.0)
     condition = float(np.linalg.cond(system))

@@ -656,6 +656,7 @@ def test_multiclass_scenario_meta_keeps_its_default_class_sizes(capsys):
 # finite cells whose sums or squares overflow, keyed by the placeholder an argv names them by
 EXTREME_CSV = {
     "HUGE_CLASS_MEAN": "s,y,g\n1,0,1.7e308\n1,0,1.7e308\n1,1,-1.7e308\n1,1,1\n0,,0.5\n",
+    "HUGE_MULTICLASS_MEAN": "s,y,g,h\n1,0,1.7e308,0\n1,0,1.7e308,1\n1,1,0,0\n1,1,1,1\n0,,0.5,0.5\n",
     "HUGE_UNLABELED_MEAN": "s,y,g\n1,0,0\n1,0,0.2\n1,1,1\n1,1,0.9\n0,,1.7e308\n0,,1.7e308\n",
     "HUGE_CV_ERRORS": "s,y,g,z\n1,0,-1e300,0\n1,1,1e300,0\n"
                       + "".join(f"0,,{(-1) ** i}e300,{i / 11}\n" for i in range(12)),
@@ -718,6 +719,8 @@ OUT_OF_RANGE_BANDWIDTH = "argument --bandwidth: must be positive and finite, got
                     *extra], message, id=name.lower().replace("_", "-"))
       for command, name, extra, message in [
           ("estimate", "HUGE_CLASS_MEAN", [],
+           "the class 0 score mean is not finite: the sum of its scores overflows"),
+          ("estimate", "HUGE_MULTICLASS_MEAN", ["--method", "multiclass", "--score-col", "h"],
            "the class 0 score mean is not finite: the sum of its scores overflows"),
           ("estimate", "HUGE_UNLABELED_MEAN", [],
            "the unlabeled score mean is not finite: the sum of its scores overflows"),

@@ -480,6 +480,19 @@ class TestProjectSimplex:
 
 
 class TestMulticlassRatio:
+    @pytest.mark.parametrize("group, blocks", [
+        ("class 0", ([[0.5, 0.5]], [[1.7e308, 0.0], [1.7e308, 1.0]], [[0.0, 0.0], [1.0, 1.0]])),
+        ("class 1", ([[0.5, 0.5]], [[0.0, 0.0], [1.0, 1.0]], [[0.0, -1.7e308], [1.0, -1.7e308]])),
+        ("unlabeled", ([[0.5, 1.7e308], [0.5, 1.7e308]], [[0.0, 0.0], [1.0, 0.2]],
+                       [[1.0, 0.0], [0.0, 0.9]])),
+    ])
+    def test_a_mean_whose_sum_overflows_is_refused(self, group, blocks):
+        """Finite scores of 1.7e308 in one column sum to inf: the refusal once blamed
+        the conditioning of the class-mean system, after a numpy overflow warning."""
+        unlabeled, *classes = (np.array(block) for block in blocks)
+        with pytest.raises(EstimationError, match=f"^the {group} score mean is not finite"):
+            multiclass_ratio(ScoredDataset(unlabeled=unlabeled, classes=tuple(classes)))
+
     def test_identity_like_system(self):
         """Class score means forming the identity read the prior off directly."""
         rows = ScoredDataset(
