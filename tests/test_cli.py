@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1028,3 +1029,60 @@ def test_commands_load_neither_multiprocessing_nor_numpy_ma(command, eight_csv, 
     expected = ["quantify", "quantify.cli", "quantify.core", "quantify.shift_test",
                 *(f"quantify.{layer}" for layer in LAYERS_LOADED[command])]
     assert layers == repr(sorted(expected))
+
+
+# A study or scenario that reads each numeric simulate flag, at tiny sizes; the
+# swept flag is appended last, and no base gives it too.
+POWER_BASE = ["--study", "power", "--n-unlabeled", "20"]
+SWEEP_BASES = {
+    "n-unlabeled": ["--study", "mse"],
+    "n-class": ["--study", "mse", "--n-unlabeled", "20", "--n-class", "10"],
+    "theta": ["--study", "mse", "--n-unlabeled", "20"],
+    "mu": ["--study", "mse", "--n-unlabeled", "20"],
+    "mean0": ["--study", "mse", "--n-unlabeled", "20"],
+    "mean1": ["--study", "mse", "--n-unlabeled", "20"],
+    "seed": ["--study", "mse", "--n-unlabeled", "20"],
+    "level": ["--study", "coverage", "--n-unlabeled", "20"],
+    "gamma": [*POWER_BASE, *SMALL_SHIFT_TEST],
+    "alpha": [*POWER_BASE, *SMALL_SHIFT_TEST],
+    "test-replicates": [*POWER_BASE, "--grid-size", "21"],
+    "grid-size": [*POWER_BASE, "--test-replicates", "5"],
+    "label-count": ["--study", "combined", "--n-unlabeled", "20"],
+    "size": ["--scenario", "multiclass", "--study", "multiclass"],
+    "cycles": ["--scenario", "sine", "--study", "regression", "--n-unlabeled", "20"],
+    "threshold": ["--scenario", "sine", "--study", "regression", "--n-unlabeled", "20"],
+    "replicates": ["--study", "mse", "--n-unlabeled", "20"],
+}
+SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300")
+
+
+@pytest.mark.parametrize("flag, value", [
+    pytest.param(flag, value, id=f"{flag}-{value}") for flag in SWEEP_BASES for value in SWEEP_VALUES
+])
+def test_simulate_flag_sweep_exits_0_with_strict_json_or_2_with_one_error_line(
+        flag, value, capsys, monkeypatch):
+    """Each numeric simulate flag at each hostile value, passed to a study or
+    scenario that reads it: exit 0 with strict JSON and an empty stderr, or exit 2
+    with one ``error:`` line; never a traceback or a warning.  Integer flags see
+    no large literal, which argparse refuses, so no case starts unbounded work."""
+    monkeypatch.setenv("QUANTIFY_THREADS", "1")
+    replicates = [] if flag == "replicates" else ["--replicates", "1"]
+    argv = ["simulate", *SWEEP_BASES[flag], *replicates, f"--{flag}", value]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning fails the case as an exception
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusal
+            code = exc.code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        json.loads(captured.out, parse_constant=refuse)
+    else:
+        assert (code, captured.out) == (2, "")
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1, captured.err
