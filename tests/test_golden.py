@@ -87,7 +87,8 @@ def run_case(argv) -> dict[str, bytes]:
                     code = main(["simulate", *argv])
                 except SystemExit as exc:  # argparse's exit
                     code = exc.code
-            files = {".stdout": out.getvalue().encode(), ".err": f"exit {code}\n{err.getvalue()}".encode()}
+            files = {".stdout": out.getvalue().encode(),
+                     ".err": f"exit {code}\n{err.getvalue()}".encode()}
             for path in Path(workdir).iterdir():
                 files[path.suffix] = path.read_bytes()
         finally:
@@ -95,32 +96,21 @@ def run_case(argv) -> dict[str, bytes]:
     return files
 
 
-def run_cases(names) -> dict[str, dict[str, bytes]]:
-    """Each named case's files: the BLAS cases from one pinned subprocess, the rest in-process."""
-    names = list(names)
-    pinned = [name for name in names if name in SUBPROCESS_CASES]
-    results = {}
-    if pinned:
-        src = str(Path(__file__).parents[1] / "src")
-        env = {**os.environ, "QUANTIFY_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[name] = "1"
-        done = subprocess.run([sys.executable, __file__, "--child", *pinned], env=env,
-                              capture_output=True, check=True, timeout=120)
-        for name, files in json.loads(done.stdout).items():
-            results[name] = {suffix: text.encode("latin-1") for suffix, text in files.items()}
-    threads = os.environ.get("QUANTIFY_THREADS")
-    os.environ["QUANTIFY_THREADS"] = "1"
-    try:
-        for name in names:
-            if name not in pinned:
-                results[name] = run_case(CASES[name])
-    finally:
-        if threads is None:
-            del os.environ["QUANTIFY_THREADS"]
-        else:
-            os.environ["QUANTIFY_THREADS"] = threads
+def run_cases() -> dict[str, dict[str, bytes]]:
+    """Each case's files: the BLAS cases from one pinned subprocess, the rest in-process.
+    The caller sets QUANTIFY_THREADS=1."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    done = subprocess.run([sys.executable, __file__, "--child", *SUBPROCESS_CASES], env=env,
+                          capture_output=True, check=True, timeout=120)
+    results = {name: {suffix: text.encode("latin-1") for suffix, text in files.items()}
+               for name, files in json.loads(done.stdout).items()}
+    for name, argv in CASES.items():
+        if name not in SUBPROCESS_CASES:
+            results[name] = run_case(argv)
     return results
 
 
@@ -128,15 +118,16 @@ def recorded(name: str) -> dict[str, bytes]:
     return {path.suffix: path.read_bytes() for path in GOLDEN.glob(f"{name}.*")}
 
 
-def test_simulate_outputs_match_their_goldens():
+def test_simulate_outputs_match_their_goldens(monkeypatch):
     """Every byte of every case, on the numpy version the goldens were written with."""
+    monkeypatch.setenv("QUANTIFY_THREADS", "1")
     assert NUMPY_VERSION.read_text().strip() == np.__version__, (
         f"the goldens were written with numpy {NUMPY_VERSION.read_text().strip()}, "
         f"this is numpy {np.__version__}: rewrite them with python tests/test_golden.py "
         "and check the diff")
-    for name, files in run_cases(CASES).items():
+    for name, files in run_cases().items():
         assert files == recorded(name), name
-    kept = {path.name.split(".")[0] for path in GOLDEN.iterdir()} - {NUMPY_VERSION.name.split(".")[0]}
+    kept = {path.name.split(".")[0] for path in GOLDEN.iterdir() if path != NUMPY_VERSION}
     assert kept == set(CASES), "a golden file without its case"
 
 
@@ -145,12 +136,13 @@ def _rewrite() -> None:
     for path in GOLDEN.iterdir():
         path.unlink()
     NUMPY_VERSION.write_text(np.__version__ + "\n")
-    for name, files in run_cases(CASES).items():
+    for name, files in run_cases().items():
         for suffix, data in files.items():
             (GOLDEN / f"{name}{suffix}").write_bytes(data)
 
 
 if __name__ == "__main__":
+    os.environ["QUANTIFY_THREADS"] = "1"
     if sys.argv[1:2] == ["--child"]:
         # bytes through JSON: latin-1 maps each byte to one code point and back
         print(json.dumps({name: {suffix: data.decode("latin-1")
