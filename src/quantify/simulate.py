@@ -158,9 +158,8 @@ class ScenarioSpec:
         if row is not None and row.refusal and self.gamma is not None and self.gamma <= 0:
             raise EstimationError(row.refusal)  # gamma replaces a rate or a shape there
         # a NaN or infinite parameter would draw non-finite scores in every replicate
-        for name, value in vars(self).items():
-            if any(isinstance(v, float) and not math.isfinite(v)
-                   for v in (value if isinstance(value, tuple) else (value,))):
+        for name, value in vars(self).items():  # n_class holds whole numbers by now
+            if isinstance(value, float) and not math.isfinite(value):
                 raise EstimationError(f"scenario field {name} must be finite, got {value}")
 
     def meta(self) -> dict:
