@@ -1,21 +1,23 @@
-"""Byte-for-byte goldens of small seeded ``simulate`` runs.
+"""Byte-for-byte goldens of small seeded CLI runs.
 
 Each case's stdout, its ``--out`` file if it writes one, and its exit code
-with stderr are kept under ``tests/golden/simulate/``.  An intended output
+with stderr are kept under ``tests/golden/<command>/``.  An intended output
 move shows as a diff of those files: rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-Every case runs with QUANTIFY_THREADS=1, in a fresh directory, so that a
-relative ``--out`` path prints the same bytes wherever it runs.  The
-multiclass cases fit logistic scores through BLAS, whose summation order
-may follow its thread count, so they run together in one subprocess with
-BLAS pinned to one thread; the rest run in-process through ``main()``.
+Every case runs with QUANTIFY_THREADS=1, in a fresh directory that holds the
+small input files of ``inputs()``, so that relative paths print the same
+bytes wherever it runs.  The cases that go through BLAS (logistic and kernel
+fits, matrix products, least squares) may sum in an order that follows its
+thread count, so they run together in one subprocess with BLAS pinned to one
+thread; the rest run in-process through ``main()``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -26,71 +28,141 @@ from pathlib import Path
 
 import numpy as np
 
-GOLDEN = Path(__file__).parent / "golden" / "simulate"
+GOLDEN = Path(__file__).parent / "golden"
 NUMPY_VERSION = GOLDEN / "numpy-version"
 SMALL = ("--replicates", "2", "--n-unlabeled", "40")
 SHIFT_TEST = ("--test-replicates", "5", "--grid-size", "21")
-MULTICLASS = ("--scenario", "multiclass", "--study", "multiclass", "--replicates", "2")
+MULTICLASS = ("simulate", "--scenario", "multiclass", "--study", "multiclass", "--replicates", "2")
+BINARY = ("binary.csv", "--set-col", "s", "--label-col", "y")
+SCORE = (*BINARY, "--score-col", "g")
+FEATURES = (*BINARY, "--feature-col", "x1", "--feature-col", "x2")
+CURVE = (*SCORE, "--covariate-col", "z", "--grid", "0:1:11")
 
-# name -> simulate argv; between them every study, scenario and output mode
+# name -> argv; between them every command, method, study, scenario and output mode
 CASES = {
-    "mse-gaussian": ("--study", "mse", *SMALL, "--seed", "1"),
-    "mse-beta-em-out": ("--scenario", "beta", "--study", "mse", "--method", "ratio", "--method",
-                        "em", "--theta", "0.2", "--theta", "0.5", *SMALL, "--out", "mse.csv"),
-    "mse-exponential-preset": ("--scenario", "exponential", "--study", "mse", "--preset", "cancer",
-                               "--replicates", "2", "--seed", "3"),
-    "mse-gaussian-exponential-mean0": ("--scenario", "gaussian_exponential", "--study", "mse",
-                                       "--mean0", "0.5", *SMALL),
-    "mse-gaussian-csv-stdout": ("--study", "mse", "--method", "cc", *SMALL, "--output", "csv"),
-    "coverage-gaussian-mu-out": ("--study", "coverage", "--mu", "1.5", "--level", "0.9", *SMALL,
-                                 "--out", "coverage.csv"),
-    "coverage-beta": ("--scenario", "beta", "--study", "coverage", *SMALL, "--seed", "2"),
-    "power-gaussian": ("--study", "power", *SMALL, *SHIFT_TEST),
-    "power-exponential-gamma-out": ("--scenario", "exponential", "--study", "power", "--gamma",
-                                    "1", "--gamma", "2.5", "--alpha", "0.1", *SMALL, *SHIFT_TEST,
-                                    "--out", "power.csv"),
-    "power-gaussian-exponential": ("--scenario", "gaussian_exponential", "--study", "power",
-                                   *SMALL, *SHIFT_TEST, "--seed", "4"),
-    "power-beta-gamma": ("--scenario", "beta", "--study", "power", "--gamma", "1", "--gamma",
-                         "0.5", *SMALL, *SHIFT_TEST),
-    "combined-gaussian-out": ("--study", "combined", "--label-count", "0", "--label-count", "10",
-                              *SMALL, "--out", "combined.csv"),
-    "combined-exponential": ("--scenario", "exponential", "--study", "combined", "--theta", "0.3",
-                             "--label-count", "5", *SMALL),
+    "mse-gaussian": ("simulate", "--study", "mse", *SMALL, "--seed", "1"),
+    "mse-beta-em-out": ("simulate", "--scenario", "beta", "--study", "mse", "--method", "ratio",
+                        "--method", "em", "--theta", "0.2", "--theta", "0.5", *SMALL,
+                        "--out", "mse.csv"),
+    "mse-exponential-preset": ("simulate", "--scenario", "exponential", "--study", "mse",
+                               "--preset", "cancer", "--replicates", "2", "--seed", "3"),
+    "mse-gaussian-exponential-mean0": ("simulate", "--scenario", "gaussian_exponential",
+                                       "--study", "mse", "--mean0", "0.5", *SMALL),
+    "mse-gaussian-csv-stdout": ("simulate", "--study", "mse", "--method", "cc", *SMALL,
+                                "--output", "csv"),
+    "coverage-gaussian-mu-out": ("simulate", "--study", "coverage", "--mu", "1.5", "--level",
+                                 "0.9", *SMALL, "--out", "coverage.csv"),
+    "coverage-beta": ("simulate", "--scenario", "beta", "--study", "coverage", *SMALL,
+                      "--seed", "2"),
+    "power-gaussian": ("simulate", "--study", "power", *SMALL, *SHIFT_TEST),
+    "power-exponential-gamma-out": ("simulate", "--scenario", "exponential", "--study", "power",
+                                    "--gamma", "1", "--gamma", "2.5", "--alpha", "0.1", *SMALL,
+                                    *SHIFT_TEST, "--out", "power.csv"),
+    "power-gaussian-exponential": ("simulate", "--scenario", "gaussian_exponential", "--study",
+                                   "power", *SMALL, *SHIFT_TEST, "--seed", "4"),
+    "power-beta-gamma": ("simulate", "--scenario", "beta", "--study", "power", "--gamma", "1",
+                         "--gamma", "0.5", *SMALL, *SHIFT_TEST),
+    "combined-gaussian-out": ("simulate", "--study", "combined", "--label-count", "0",
+                              "--label-count", "10", *SMALL, "--out", "combined.csv"),
+    "combined-exponential": ("simulate", "--scenario", "exponential", "--study", "combined",
+                             "--theta", "0.3", "--label-count", "5", *SMALL),
     "multiclass": (*MULTICLASS, "--size", "60", "--size", "90"),
     "multiclass-n-class-out": (*MULTICLASS, "--n-class", "10", "--n-class", "20", "--n-class",
                                "30", "--size", "60", "--out", "multiclass.csv"),
-    "regression-sine-mu-cycles-out": ("--scenario", "sine", "--study", "regression", "--mu", "2",
-                                      "--cycles", "2", *SMALL, "--out", "regression.csv"),
-    "regression-sine": ("--scenario", "sine", "--study", "regression", "--threshold", "0.1",
-                        *SMALL, "--seed", "5"),
+    "regression-sine-mu-cycles-out": ("simulate", "--scenario", "sine", "--study", "regression",
+                                      "--mu", "2", "--cycles", "2", *SMALL,
+                                      "--out", "regression.csv"),
+    "regression-sine": ("simulate", "--scenario", "sine", "--study", "regression", "--threshold",
+                        "0.1", *SMALL, "--seed", "5"),
     "refused-multiclass-two-class-sizes": (*MULTICLASS, "--n-class", "5", "--n-class", "5",
                                            "--size", "60"),
-    "refused-exponential-zero-gamma": ("--scenario", "exponential", "--study", "power",
-                                       "--gamma", "0", *SMALL, *SHIFT_TEST),
-    "refused-gaussian-one-class-size": ("--study", "mse", "--n-class", "50", *SMALL),
+    "refused-exponential-zero-gamma": ("simulate", "--scenario", "exponential", "--study",
+                                       "power", "--gamma", "0", *SMALL, *SHIFT_TEST),
+    "refused-gaussian-one-class-size": ("simulate", "--study", "mse", "--n-class", "50", *SMALL),
+    "estimate-ratio": ("estimate", *SCORE),
+    "estimate-ratio-ci-sparse-csv": ("estimate", *SCORE, "--ci", "0.9", "--regime", "sparse",
+                                     "--output", "csv"),
+    "estimate-cc-threshold": ("estimate", *SCORE, "--method", "cc", "--threshold", "0.4"),
+    "estimate-em-theta-train": ("estimate", *SCORE, "--method", "em", "--theta-train", "0.4"),
+    "estimate-logistic-ci": ("estimate", *FEATURES, "--ci", "0.95"),
+    "estimate-weights-ci": ("estimate", *FEATURES, "--weights", "weights.json", "--ci", "0.95"),
+    "estimate-multiclass": ("estimate", "three-class.csv", "--set-col", "s", "--label-col", "y",
+                            "--method", "multiclass", "--score-col", "g1", "--score-col", "g2"),
+    "refused-estimate-unknown-column": ("estimate", *BINARY, "--score-col", "nope"),
+    "test-shift": ("test-shift", *SCORE, "--B", "20", "--grid", "51", "--seed", "3"),
+    "test-shift-csv": ("test-shift", *SCORE, "--B", "10", "--output", "csv"),
+    "refused-test-shift-no-replicates": ("test-shift", *SCORE, "--B", "0"),
+    "select-g-out": ("select-g", *FEATURES, "--seed", "2", "--out", "selection.json"),
+    "select-g-linear-gamma": ("select-g", *FEATURES, "--kernel", "linear", "--gamma", "0.1",
+                              "--gamma", "1"),
+    "refused-select-g-csv-stdout": ("select-g", *FEATURES, "--output", "csv"),
+    "regress-ratio": ("regress", *CURVE),
+    "regress-cc-cv-out": ("regress", *CURVE, "--method", "cc", "--threshold", "0.4",
+                          "--bandwidth", "cv", "--out", "curve.csv"),
+    "regress-ratio-cv-csv-stdout": ("regress", *CURVE, "--bandwidth", "cv", "--output", "csv"),
+    "refused-regress-ratio-threshold": ("regress", *CURVE, "--threshold", "0.4"),
 }
-# the cases that go through BLAS
-SUBPROCESS_CASES = tuple(name for name in CASES if name.startswith(("multiclass", "refused-multi")))
+# the cases that go through BLAS: the logistic and kernel fits, the smoothers' products
+# and the multiclass least squares
+SUBPROCESS_CASES = ("multiclass", "multiclass-n-class-out", "refused-multiclass-two-class-sizes",
+                    "estimate-logistic-ci", "estimate-weights-ci", "estimate-multiclass",
+                    "select-g-out", "select-g-linear-gamma", "regress-ratio", "regress-cc-cv-out",
+                    "regress-ratio-cv-csv-stdout")
+
+
+@functools.cache
+def inputs() -> dict[str, bytes]:
+    """The files every case finds in its directory, drawn from a fixed seed: a binary
+    sample with two features, a score and a covariate; a 3-class sample with two score
+    columns; and a kernel selection over the binary sample's features."""
+    rng = np.random.default_rng(20)
+    n_class, n_unlabeled = 40, 120
+    z = rng.random(2 * n_class + n_unlabeled)
+    unlabeled = (rng.random(n_unlabeled) < 0.2 + 0.5 * z[2 * n_class:]).astype(int)
+    labels = np.concatenate([np.repeat([0, 1], n_class), unlabeled])
+    x = rng.standard_normal((labels.size, 2)) + np.where(labels == 1, 0.75, -0.75)[:, None]
+    g = 1.0 / (1.0 + np.exp(-1.5 * x.sum(axis=1)))
+    binary = ["s,y,x1,x2,g,z"]
+    for row, (label, (x1, x2), score, covariate) in enumerate(zip(labels, x, g, z)):
+        labeled = row < 2 * n_class
+        binary.append(f"{int(labeled)},{label if labeled else ''},{x1:.6f},{x2:.6f},"
+                      f"{score:.6f},{covariate:.6f}")
+    means = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    classes = np.concatenate([np.repeat([0, 1, 2], 30), rng.choice(3, 90, p=(0.5, 0.2, 0.3))])
+    scores = rng.standard_normal((classes.size, 2)) + means[classes]
+    multiclass = ["s,y,g1,g2"]
+    for row, (label, (g1, g2)) in enumerate(zip(classes, scores)):
+        labeled = row < 90
+        multiclass.append(f"{int(labeled)},{label if labeled else ''},{g1:.6f},{g2:.6f}")
+    selection = {"weights": [-1.0, 0.25, 1.0], "anchors": [[-1.0, -1.0], [0.0, 0.5], [1.0, 1.0]],
+                 "kernel": {"family": "gaussian", "bandwidth": 1.0},
+                 "gamma": 0.1, "objective": 1.0, "theta_pilot": 0.5}
+    return {"binary.csv": "\n".join(binary + [""]).encode(),
+            "three-class.csv": "\n".join(multiclass + [""]).encode(),
+            "weights.json": json.dumps(selection).encode()}
 
 
 def run_case(argv) -> dict[str, bytes]:
-    """``simulate argv`` through ``main()`` in a fresh directory: the files to compare it by."""
+    """``argv`` through ``main()`` in a fresh directory holding ``inputs()``: the files to
+    compare it by, each new file keyed by its suffix."""
     from quantify.cli import main
 
     out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
+        for name, data in inputs().items():
+            (Path(workdir) / name).write_bytes(data)
         os.chdir(workdir)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
-                    code = main(["simulate", *argv])
+                    code = main(list(argv))
                 except SystemExit as exc:  # argparse's exit
                     code = exc.code
             files = {".stdout": out.getvalue().encode(),
                      ".err": f"exit {code}\n{err.getvalue()}".encode()}
             for path in Path(workdir).iterdir():
-                files[path.suffix] = path.read_bytes()
+                if path.name not in inputs():
+                    files[path.suffix] = path.read_bytes()
         finally:
             os.chdir(cwd)
     return files
@@ -114,11 +186,15 @@ def run_cases() -> dict[str, dict[str, bytes]]:
     return results
 
 
+def golden_dir(name: str) -> Path:
+    return GOLDEN / CASES[name][0]
+
+
 def recorded(name: str) -> dict[str, bytes]:
-    return {path.suffix: path.read_bytes() for path in GOLDEN.glob(f"{name}.*")}
+    return {path.suffix: path.read_bytes() for path in golden_dir(name).glob(f"{name}.*")}
 
 
-def test_simulate_outputs_match_their_goldens(monkeypatch):
+def test_cli_outputs_match_their_goldens(monkeypatch):
     """Every byte of every case, on the numpy version the goldens were written with."""
     monkeypatch.setenv("QUANTIFY_THREADS", "1")
     assert NUMPY_VERSION.read_text().strip() == np.__version__, (
@@ -127,18 +203,19 @@ def test_simulate_outputs_match_their_goldens(monkeypatch):
         "and check the diff")
     for name, files in run_cases().items():
         assert files == recorded(name), name
-    kept = {path.name.split(".")[0] for path in GOLDEN.iterdir() if path != NUMPY_VERSION}
-    assert kept == set(CASES), "a golden file without its case"
+    kept = {(path.parent.name, path.name.split(".")[0]) for path in GOLDEN.glob("*/*")}
+    assert kept == {(argv[0], name) for name, argv in CASES.items()}, "a golden file without its case"
 
 
 def _rewrite() -> None:
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    for path in GOLDEN.iterdir():
+    for path in GOLDEN.glob("*/*"):
         path.unlink()
+    GOLDEN.mkdir(exist_ok=True)
     NUMPY_VERSION.write_text(np.__version__ + "\n")
     for name, files in run_cases().items():
+        golden_dir(name).mkdir(exist_ok=True)
         for suffix, data in files.items():
-            (GOLDEN / f"{name}{suffix}").write_bytes(data)
+            (golden_dir(name) / f"{name}{suffix}").write_bytes(data)
 
 
 if __name__ == "__main__":
