@@ -56,7 +56,7 @@ class _ScoreKind(NamedTuple):
     null: float | None  # the class-0 law parameter gamma replaces; None: the spec's mean0
     power_offsets: tuple[float, ...]  # the power study's default sweep, as gamma - null
     laws: tuple  # the class-0 law(rng, n, null or gamma) and class-1 law(rng, n, spec) -> n draws
-    refusal: str = ""  # the message when gamma is not positive; empty: any finite gamma will do
+    positive: str = ""  # the positive law parameter gamma replaces; empty: any finite gamma will do
 
 
 # Default shift sweeps put the null at an interior point with a unique
@@ -70,14 +70,14 @@ _SCORE_TABLE = {
         lambda rng, n, spec: rng.normal(spec.mean1, 1.0, n))),
     "exponential": _ScoreKind({}, 1.0, (-0.75, -0.5, 0.0, 1.0, 2.0), (  # rate 1 against rate 5
         lambda rng, n, rate0: rng.exponential(1.0 / rate0, n),
-        lambda rng, n, spec: rng.exponential(1.0 / 5.0, n)), "exponential rates must be positive"),
+        lambda rng, n, spec: rng.exponential(1.0 / 5.0, n)), "the exponential class-0 rate"),
     "gaussian_exponential": _ScoreKind(  # N(mean0, 1) against rate 1
         {"mean0": 1.0}, None, (-2.0, -1.0, 0.0, 1.0, 2.0), (
             lambda rng, n, mean0: rng.normal(mean0, 1.0, n),
             lambda rng, n, spec: rng.exponential(1.0, n))),
     "beta": _ScoreKind({}, 1.0, (-0.75, -0.5, 0.0, 1.0, 2.0), (  # Beta(1, 1) against Beta(1, 10)
         lambda rng, n, a0: rng.beta(a0, 1.0, n),
-        lambda rng, n, spec: rng.beta(1.0, 10.0, n)), "beta shape parameters must be positive"),
+        lambda rng, n, spec: rng.beta(1.0, 10.0, n)), "the beta class-0 first shape parameter"),
 }
 _SCORE_KINDS = tuple(_SCORE_TABLE)
 SCENARIO_KINDS = (*_SCORE_KINDS, "multiclass_gaussian", "regression_sine")
@@ -155,8 +155,9 @@ class ScenarioSpec:
                 raise EstimationError(f"kind {self.kind!r} needs {classes} labeled class sizes, "
                                       f"got {len(self.n_class)}")
         row = _SCORE_TABLE.get(self.kind)
-        if row is not None and row.refusal and self.gamma is not None and self.gamma <= 0:
-            raise EstimationError(row.refusal)  # gamma replaces a rate or a shape there
+        if row is not None and row.positive and self.gamma is not None and self.gamma <= 0:
+            raise EstimationError(
+                f"gamma replaces {row.positive} and must be positive, got {self.gamma}")
         # a NaN or infinite parameter would draw non-finite scores in every replicate
         for name, value in vars(self).items():  # n_class holds whole numbers by now
             if isinstance(value, float) and not math.isfinite(value):

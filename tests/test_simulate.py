@@ -198,17 +198,20 @@ class TestGenerateBinary:
         assert generate(table_scenario("gaussian"), 0).covariate is None
 
     @pytest.mark.parametrize("kind, gamma, message", [
-        ("exponential", 0.0, "exponential rates must be positive"),
-        ("beta", -1.0, "beta shape parameters must be positive"),
+        ("exponential", 0.0, "gamma replaces the exponential class-0 rate and must be positive, "
+                             "got 0.0"),
+        ("beta", -1.0, "gamma replaces the beta class-0 first shape parameter and must be "
+                       "positive, got -1.0"),
     ], ids=["exponential", "beta"])
     def test_a_non_positive_shift_is_refused_before_any_replicate(self, kind, gamma, message,
                                                                   monkeypatch):
         """gamma replaces a rate or shape there, so it must be positive like the field."""
         drawn = []
         monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
-        with pytest.raises(EstimationError, match=message):
+        with pytest.raises(EstimationError) as info:
             run_power_study(table_scenario(kind), gammas=[1.0, gamma], replicates=1,
                             test_replicates=5, grid_size=21)
+        assert str(info.value) == message
         assert drawn == []
 
 
