@@ -313,7 +313,7 @@ def _cmd_regress(args) -> None:
 
 
 def _simulate_spec(args, kind: str) -> ScenarioSpec:
-    from .simulate import ScenarioSpec, table_scenario
+    from .simulate import ScenarioSpec
 
     sizes = _given(args, "n_unlabeled")
     if args.preset:
@@ -323,14 +323,12 @@ def _simulate_spec(args, kind: str) -> ScenarioSpec:
         sizes = {"n_unlabeled": n_unlabeled, "n_class": (n_labeled // 2, n_labeled - n_labeled // 2)}
     if args.n_class:
         sizes["n_class"] = tuple(args.n_class)
-    if args.scenario in _SCENARIO_KINDS:  # --mu and --cycles are refused for multiclass
-        return ScenarioSpec(kind=kind, **sizes, **_given(args, "mu", "cycles"))
-    # a score kind: --mu sets both class means, --mean0 and --mean1 then one each
+    # --mu sets both class means, --mean0 and --mean1 then one each
     fields = {"mean0": -args.mu, "mean1": args.mu} if args.mu is not None else {}
-    fields.update(_given(args, "mean0", "mean1"))
+    fields.update(_given(args, "mean0", "mean1", "cycles"))
     if args.theta:
         fields["theta"] = args.theta[0]
-    return table_scenario(kind, **sizes, **fields)
+    return ScenarioSpec(kind=kind, **sizes, **fields)
 
 
 def _cmd_simulate(args) -> None:

@@ -51,59 +51,60 @@ from .regression import cc_regress, ratio_regress
 from .shift_test import shift_test
 
 
-class _ScoreKind(NamedTuple):
-    canonical: dict  # what table_scenario sets beyond ScenarioSpec's defaults
-    null: float | None  # the class-0 law parameter gamma replaces; None: the spec's mean0
-    power_offsets: tuple[float, ...]  # the power study's default sweep, as gamma - null
-    laws: tuple  # the class-0 law(rng, n, null or gamma) and class-1 law(rng, n, spec) -> n draws
+class _Kind(NamedTuple):
+    n_class: tuple[int, ...]  # the default labeled class sizes; their count is the kind's
+    studies: tuple[str, ...]  # the studies with a truth for this kind
+    means: tuple[float, float] = (0.0, 2.0)  # the default (mean0, mean1), if the laws read them
+    null: float | None = None  # the class-0 law parameter gamma replaces; None: the spec's mean0
+    power_offsets: tuple[float, ...] = ()  # the power study's default sweep, as gamma - null
+    laws: tuple = ()  # class-0 law(rng, n, null or gamma) and class-1 law(rng, n, spec) -> n draws
     positive: str = ""  # the positive law parameter gamma replaces; empty: any finite gamma will do
 
 
+_SCORE_STUDIES = ("mse", "coverage", "power", "combined")
+_GAUSSIAN_LAWS = (  # N(mean0, 1) against N(mean1, 1)
+    lambda rng, n, mean0: rng.normal(mean0, 1.0, n),
+    lambda rng, n, spec: rng.normal(spec.mean1, 1.0, n))
+
 # Default shift sweeps put the null at an interior point with a unique
-# most-shifted value.  At the canonical parameters the sweep deliberately
+# most-shifted value.  At the default parameters the sweep deliberately
 # stops short of the value at which the shifted class-0 law coincides with
 # the class-1 law (gaussian gamma=2, exponential gamma=5): there the
 # unlabeled sample is again an exact mixture, so the test correctly loses power.
-_SCORE_TABLE = {
-    "gaussian": _ScoreKind({}, None, (-2.0, -1.0, 0.0, 1.0), (  # N(mean0, 1) against N(mean1, 1)
-        lambda rng, n, mean0: rng.normal(mean0, 1.0, n),
-        lambda rng, n, spec: rng.normal(spec.mean1, 1.0, n))),
-    "exponential": _ScoreKind({}, 1.0, (-0.75, -0.5, 0.0, 1.0, 2.0), (  # rate 1 against rate 5
-        lambda rng, n, rate0: rng.exponential(1.0 / rate0, n),
-        lambda rng, n, spec: rng.exponential(1.0 / 5.0, n)), "the exponential class-0 rate"),
-    "gaussian_exponential": _ScoreKind(  # N(mean0, 1) against rate 1
-        {"mean0": 1.0}, None, (-2.0, -1.0, 0.0, 1.0, 2.0), (
-            lambda rng, n, mean0: rng.normal(mean0, 1.0, n),
-            lambda rng, n, spec: rng.exponential(1.0, n))),
-    "beta": _ScoreKind({}, 1.0, (-0.75, -0.5, 0.0, 1.0, 2.0), (  # Beta(1, 1) against Beta(1, 10)
-        lambda rng, n, a0: rng.beta(a0, 1.0, n),
-        lambda rng, n, spec: rng.beta(1.0, 10.0, n)), "the beta class-0 first shape parameter"),
+# The sine kind ignores theta (its unlabeled prevalence follows a curve in z)
+# and has no shift parameter, and the multiclass kind has no single class-1
+# prevalence, so each has one study.
+_KINDS = {
+    "gaussian": _Kind((150, 150), _SCORE_STUDIES, power_offsets=(-2.0, -1.0, 0.0, 1.0),
+                      laws=_GAUSSIAN_LAWS),
+    "exponential": _Kind((150, 150), _SCORE_STUDIES, null=1.0,  # rate 1 against rate 5
+                         power_offsets=(-0.75, -0.5, 0.0, 1.0, 2.0), laws=(
+                             lambda rng, n, rate0: rng.exponential(1.0 / rate0, n),
+                             lambda rng, n, spec: rng.exponential(1.0 / 5.0, n)),
+                         positive="the exponential class-0 rate"),
+    "gaussian_exponential": _Kind(  # N(mean0, 1) against rate 1
+        (150, 150), _SCORE_STUDIES, means=(1.0, 2.0), power_offsets=(-2.0, -1.0, 0.0, 1.0, 2.0),
+        laws=(_GAUSSIAN_LAWS[0], lambda rng, n, spec: rng.exponential(1.0, n))),
+    "beta": _Kind((150, 150), _SCORE_STUDIES, null=1.0,  # Beta(1, 1) against Beta(1, 10)
+                  power_offsets=(-0.75, -0.5, 0.0, 1.0, 2.0), laws=(
+                      lambda rng, n, a0: rng.beta(a0, 1.0, n),
+                      lambda rng, n, spec: rng.beta(1.0, 10.0, n)),
+                  positive="the beta class-0 first shape parameter"),
+    "multiclass_gaussian": _Kind((20, 30, 50), ("multiclass",)),
+    "regression_sine": _Kind((150, 150), ("regression",), means=(-1.0, 1.0), laws=_GAUSSIAN_LAWS),
 }
-_SCORE_KINDS = tuple(_SCORE_TABLE)
-SCENARIO_KINDS = (*_SCORE_KINDS, "multiclass_gaussian", "regression_sine")
+SCENARIO_KINDS = tuple(_KINDS)
 
 # The multiclass kind: a Gaussian bump per class at level * ones(_DIM); its unlabeled priors.
 _LEVELS = (0.0, 0.75, 1.25)
 _DIM = 10
 _TARGET_PRIORS = (0.25, 0.10, 0.65)
 
-# The scenario kinds each study has a truth for.  The sine kind ignores theta
-# (its unlabeled prevalence follows a curve in z) and has no shift parameter,
-# and the multiclass kind has no single class-1 prevalence.
-_STUDY_KINDS = {
-    "mse": _SCORE_KINDS,
-    "coverage": _SCORE_KINDS,
-    "power": _SCORE_KINDS,
-    "combined": _SCORE_KINDS,
-    "multiclass": ("multiclass_gaussian",),
-    "regression": ("regression_sine",),
-}
-
 
 def check_study_kind(study: str, kind: str) -> None:
     """Refuse a study on a scenario kind it has no truth for; the kind alone is needed,
     so a caller may check before it builds the spec."""
-    kinds = _STUDY_KINDS[study]
+    kinds = [name for name, row in _KINDS.items() if study in row.studies]
     if kind not in kinds:
         raise EstimationError(
             f"the {study} study cannot run on the {kind!r} scenario kind, only on {', '.join(kinds)}")
@@ -113,33 +114,34 @@ def check_study_kind(study: str, kind: str) -> None:
 class ScenarioSpec:
     """Parameters of one synthetic scenario.
 
-    Only the fields relevant to ``kind`` are read.  ``gamma`` moves the
+    Only the fields relevant to ``kind`` are read; ``n_class``, ``mean0`` and
+    ``mean1`` left at ``None`` take the kind's defaults.  ``gamma`` moves the
     unlabeled class-0 law away from its labeled counterpart (location for
     the gaussian kinds, rate for the exponential, first shape parameter for
     the beta); ``None`` keeps the two laws equal, under which the mixture
     assumption holds exactly.  Every field is checked when the spec is built:
-    each size must be a whole number, each number finite, and the kind's
-    laws must be able to draw it.
+    each size must be a whole number, each number finite, there must be one
+    size per class of the kind, and the kind's laws must be able to draw it.
     """
 
     kind: str
     n_unlabeled: int = 300
-    n_class: tuple[int, ...] | None = None  # None: the kind's default, set in __post_init__
+    n_class: tuple[int, ...] | None = None
     theta: float = 0.6
     gamma: float | None = None
-    # gaussian / gaussian_exponential class locations
-    mean0: float = 0.0
-    mean1: float = 2.0
-    # regression: score separation and sine cycles of the prevalence curve
-    mu: float = 1.0
-    cycles: int = 1
+    # the class locations of the gaussian kinds and the sine kind's scores
+    mean0: float | None = None
+    mean1: float | None = None
+    cycles: int = 1  # the sine kind's cycles of its prevalence curve over z in [0, 1]
 
     def __post_init__(self) -> None:
-        if self.kind not in SCENARIO_KINDS:
+        if self.kind not in _KINDS:
             raise EstimationError(f"unknown scenario kind {self.kind!r}")
-        if self.n_class is None:  # frozen, so the default is set through object.__setattr__
-            default = (20, 30, 50) if self.kind == "multiclass_gaussian" else (150, 150)
-            object.__setattr__(self, "n_class", default)
+        row = _KINDS[self.kind]
+        defaults = {"n_class": row.n_class, "mean0": row.means[0], "mean1": row.means[1]}
+        for name, default in defaults.items():  # frozen, so set through object.__setattr__
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if not 0.0 <= self.theta <= 1.0:
             raise EstimationError(f"theta must be in [0, 1], got {self.theta}")
         for size in (self.n_unlabeled, *self.n_class):
@@ -149,13 +151,10 @@ class ScenarioSpec:
                 raise EstimationError(f"group sizes must be whole numbers, got {size!r}") from None
         if self.n_unlabeled < 1 or any(n < 1 for n in self.n_class):
             raise EstimationError("all group sizes must be at least 1")
-        if self.kind != "regression_sine":  # the sine kind draws its labeled classes by coin
-            classes = len(_LEVELS) if self.kind == "multiclass_gaussian" else 2
-            if len(self.n_class) != classes:
-                raise EstimationError(f"kind {self.kind!r} needs {classes} labeled class sizes, "
-                                      f"got {len(self.n_class)}")
-        row = _SCORE_TABLE.get(self.kind)
-        if row is not None and row.positive and self.gamma is not None and self.gamma <= 0:
+        if len(self.n_class) != len(row.n_class):
+            raise EstimationError(f"kind {self.kind!r} needs {len(row.n_class)} labeled class "
+                                  f"sizes, got {len(self.n_class)}")
+        if row.positive and self.gamma is not None and self.gamma <= 0:
             raise EstimationError(
                 f"gamma replaces {row.positive} and must be positive, got {self.gamma}")
         # a NaN or infinite parameter would draw non-finite scores in every replicate
@@ -169,19 +168,11 @@ class ScenarioSpec:
         return payload
 
 
-def table_scenario(kind: str, **fields) -> ScenarioSpec:
-    """Canonical parameterization of the four binary test scenarios, with the
-    given :class:`ScenarioSpec` ``fields`` overlaid on it."""
-    if kind not in _SCORE_TABLE:
-        raise EstimationError(f"no canonical test parameterization for kind {kind!r}")
-    return ScenarioSpec(kind=kind, **{**_SCORE_TABLE[kind].canonical, **fields})
-
-
 def null_gamma(spec: ScenarioSpec) -> float:
     """The gamma value under which the unlabeled class-0 law is unshifted."""
-    if spec.kind not in _SCORE_TABLE:
+    if "power" not in _KINDS[spec.kind].studies:
         raise EstimationError(f"kind {spec.kind!r} has no shift parameter")
-    null = _SCORE_TABLE[spec.kind].null
+    null = _KINDS[spec.kind].null
     return spec.mean0 if null is None else null
 
 
@@ -249,33 +240,20 @@ def generate(spec: ScenarioSpec, seed: int) -> RawDataset:
             features=np.vstack(blocks), labels=np.concatenate(labels), set_indicator=sets
         )
 
+    # a binary kind, whose spec was checked against its row's rule when it was built
+    law0, law1 = _KINDS[spec.kind].laws
+    null = spec.mean0 if spec.kind == "regression_sine" else null_gamma(spec)  # sine: no gamma
+    labeled0 = law0(rng, spec.n_class[0], null)
+    labeled1 = law1(rng, spec.n_class[1], spec)
     if spec.kind == "regression_sine":
-        # Labeled prevalence is flat at 1/2; the unlabeled prevalence follows
-        # the sine curve over z ~ U(0, 1).
-        n_labeled = sum(spec.n_class)
-        z_labeled = rng.random(n_labeled)
-        y_labeled = (rng.random(n_labeled) < 0.5).astype(int)
-        x_labeled = rng.standard_normal(n_labeled) + np.where(y_labeled == 1, spec.mu, -spec.mu)
+        # Labeled prevalence is flat in z ~ U(0, 1); the unlabeled prevalence
+        # follows the sine curve over z ~ U(0, 1).
+        z_labeled = rng.random(labeled0.size + labeled1.size)
         z_u = rng.random(spec.n_unlabeled)
         theta_z = _sine_prevalence(z_u, spec.cycles)
         y_u = (rng.random(spec.n_unlabeled) < theta_z).astype(int)
-        x_u = rng.standard_normal(spec.n_unlabeled) + np.where(y_u == 1, spec.mu, -spec.mu)
-        return _assemble_binary(
-            x_labeled[y_labeled == 0],
-            x_labeled[y_labeled == 1],
-            x_u,
-            y_u,
-            covariate_labeled=np.concatenate(
-                [z_labeled[y_labeled == 0], z_labeled[y_labeled == 1]]
-            ),
-            covariate_unlabeled=z_u,
-        )
-
-    # a score kind, whose spec was checked against its row's rule when it was built
-    law0, law1 = _SCORE_TABLE[spec.kind].laws
-    null = null_gamma(spec)
-    labeled0 = law0(rng, spec.n_class[0], null)
-    labeled1 = law1(rng, spec.n_class[1], spec)
+        x_u = rng.standard_normal(spec.n_unlabeled) + np.where(y_u == 1, spec.mean1, spec.mean0)
+        return _assemble_binary(labeled0, labeled1, x_u, y_u, z_labeled, z_u)
     counts = _proportional_counts(spec.n_unlabeled, (1.0 - spec.theta, spec.theta))
     # the unlabeled class-0 law is class 0's with gamma in place of the null
     shifted = null if spec.gamma is None else spec.gamma
@@ -546,7 +524,7 @@ def run_power_study(
         raise EstimationError(f"alpha must be in (0, 1), got {alpha}")
     null = null_gamma(spec)
     if gammas is None:
-        gammas = [null + offset for offset in _SCORE_TABLE[spec.kind].power_offsets]
+        gammas = [null + offset for offset in _KINDS[spec.kind].power_offsets]
     gammas = _distinct(gammas, "the gammas swept must be distinct")
     cells = [dataclasses.replace(spec, gamma=float(gamma)) for gamma in gammas]
     replicate = partial(

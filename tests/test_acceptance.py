@@ -24,7 +24,6 @@ from quantify import (
     run_power_study,
     run_regression_study,
     solve_weights,
-    table_scenario,
 )
 from quantify.cli import main
 
@@ -81,8 +80,8 @@ class TestAcceptance:
         sizes = (250, 500, 1000, 2000)
         mses = []
         for n in sizes:
-            spec = table_scenario(
-                "gaussian", n_unlabeled=n, n_class=(n // 2, n - n // 2), theta=0.3
+            spec = ScenarioSpec(
+                kind="gaussian", n_unlabeled=n, n_class=(n // 2, n - n // 2), theta=0.3
             )
             report = run_mse_study(spec, thetas=[0.3], methods=["ratio"],
                                    replicates=200, seed=31)
@@ -94,7 +93,7 @@ class TestAcceptance:
 
     def test_04_interval_coverage(self):
         start = time.perf_counter()
-        spec = table_scenario("gaussian", n_unlabeled=1000, n_class=(500, 500))
+        spec = ScenarioSpec(kind="gaussian", n_unlabeled=1000, n_class=(500, 500))
         thetas = [0.1, 0.2, 0.3, 0.4, 0.5]
         report = run_coverage_study(spec, thetas=thetas, level=0.95,
                                     replicates=500, seed=41)
@@ -158,7 +157,7 @@ class TestAcceptance:
         excluded there: the shifted class-0 law collides with class 1 and
         the mixture hypothesis degenerately holds again)."""
         start = time.perf_counter()
-        spec = table_scenario("gaussian")
+        spec = ScenarioSpec(kind="gaussian")
         report = run_power_study(spec, gammas=[-2.0, 0.0], alpha=0.05,
                                  replicates=500, test_replicates=200, seed=71,
                                  grid_size=201)
@@ -172,8 +171,8 @@ class TestAcceptance:
     def test_08_pooling_target_labels_halves_the_mse(self):
         """With m = 77 target labels the labels-only arm matches the ratio
         arm's MSE, so the pooled estimate should run at roughly half."""
-        spec = table_scenario("gaussian", theta=0.3, n_unlabeled=300, n_class=(150, 150),
-                              mean0=-1.0, mean1=1.0)
+        spec = ScenarioSpec(kind="gaussian", theta=0.3, n_unlabeled=300, n_class=(150, 150),
+                            mean0=-1.0, mean1=1.0)
         report = run_combined_study(spec, label_counts=[77], replicates=300, seed=10)
         mse_ratio = report.value("mse_ratio", target_labels=77)
         mse_combined = report.value("mse_combined", target_labels=77)
@@ -198,12 +197,12 @@ class TestAcceptance:
     def test_10_regression_curves(self):
         grid = np.linspace(0.0, 1.0, 101)
         hard = ScenarioSpec(kind="regression_sine", n_unlabeled=1000,
-                            n_class=(500, 500), mu=0.5)
+                            n_class=(500, 500), mean0=-0.5, mean1=0.5)
         report = run_regression_study(hard, grid=grid, replicates=50, seed=101)
         wins = sum(1 for row in report.raw_rows if row[2] < row[3])
 
         easy = ScenarioSpec(kind="regression_sine", n_unlabeled=1000,
-                            n_class=(500, 500), mu=2.0)
+                            n_class=(500, 500), mean0=-2.0, mean1=2.0)
         easy_report = run_regression_study(easy, grid=grid, replicates=50, seed=101)
         sup_gap = easy_report.rows[0][6]
         mise = easy_report.rows[0][1]

@@ -650,7 +650,7 @@ def test_multiclass_scenario_meta_keeps_its_default_class_sizes(capsys):
                         "--size", "60", "--replicates", "1"], capsys)
     assert payload["meta"] == {
         "cycles": 1, "gamma": None, "kind": "multiclass_gaussian", "mean0": 0.0, "mean1": 2.0,
-        "mu": 1.0, "n_class": [20, 30, 50], "n_unlabeled": 300, "theta": 0.6,
+        "n_class": [20, 30, 50], "n_unlabeled": 300, "theta": 0.6,
     }
 
 
@@ -696,7 +696,7 @@ OUT_OF_RANGE_BANDWIDTH = "argument --bandwidth: must be positive and finite, got
         ("mse-mean1-inf", ["--study", "mse", "--mean1", "inf"],
          "scenario field mean1 must be finite, got inf"),
         ("regression-mu-inf", ["--scenario", "sine", "--study", "regression", "--mu", "inf"],
-         "scenario field mu must be finite, got inf"),
+         "scenario field mean0 must be finite, got -inf"),
         ("power-gamma-nan", [*SMALL_SHIFT_TEST, "--study", "power", "--gamma", "nan"],
          "scenario field gamma must be finite, got nan"),
         ("regression-threshold-nan",
@@ -804,7 +804,7 @@ SHOWN_IN_META = {
     **{(kind, "theta"): {"theta": 0.3}
        for kind in ("gaussian", "exponential", "gaussian_exponential", "beta")},
     ("gaussian", "mu"): {"mean0": -3.0, "mean1": 3.0},
-    ("sine", "mu"): {"mu": 3.0},
+    ("sine", "mu"): {"mean0": -3.0, "mean1": 3.0},
     ("gaussian", "mean0"): {"mean0": 0.5},
     ("gaussian_exponential", "mean0"): {"mean0": 0.5},
     ("gaussian", "mean1"): {"mean1": 4.0},
@@ -852,6 +852,18 @@ def test_simulate_uses_each_scenario_flag_or_refuses_it(scenario, study, flags, 
         assert {key: meta[key] for key in shown} == shown
         if flags.count("--theta") == 2:
             assert sorted({row[0] for row in json.loads(stdout)["rows"]}) == [0.3, 0.4]
+
+
+@pytest.mark.parametrize("scenario", sorted(STUDY_OF_SCENARIO))
+def test_a_scenario_without_flags_is_its_kinds_default_spec(scenario, capsys, monkeypatch):
+    """The CLI builds each scenario with the defaults ScenarioSpec takes for its kind."""
+    monkeypatch.setenv("QUANTIFY_THREADS", "1")
+    study = STUDY_OF_SCENARIO[scenario]
+    sizes = ("--size", "60") if study == "multiclass" else ()
+    meta = run_json(["simulate", "--scenario", scenario, "--study", study, "--replicates", "1",
+                     *sizes], capsys)["meta"]
+    spec = quantify.ScenarioSpec(kind=KIND_OF_SCENARIO[scenario]).meta()
+    assert {key: meta[key] for key in spec} == spec
 
 
 # A value each flag of the method and study tables accepts, and the scenario

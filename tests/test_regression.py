@@ -475,9 +475,8 @@ class TestCcRegress:
 class TestSineScenarioSmoke:
     def test_single_seed_curve_recovery(self):
         """Well separated classes let the corrected curve track the sine."""
-        spec = ScenarioSpec(
-            kind="regression_sine", n_unlabeled=1000, n_class=(500, 500), mu=2.0
-        )
+        spec = ScenarioSpec(kind="regression_sine", n_unlabeled=1000, n_class=(500, 500),
+                            mean0=-2.0, mean1=2.0)
         data = generate(spec, seed=52)
         grid = np.linspace(0.0, 1.0, 101)
         curve = ratio_regress(data, SCORE, grid)

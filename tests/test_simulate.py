@@ -29,7 +29,6 @@ from quantify import (
     ratio_ci,
     ratio_estimate,
     ratio_variance,
-    table_scenario,
 )
 from quantify import simulate
 from quantify.cli import main
@@ -66,29 +65,33 @@ class TestScenarioSpec:
         drawn = []
         monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
         with pytest.raises(EstimationError) as info:
-            run_mse_study(table_scenario("gaussian", **fields), thetas=[0.3], replicates=1)
+            run_mse_study(ScenarioSpec(kind="gaussian", **fields), thetas=[0.3], replicates=1)
         assert str(info.value) == f"group sizes must be whole numbers, got {size!r}"
         assert drawn == []
-        assert generate(table_scenario("gaussian", n_unlabeled=np.int64(10), n_class=(5, 5)),
+        assert generate(ScenarioSpec(kind="gaussian", n_unlabeled=np.int64(10), n_class=(5, 5)),
                         seed=0).features.shape == (20, 1)
 
     def test_meta_is_plain_data(self):
-        spec = table_scenario("gaussian", theta=0.3)
+        spec = ScenarioSpec(kind="gaussian", theta=0.3)
         meta = spec.meta()
         assert meta["kind"] == "gaussian"
         assert meta["n_class"] == [150, 150]
         assert meta["theta"] == 0.3
 
 
-class TestTableScenario:
+class TestKindDefaults:
     def test_gaussian_parameters(self):
-        spec = table_scenario("gaussian")
+        spec = ScenarioSpec(kind="gaussian")
         assert (spec.mean0, spec.mean1) == (0.0, 2.0)
         assert (spec.n_unlabeled, spec.n_class, spec.theta) == (300, (150, 150), 0.6)
 
+    def test_sine_parameters(self):
+        spec = ScenarioSpec(kind="regression_sine")
+        assert (spec.mean0, spec.mean1, spec.n_class, spec.cycles) == (-1.0, 1.0, (150, 150), 1)
+
     def test_gaussian_exponential_parameters(self):
         """N(1, 1) against the rate-1 exponential."""
-        spec = table_scenario("gaussian_exponential", n_unlabeled=10, n_class=(4000, 4000))
+        spec = ScenarioSpec(kind="gaussian_exponential", n_unlabeled=10, n_class=(4000, 4000))
         assert spec.mean0 == 1.0
         data = generate(spec, seed=9)
         scores0 = data.features[data.labeled_class_indices(0), 0]
@@ -98,18 +101,14 @@ class TestTableScenario:
 
     def test_each_kind_has_only_the_fields_a_caller_sets(self):
         """The kinds' other law parameters are constants of their table rows."""
-        assert list(table_scenario("beta").meta()) == [
-            "kind", "n_unlabeled", "n_class", "theta", "gamma", "mean0", "mean1", "mu", "cycles"]
-
-    def test_unknown_table_kind(self):
-        with pytest.raises(EstimationError, match="canonical"):
-            table_scenario("multiclass_gaussian")
+        assert list(ScenarioSpec(kind="beta").meta()) == [
+            "kind", "n_unlabeled", "n_class", "theta", "gamma", "mean0", "mean1", "cycles"]
 
     def test_null_gamma(self):
-        assert null_gamma(table_scenario("gaussian")) == 0.0
-        assert null_gamma(table_scenario("exponential")) == 1.0
-        assert null_gamma(table_scenario("gaussian_exponential")) == 1.0
-        assert null_gamma(table_scenario("beta")) == 1.0
+        assert null_gamma(ScenarioSpec(kind="gaussian")) == 0.0
+        assert null_gamma(ScenarioSpec(kind="exponential")) == 1.0
+        assert null_gamma(ScenarioSpec(kind="gaussian_exponential")) == 1.0
+        assert null_gamma(ScenarioSpec(kind="beta")) == 1.0
         sine = ScenarioSpec(kind="regression_sine", n_unlabeled=10, n_class=(5, 5))
         with pytest.raises(EstimationError, match="shift parameter"):
             null_gamma(sine)
@@ -142,7 +141,7 @@ class TestProportionalCounts:
 
 class TestGenerateBinary:
     def test_bit_identical_for_a_fixed_seed(self):
-        spec = table_scenario("gaussian", theta=0.3)
+        spec = ScenarioSpec(kind="gaussian", theta=0.3)
         a = generate(spec, seed=11)
         b = generate(spec, seed=11)
         np.testing.assert_array_equal(a.features, b.features)
@@ -150,11 +149,11 @@ class TestGenerateBinary:
         np.testing.assert_array_equal(a.set_indicator, b.set_indicator)
 
     def test_seed_changes_the_draw(self):
-        spec = table_scenario("gaussian")
+        spec = ScenarioSpec(kind="gaussian")
         assert not np.array_equal(generate(spec, 0).features, generate(spec, 1).features)
 
     def test_exact_group_sizes_and_mixture_counts(self):
-        spec = table_scenario("gaussian", n_unlabeled=300, n_class=(150, 150), theta=0.3)
+        spec = ScenarioSpec(kind="gaussian", n_unlabeled=300, n_class=(150, 150), theta=0.3)
         data = generate(spec, seed=3)
         assert data.labeled_class_indices(0).size == 150
         assert data.labeled_class_indices(1).size == 150
@@ -163,17 +162,17 @@ class TestGenerateBinary:
         assert int(labels_u.sum()) == 90
 
     def test_rounding_of_fractional_mixture_counts(self):
-        spec = table_scenario("gaussian", n_unlabeled=10, theta=0.61)
+        spec = ScenarioSpec(kind="gaussian", n_unlabeled=10, theta=0.61)
         assert int(unlabeled_labels(generate(spec, 0)).sum()) == 6
 
     def test_unlabeled_rows_are_shuffled(self):
-        spec = table_scenario("gaussian", theta=0.5)
+        spec = ScenarioSpec(kind="gaussian", theta=0.5)
         labels_u = unlabeled_labels(generate(spec, 2))
         diffs = np.diff(labels_u)
         assert np.any(diffs > 0) and np.any(diffs < 0)
 
     def test_exponential_rates(self):
-        spec = table_scenario("exponential", n_unlabeled=10, n_class=(4000, 4000))
+        spec = ScenarioSpec(kind="exponential", n_unlabeled=10, n_class=(4000, 4000))
         data = generate(spec, seed=9)
         mean1 = data.features[data.labeled_class_indices(1), 0].mean()
         mean0 = data.features[data.labeled_class_indices(0), 0].mean()
@@ -182,12 +181,12 @@ class TestGenerateBinary:
         assert data.features.min() >= 0.0
 
     def test_beta_scores_live_in_the_unit_interval(self):
-        data = generate(table_scenario("beta"), seed=4)
+        data = generate(ScenarioSpec(kind="beta"), seed=4)
         assert data.features.min() >= 0.0 and data.features.max() <= 1.0
 
     def test_gamma_moves_only_the_unlabeled_class0_law(self):
-        spec = table_scenario("gaussian", n_unlabeled=2000, n_class=(800, 800),
-                              theta=0.6, gamma=3.0)
+        spec = ScenarioSpec(kind="gaussian", n_unlabeled=2000, n_class=(800, 800),
+                            theta=0.6, gamma=3.0)
         data = generate(spec, seed=6)
         labels_u = unlabeled_labels(data)
         scores_u = data.features[data.unlabeled_indices(), 0]
@@ -195,7 +194,7 @@ class TestGenerateBinary:
         assert abs(data.features[data.labeled_class_indices(0), 0].mean() - 0.0) < 0.2
 
     def test_no_covariate_for_score_scenarios(self):
-        assert generate(table_scenario("gaussian"), 0).covariate is None
+        assert generate(ScenarioSpec(kind="gaussian"), 0).covariate is None
 
     @pytest.mark.parametrize("kind, gamma, message", [
         ("exponential", 0.0, "gamma replaces the exponential class-0 rate and must be positive, "
@@ -209,7 +208,7 @@ class TestGenerateBinary:
         drawn = []
         monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
         with pytest.raises(EstimationError) as info:
-            run_power_study(table_scenario(kind), gammas=[1.0, gamma], replicates=1,
+            run_power_study(ScenarioSpec(kind=kind), gammas=[1.0, gamma], replicates=1,
                             test_replicates=5, grid_size=21)
         assert str(info.value) == message
         assert drawn == []
@@ -277,11 +276,23 @@ class TestGenerateRegressionSine:
         assert y[z < 0.5].mean() > 0.7
         assert y[z >= 0.5].mean() < 0.3
 
-    def test_labeled_prevalence_is_flat(self):
-        spec = ScenarioSpec(kind="regression_sine", n_unlabeled=10, n_class=(2000, 2000))
+    def test_labeled_class_sizes_are_exact(self):
+        """Each labeled class has its size, and z is uniform in both."""
+        spec = ScenarioSpec(kind="regression_sine", n_unlabeled=10, n_class=(700, 1300))
         data = generate(spec, seed=5)
-        share1 = data.labeled_class_indices(1).size / 4000
-        assert abs(share1 - 0.5) < 0.03
+        assert [data.labeled_class_indices(c).size for c in (0, 1)] == [700, 1300]
+        for c in (0, 1):
+            z = data.covariate[data.labeled_class_indices(c)]
+            assert abs(z.mean() - 0.5) < 0.04 and z.min() >= 0.0 and z.max() < 1.0
+
+    def test_one_size_per_class(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
+        with pytest.raises(EstimationError, match="kind 'regression_sine' needs 2 labeled class "
+                                                  "sizes, got 3"):
+            run_regression_study(ScenarioSpec(kind="regression_sine", n_class=(3, 3, 3)),
+                                 replicates=1)
+        assert drawn == []
 
 
 class TestExperimentReport:
@@ -335,24 +346,25 @@ class TestHelpers:
 
 SMALL_STUDIES = {
     "mse": lambda: run_mse_study(
-        table_scenario("beta", n_unlabeled=60, n_class=(30, 30)),
+        ScenarioSpec(kind="beta", n_unlabeled=60, n_class=(30, 30)),
         thetas=[0.2, 0.5], methods=["ratio", "cc", "em"], replicates=3, seed=4),
     "coverage": lambda: run_coverage_study(
-        table_scenario("gaussian", theta=0.3, n_unlabeled=60, n_class=(30, 30),
-                       mean0=-1.0, mean1=1.0),
+        ScenarioSpec(kind="gaussian", theta=0.3, n_unlabeled=60, n_class=(30, 30),
+                     mean0=-1.0, mean1=1.0),
         thetas=[0.3, 0.6], level=0.9, replicates=3, seed=1),
     "power": lambda: run_power_study(
-        table_scenario("gaussian", n_unlabeled=80, n_class=(40, 40)), gammas=[0.0, -2.0],
+        ScenarioSpec(kind="gaussian", n_unlabeled=80, n_class=(40, 40)), gammas=[0.0, -2.0],
         alpha=0.05, replicates=2, test_replicates=11, seed=6, grid_size=51),
     "combined": lambda: run_combined_study(
-        table_scenario("gaussian", theta=0.3, n_unlabeled=60, n_class=(30, 30),
-                       mean0=-1.0, mean1=1.0),
+        ScenarioSpec(kind="gaussian", theta=0.3, n_unlabeled=60, n_class=(30, 30),
+                     mean0=-1.0, mean1=1.0),
         label_counts=[0, 10, 20], replicates=3, seed=2),
     "multiclass": lambda: run_multiclass_study(
         ScenarioSpec(kind="multiclass_gaussian", n_unlabeled=90, n_class=(30, 30, 30)),
         sizes=[60, 90], replicates=2, seed=1),
     "regression": lambda: run_regression_study(
-        ScenarioSpec(kind="regression_sine", n_unlabeled=200, n_class=(60, 60), mu=2.0),
+        ScenarioSpec(kind="regression_sine", n_unlabeled=200, n_class=(60, 60), mean0=-2.0,
+                     mean1=2.0),
         grid=np.linspace(0, 1, 11), replicates=3, seed=9),
 }
 
@@ -452,7 +464,7 @@ class TestStudyDriver:
 
 class TestMseStudy:
     def test_layout_and_determinism(self):
-        spec = table_scenario("gaussian", n_unlabeled=60, n_class=(30, 30))
+        spec = ScenarioSpec(kind="gaussian", n_unlabeled=60, n_class=(30, 30))
         a = run_mse_study(spec, thetas=[0.2, 0.5], methods=["ratio", "cc"],
                           replicates=3, seed=4)
         b = run_mse_study(spec, thetas=[0.2, 0.5], methods=["ratio", "cc"],
@@ -466,26 +478,26 @@ class TestMseStudy:
 
     def test_ratio_beats_classify_and_count_under_shifted_priors(self):
         """Overlapping classes bias thresholded counting; the ratio corrects it."""
-        spec = table_scenario("gaussian")
+        spec = ScenarioSpec(kind="gaussian")
         report = run_mse_study(spec, thetas=[0.3], methods=["ratio", "cc"],
                                replicates=60, seed=0)
         assert report.value("mse", method="ratio") < report.value("mse", method="cc")
 
     def test_em_runs_on_probability_scores(self):
-        spec = table_scenario("beta", n_unlabeled=80, n_class=(40, 40))
+        spec = ScenarioSpec(kind="beta", n_unlabeled=80, n_class=(40, 40))
         report = run_mse_study(spec, thetas=[0.4], methods=["em"], replicates=5, seed=2)
         estimates = [row[4] for row in report.raw_rows]
         assert all(0.0 <= e <= 1.0 for e in estimates)
 
     def test_unknown_method(self):
-        spec = table_scenario("gaussian", n_unlabeled=10, n_class=(5, 5))
+        spec = ScenarioSpec(kind="gaussian", n_unlabeled=10, n_class=(5, 5))
         with pytest.raises(EstimationError, match="unknown method"):
             run_mse_study(spec, thetas=[0.5], methods=["pcc"], replicates=1, seed=0)
 
     def test_repeated_method(self):
         """A method given twice would pool two copies of its errors into one
         half-width, which comes out sqrt(2) too narrow."""
-        spec = table_scenario("gaussian", n_unlabeled=10, n_class=(5, 5))
+        spec = ScenarioSpec(kind="gaussian", n_unlabeled=10, n_class=(5, 5))
         with pytest.raises(EstimationError, match="once"):
             run_mse_study(spec, thetas=[0.5], methods=["cc", "ratio", "cc"], replicates=1,
                           seed=0)
@@ -511,8 +523,8 @@ class TestCoverageStudy:
         assert lo <= 0.4 <= hi and hi - lo > 0.0
 
     def test_nominal_coverage_is_roughly_met(self):
-        spec = table_scenario("gaussian", theta=0.3, n_unlabeled=400, n_class=(200, 200),
-                              mean0=-1.0, mean1=1.0)
+        spec = ScenarioSpec(kind="gaussian", theta=0.3, n_unlabeled=400, n_class=(200, 200),
+                            mean0=-1.0, mean1=1.0)
         report = run_coverage_study(spec, thetas=[0.3], level=0.95,
                                     replicates=40, seed=3)
         assert report.value("coverage", theta=0.3) >= 0.85
@@ -524,7 +536,7 @@ class TestCoverageStudy:
 
 
 class TestPowerStudy:
-    SPEC = table_scenario("gaussian", n_unlabeled=80, n_class=(40, 40))
+    SPEC = ScenarioSpec(kind="gaussian", n_unlabeled=80, n_class=(40, 40))
 
     def test_null_marking_and_consistency(self):
         report = run_power_study(self.SPEC, gammas=[0.0, -2.0], alpha=0.05,
@@ -550,7 +562,7 @@ class TestPowerStudy:
         assert a.raw_rows == b.raw_rows
 
     def test_gross_shift_rejects(self):
-        report = run_power_study(table_scenario("gaussian"), gammas=[-2.0],
+        report = run_power_study(ScenarioSpec(kind="gaussian"), gammas=[-2.0],
                                  alpha=0.05, replicates=8, test_replicates=60,
                                  seed=7, grid_size=101)
         assert report.value("rejection_rate", gamma=-2.0) >= 0.75
@@ -562,8 +574,8 @@ class TestPowerStudy:
     @pytest.mark.parametrize("spec, gammas", [
         pytest.param(SPEC, [0.0, -2.0, 0.0], id="given-twice"),
         # offsets of -2..1 vanish next to a null of -1e300
-        pytest.param(table_scenario("gaussian", theta=0.6, n_unlabeled=80, n_class=(40, 40),
-                                    mean0=-1e300, mean1=1e300), None, id="default-sweep"),
+        pytest.param(ScenarioSpec(kind="gaussian", theta=0.6, n_unlabeled=80, n_class=(40, 40),
+                                  mean0=-1e300, mean1=1e300), None, id="default-sweep"),
     ])
     def test_repeated_gamma_is_refused_before_any_replicate(self, spec, gammas, monkeypatch):
         """Two cells at one gamma would print the same row twice."""
@@ -575,12 +587,12 @@ class TestPowerStudy:
 
 
 @pytest.mark.parametrize("run_study, message", [
-    pytest.param(lambda: run_mse_study(table_scenario("gaussian", theta=0.3, n_unlabeled=60,
-                                                      n_class=(30, 30), mean0=-1.0, mean1=1.0),
+    pytest.param(lambda: run_mse_study(ScenarioSpec(kind="gaussian", theta=0.3, n_unlabeled=60,
+                                                    n_class=(30, 30), mean0=-1.0, mean1=1.0),
                                        thetas=[0.2, 0.4, 0.2], replicates=1),
                  "the thetas swept must be distinct, got [0.2, 0.4, 0.2]", id="mse-thetas"),
-    pytest.param(lambda: run_coverage_study(table_scenario("gaussian", theta=0.3, n_unlabeled=60,
-                                                           n_class=(30, 30), mean0=-1.0, mean1=1.0),
+    pytest.param(lambda: run_coverage_study(ScenarioSpec(kind="gaussian", theta=0.3, n_unlabeled=60,
+                                                         n_class=(30, 30), mean0=-1.0, mean1=1.0),
                                             thetas=[0.3, 0.3], replicates=1),
                  "the thetas swept must be distinct, got [0.3, 0.3]", id="coverage-thetas"),
     pytest.param(lambda: run_multiclass_study(TestMulticlassStudy.SPEC, sizes=[60, 60],
@@ -602,8 +614,8 @@ def test_repeated_sweep_value_is_refused_before_any_replicate(run_study, message
 
 class TestCombinedStudy:
     def test_label_free_cells_report_only_the_ratio_arm(self):
-        spec = table_scenario("gaussian", theta=0.3, n_unlabeled=60, n_class=(40, 40),
-                              mean0=-1.0, mean1=1.0)
+        spec = ScenarioSpec(kind="gaussian", theta=0.3, n_unlabeled=60, n_class=(40, 40),
+                            mean0=-1.0, mean1=1.0)
         report = run_combined_study(spec, label_counts=[0, 20], replicates=6, seed=2)
         zero = report.cell(target_labels=0)
         assert zero[3] is None and zero[4] is None
@@ -615,23 +627,23 @@ class TestCombinedStudy:
     def test_labels_arm_matches_subsampling_variance(self):
         """First-m labels of a shuffled exact mixture form a without-
         replacement sample, so MSE(labels) tracks theta(1-theta)/m."""
-        spec = table_scenario("gaussian", theta=0.3, n_unlabeled=300, n_class=(50, 50),
-                              mean0=-1.0, mean1=1.0)
+        spec = ScenarioSpec(kind="gaussian", theta=0.3, n_unlabeled=300, n_class=(50, 50),
+                            mean0=-1.0, mean1=1.0)
         report = run_combined_study(spec, label_counts=[40], replicates=60, seed=3)
         mse_labels = report.value("mse_labels", target_labels=40)
         assert 0.002 <= mse_labels <= 0.011
 
     def test_count_bounds(self):
-        spec = table_scenario("gaussian", theta=0.3, n_unlabeled=30, n_class=(10, 10),
-                              mean0=-1.0, mean1=1.0)
+        spec = ScenarioSpec(kind="gaussian", theta=0.3, n_unlabeled=30, n_class=(10, 10),
+                            mean0=-1.0, mean1=1.0)
         with pytest.raises(EstimationError, match="label counts"):
             run_combined_study(spec, label_counts=[31], replicates=1, seed=0)
         with pytest.raises(EstimationError, match="label counts"):
             run_combined_study(spec, label_counts=[-1], replicates=1, seed=0)
 
     def test_repeated_label_count(self):
-        spec = table_scenario("gaussian", theta=0.3, n_unlabeled=30, n_class=(10, 10),
-                              mean0=-1.0, mean1=1.0)
+        spec = ScenarioSpec(kind="gaussian", theta=0.3, n_unlabeled=30, n_class=(10, 10),
+                            mean0=-1.0, mean1=1.0)
         with pytest.raises(EstimationError, match="once"):
             run_combined_study(spec, label_counts=[10, 0, 10], replicates=1, seed=0)
 
@@ -657,7 +669,7 @@ class TestMulticlassStudy:
 
     def test_wrong_kind(self):
         with pytest.raises(EstimationError, match="multiclass_gaussian"):
-            run_multiclass_study(table_scenario("gaussian"), sizes=[10], replicates=1, seed=0)
+            run_multiclass_study(ScenarioSpec(kind="gaussian"), sizes=[10], replicates=1, seed=0)
 
     def test_empty_class_on_the_ladder(self):
         with pytest.raises(EstimationError, match="empty class"):
@@ -665,9 +677,8 @@ class TestMulticlassStudy:
 
 
 class TestRegressionStudy:
-    SPEC = ScenarioSpec(
-        kind="regression_sine", n_unlabeled=200, n_class=(60, 60), mu=2.0
-    )
+    SPEC = ScenarioSpec(kind="regression_sine", n_unlabeled=200, n_class=(60, 60), mean0=-2.0,
+                        mean1=2.0)
 
     def test_summary_layout(self):
         grid = np.linspace(0, 1, 21)
@@ -704,5 +715,5 @@ class TestRegressionStudy:
 
     def test_wrong_kind(self):
         with pytest.raises(EstimationError, match="regression_sine"):
-            run_regression_study(table_scenario("gaussian"), grid=np.linspace(0, 1, 5),
+            run_regression_study(ScenarioSpec(kind="gaussian"), grid=np.linspace(0, 1, 5),
                                  replicates=1, seed=0)
