@@ -449,9 +449,9 @@ def run_mse_study(
 
 
 def _coverage_replicate(
-    cell: ScenarioSpec, path: tuple[int, ...], level: float, regime: str
+    cell: ScenarioSpec, path: tuple[int, ...], level: float
 ) -> tuple[float, float, float]:
-    est = ratio_ci(ratio_variance(ratio_estimate(_scored(cell, path)), regime), level=level)
+    est = ratio_ci(ratio_variance(ratio_estimate(_scored(cell, path))), level=level)
     lo, hi, _ = est.ci
     return est.theta, lo, hi
 
@@ -463,13 +463,12 @@ def run_coverage_study(
     *,
     replicates: int,
     seed: int = 0,
-    regime: str = "auto",
 ) -> ExperimentReport:
     """Coverage of the normal interval for the ratio estimate, per prevalence."""
     check_study_kind("coverage", spec.kind)
     thetas = _distinct(thetas, "the thetas swept must be distinct")
     cells = [dataclasses.replace(spec, theta=float(theta)) for theta in thetas]
-    replicate = partial(_coverage_replicate, level=level, regime=regime)
+    replicate = partial(_coverage_replicate, level=level)
     raw = [(spec.kind, float(theta), r, estimate, lo, hi, 1 if lo <= theta <= hi else 0)
            for theta, intervals in zip(thetas, _run_cells(cells, replicate, replicates, seed))
            for r, (estimate, lo, hi) in enumerate(intervals)]
@@ -479,7 +478,7 @@ def run_coverage_study(
         rows=_summary_rows(raw, (1,), replicates,
                            (itemgetter(6), np.mean), (lambda row: row[5] - row[4], np.mean)),
         seed=seed,
-        meta={**spec.meta(), "level": level, "regime": regime},
+        meta={**spec.meta(), "level": level, "regime": "auto"},  # ratio_variance's default
         raw_columns=("scenario", "theta", "replicate", "estimate", "lower", "upper", "covered"),
         raw_rows=tuple(raw),
     )
@@ -547,11 +546,11 @@ def run_power_study(
 
 
 def _combined_replicate(
-    cell: ScenarioSpec, path: tuple[int, ...], label_counts: list[int], regime: str
+    cell: ScenarioSpec, path: tuple[int, ...], label_counts: list[int]
 ) -> tuple[float, list[CombinedEstimate | None]]:
     """The ratio estimate, and its blend with the first m target labels (None at m = 0)."""
     data = generate(cell, seed=_child_seed(*path))
-    est = ratio_variance(ratio_estimate(score_dataset(data, _SCORE)), regime)
+    est = ratio_variance(ratio_estimate(score_dataset(data, _SCORE)))
     unlabeled_labels = data.labels[data.unlabeled_indices()]
     return est.theta, [
         combined_estimate(est, unlabeled_labels[:m]) if m else None for m in label_counts
@@ -564,7 +563,6 @@ def run_combined_study(
     *,
     replicates: int,
     seed: int = 0,
-    regime: str = "auto",
 ) -> ExperimentReport:
     """MSE of the ratio, labels-only, and combined estimators.
 
@@ -578,7 +576,7 @@ def run_combined_study(
     if any(m < 0 or m > spec.n_unlabeled for m in label_counts):
         raise EstimationError("label counts must lie in [0, n_unlabeled]")
     label_counts = _distinct(label_counts, "each label count may be given once")
-    replicate = partial(_combined_replicate, label_counts=label_counts, regime=regime)
+    replicate = partial(_combined_replicate, label_counts=label_counts)
     (outcomes,) = _run_cells([spec], replicate, replicates, seed)
     raw = []
     for r, (theta_ratio, arms) in enumerate(outcomes):
