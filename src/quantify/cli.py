@@ -28,6 +28,7 @@ from .core import (
     RawDataset,
     ScoreFunction,
     fit_logistic,
+    fit_logistic_ovr,
     load_csv,
     score_dataset,
 )
@@ -51,20 +52,14 @@ _SIZED_STUDIES = ("mse", "coverage", "power", "combined", "regression")
 # The simulate scenarios that are not score kinds, and their ScenarioSpec kinds.
 _SCENARIO_KINDS = {"multiclass": "multiclass_gaussian", "sine": "regression_sine"}
 
-# For each command, the flags that pick a choice (its method, scenario or study)
-# and, for each optional flag, the choices that read it; any other choice refuses it.
+# For each command, the flags that pick a choice (its method or study) and, for
+# each optional flag, the choices that read it; any other choice refuses it.
+# A scenario flag reaches ScenarioSpec, which refuses a field its kind does not read.
 _READ_BY = {
     "estimate": {"method": {"ci": ("ratio",), "regime": ("ratio",), "min_denom": ("ratio",),
                             "threshold": ("cc",), "theta_train": ("em",)}},
     "regress": {"method": {"min_denom": ("ratio",), "threshold": ("cc",)}},
     "simulate": {
-        "scenario": {
-            "theta": ("gaussian", "exponential", "gaussian_exponential", "beta"),
-            "mu": ("gaussian", "sine"),
-            "mean0": ("gaussian", "gaussian_exponential"),
-            "mean1": ("gaussian",),
-            "cycles": ("sine",),
-        },
         # the multiclass study's --size ladder sets both of its group sizes
         "study": {
             "n_unlabeled": _SIZED_STUDIES, "preset": _SIZED_STUDIES, "method": ("mse",),
@@ -77,8 +72,8 @@ _READ_BY = {
 
 
 def _refuse_unread(args) -> None:
-    """Refuse each given flag that the command's method, scenario or study does not
-    read, that another given flag overrides, or that needs a flag not given."""
+    """Refuse each given flag that the command's method or study does not read, that
+    another given flag overrides, or that needs a flag not given."""
     for choice_flag, readers in _READ_BY.get(args.command, {}).items():
         choice = getattr(args, choice_flag)
         for flag, choices in readers.items():
@@ -174,6 +169,8 @@ def _resolve_score(args, data: RawDataset) -> ScoreFunction:
         return selection.score_function()
     if args.score_col:
         return ExternalScore.from_names(args.score_col, data)
+    if getattr(args, "method", None) == "multiclass" and data.n_classes > 2:
+        return fit_logistic_ovr(data)
     return fit_logistic(data)
 
 
@@ -184,19 +181,11 @@ def _add_schema_flags(parser: argparse.ArgumentParser, covariate: bool = False) 
         "$XDG_CACHE_HOME/quantify (default ~/.cache/quantify), which is always safe to delete",
     )
     parser.add_argument("--set-col", required=True, help="column with the 0/1 set indicator")
-    parser.add_argument("--label-col", default=None, help="column with class labels")
-    parser.add_argument(
-        "--feature-col",
-        action="append",
-        default=None,
-        help="feature column (repeatable; default: every unclaimed column)",
-    )
-    parser.add_argument(
-        "--score-col",
-        action="append",
-        default=None,
-        help="precomputed score column (repeatable); skips the built-in classifier",
-    )
+    parser.add_argument("--label-col", help="column with class labels")
+    parser.add_argument("--feature-col", action="append",
+                        help="feature column (repeatable; default: every unclaimed column)")
+    parser.add_argument("--score-col", action="append",
+                        help="precomputed score column (repeatable); skips the built-in classifier")
     if covariate:
         parser.add_argument("--covariate-col", required=True, help="covariate column z")
 
@@ -211,7 +200,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, seed: bool = False) -> No
     )
     parser.add_argument("--quiet", action="store_true", help="suppress stdout result")
     if seed:  # only the commands with a random step read it
-        parser.add_argument("--seed", type=_seed_arg, default=0, help="seed for any randomized step")
+        parser.add_argument("--seed", type=_seed_arg, help="seed for any randomized step")
 
 
 def _seed_arg(text: str) -> int:
@@ -229,7 +218,8 @@ def _grid_arg(text: str):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be start:stop:points")
     try:
-        return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+        with np.errstate(all="ignore"):  # regression refuses a grid with a non-finite point
+            return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -277,7 +267,7 @@ def _cmd_test_shift(args) -> None:
     data = _load_data(args)
     g = _resolve_score(args, data)
     scored = score_dataset(data, g)
-    result = shift_test(scored, seed=args.seed, **_given(args, "replicates", "grid_size"))
+    result = shift_test(scored, **_given(args, "seed", "replicates", "grid_size"))
     _emit(result.to_dict(), args.output, args.quiet)
 
 
@@ -287,11 +277,11 @@ def _cmd_select_g(args) -> None:
     if args.output == "csv" and not args.out:
         raise EstimationError("select-g writes its selection as JSON; pass --out with --output csv")
     data = _load_data(args)
-    kernel = KernelSpec(family=args.kernel, bandwidth=args.bandwidth)
+    kernel = KernelSpec(**_given(args, "bandwidth", family="kernel"))
     pilot = ExternalScore.from_names(args.score_col, data) if args.score_col else None
     # the split is select-g's only random step, so --seed seeds it
-    selection = select_g(data, kernel=kernel, split_seed=args.seed, pilot=pilot,
-                         **_given(args, "min_denom", gamma_grid="gamma"))
+    selection = select_g(data, kernel=kernel, pilot=pilot,
+                         **_given(args, "min_denom", gamma_grid="gamma", split_seed="seed"))
     payload = selection.to_dict()
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     summary = {"gamma": selection.gamma, "objective": selection.objective}
@@ -304,8 +294,7 @@ def _cmd_regress(args) -> None:
     data = _load_data(args)
     g = _resolve_score(args, data)
     regress = ratio_regress if args.method == "ratio" else cc_regress
-    curve = regress(data, g, args.grid, bandwidth=args.bandwidth,
-                    **_given(args, "min_denom", "threshold"))
+    curve = regress(data, g, **_given(args, "grid", "bandwidth", "min_denom", "threshold"))
     summary = {"method": curve.method, "bandwidth": curve.bandwidth}
     payload = {**summary, "curve": [{"z": z, "theta": value} for z, value in curve.rows()]}
     text = "z,theta\n" + "".join(f"{z},{value}\n" for z, value in curve.rows())
@@ -315,26 +304,25 @@ def _cmd_regress(args) -> None:
 def _simulate_spec(args, kind: str) -> ScenarioSpec:
     from .simulate import ScenarioSpec
 
-    sizes = _given(args, "n_unlabeled")
+    # --mu sets both class means, --mean0 and --mean1 then one each
+    fields = {"mean0": -args.mu, "mean1": args.mu} if args.mu is not None else {}
+    fields.update(_given(args, "n_unlabeled", "mean0", "mean1", "cycles"))
     if args.preset:
         if args.n_unlabeled is not None or args.n_class:
             raise EstimationError("--preset sets --n-unlabeled and --n-class; give one or the other")
-        n_unlabeled, n_labeled = SIZE_PRESETS[args.preset]
-        sizes = {"n_unlabeled": n_unlabeled, "n_class": (n_labeled // 2, n_labeled - n_labeled // 2)}
+        fields["n_unlabeled"], n_labeled = SIZE_PRESETS[args.preset]
+        fields["n_class"] = (n_labeled // 2, n_labeled - n_labeled // 2)
     if args.n_class:
-        sizes["n_class"] = tuple(args.n_class)
-    # --mu sets both class means, --mean0 and --mean1 then one each
-    fields = {"mean0": -args.mu, "mean1": args.mu} if args.mu is not None else {}
-    fields.update(_given(args, "mean0", "mean1", "cycles"))
+        fields["n_class"] = tuple(args.n_class)
     if args.theta:
         fields["theta"] = args.theta[0]
-    return ScenarioSpec(kind=kind, **sizes, **fields)
+    return ScenarioSpec(kind=kind, **fields)
 
 
 def _cmd_simulate(args) -> None:
     from . import simulate
 
-    flags = _given(args, "alpha", "level", "test_replicates", "grid_size", "threshold",
+    flags = _given(args, "seed", "alpha", "level", "test_replicates", "grid_size", "threshold",
                    methods="method", gammas="gamma", label_counts="label_count", sizes="size")
     if args.study in ("mse", "coverage"):
         flags.update(_given(args, thetas="theta"))
@@ -345,7 +333,7 @@ def _cmd_simulate(args) -> None:
     spec = _simulate_spec(args, kind)
     # looked up at call time, so that a wrapper bound on the module in its place runs
     run_study = getattr(simulate, f"run_{args.study}_study")
-    report = run_study(spec, replicates=args.replicates, seed=args.seed, **flags)
+    report = run_study(spec, replicates=args.replicates, **flags)
     summary = {"study": report.study, "rows": len(report.raw_rows)}
     _emit_result(args, report.to_dict(), report.to_csv, summary)
 
@@ -362,44 +350,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument(
         "--method", choices=("ratio", "cc", "em", "multiclass"), default="ratio"
     )
-    p_est.add_argument("--ci", type=float, default=None, help="confidence level, e.g. 0.95")
-    p_est.add_argument("--regime", choices=("auto", "dense", "sparse"), default=None)
-    p_est.add_argument("--min-denom", type=float, default=None)
-    p_est.add_argument("--threshold", type=float, default=None, help="cc threshold")
-    p_est.add_argument("--theta-train", type=float, default=None, help="em training prevalence")
-    p_est.add_argument("--weights", default=None, help="selection JSON from select-g")
+    p_est.add_argument("--ci", type=float, help="confidence level, e.g. 0.95")
+    p_est.add_argument("--regime", choices=("auto", "dense", "sparse"))
+    p_est.add_argument("--min-denom", type=float)
+    p_est.add_argument("--threshold", type=float, help="cc threshold")
+    p_est.add_argument("--theta-train", type=float, help="em training prevalence")
+    p_est.add_argument("--weights", help="selection JSON from select-g")
     _add_common_flags(p_est)
     p_est.set_defaults(func=_cmd_estimate)
 
     p_test = sub.add_parser("test-shift", help="Monte Carlo test of the mixture assumption")
     _add_schema_flags(p_test)
-    p_test.add_argument("--replicates", "--B", type=int, default=None)
-    p_test.add_argument("--grid-size", "--grid", type=int, default=None)
-    p_test.add_argument("--weights", default=None, help="selection JSON from select-g")
+    p_test.add_argument("--replicates", "--B", type=int)
+    p_test.add_argument("--grid-size", "--grid", type=int)
+    p_test.add_argument("--weights", help="selection JSON from select-g")
     _add_common_flags(p_test, seed=True)
     p_test.set_defaults(func=_cmd_test_shift)
 
     p_sel = sub.add_parser("select-g", help="pick kernel score weights on labeled data")
     _add_schema_flags(p_sel)
-    p_sel.add_argument("--kernel", choices=("gaussian", "linear"), default="gaussian")
-    p_sel.add_argument("--bandwidth", type=_positive_arg, default=None)
-    p_sel.add_argument("--gamma", "--gamma-grid", action="append", type=float, default=None)
-    p_sel.add_argument("--min-denom", type=float, default=None)
-    p_sel.add_argument("--out", default=None, help="write the selection JSON here")
+    p_sel.add_argument("--kernel", choices=("gaussian", "linear"))
+    p_sel.add_argument("--bandwidth", type=_positive_arg)
+    p_sel.add_argument("--gamma", "--gamma-grid", action="append", type=float)
+    p_sel.add_argument("--min-denom", type=float)
+    p_sel.add_argument("--out", help="write the selection JSON here")
     _add_common_flags(p_sel, seed=True)
     p_sel.set_defaults(func=_cmd_select_g)
 
     p_reg = sub.add_parser("regress", help="prevalence curve against a covariate")
     _add_schema_flags(p_reg, covariate=True)
     p_reg.add_argument("--method", choices=("ratio", "cc"), default="ratio")
-    p_reg.add_argument("--grid", type=_grid_arg, default="0:1:101", help="start:stop:points")
-    p_reg.add_argument(
-        "--bandwidth", type=_bandwidth_arg, default=None, help="positive number or 'cv'"
-    )
-    p_reg.add_argument("--threshold", type=float, default=None, help="cc threshold")
-    p_reg.add_argument("--min-denom", type=float, default=None)
-    p_reg.add_argument("--weights", default=None, help="selection JSON from select-g")
-    p_reg.add_argument("--out", default=None, help="write the curve CSV here")
+    p_reg.add_argument("--grid", type=_grid_arg, help="start:stop:points")
+    p_reg.add_argument("--bandwidth", type=_bandwidth_arg, help="positive number or 'cv'")
+    p_reg.add_argument("--threshold", type=float, help="cc threshold")
+    p_reg.add_argument("--min-denom", type=float)
+    p_reg.add_argument("--weights", help="selection JSON from select-g")
+    p_reg.add_argument("--out", help="write the curve CSV here")
     _add_common_flags(p_reg)
     p_reg.set_defaults(func=_cmd_regress)
 
@@ -414,25 +400,25 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("mse", "coverage", "power", "combined", "multiclass", "regression"),
         required=True,
     )
-    p_sim.add_argument("--preset", choices=sorted(SIZE_PRESETS), default=None)
-    p_sim.add_argument("--n-unlabeled", type=int, default=None)
-    p_sim.add_argument("--n-class", action="append", type=int, default=None)
-    p_sim.add_argument("--theta", action="append", type=float, default=None)
-    p_sim.add_argument("--gamma", action="append", type=float, default=None)
-    p_sim.add_argument("--method", action="append", default=None)
-    p_sim.add_argument("--label-count", action="append", type=int, default=None)
-    p_sim.add_argument("--size", action="append", type=int, default=None)
-    p_sim.add_argument("--mu", type=float, default=None)
-    p_sim.add_argument("--mean0", type=float, default=None)
-    p_sim.add_argument("--mean1", type=float, default=None)
-    p_sim.add_argument("--cycles", type=int, default=None, help="sine cycles (default 1)")
+    p_sim.add_argument("--preset", choices=sorted(SIZE_PRESETS))
+    p_sim.add_argument("--n-unlabeled", type=int)
+    p_sim.add_argument("--n-class", action="append", type=int)
+    p_sim.add_argument("--theta", action="append", type=float)
+    p_sim.add_argument("--gamma", action="append", type=float)
+    p_sim.add_argument("--method", action="append")
+    p_sim.add_argument("--label-count", action="append", type=int)
+    p_sim.add_argument("--size", action="append", type=int)
+    p_sim.add_argument("--mu", type=float)
+    p_sim.add_argument("--mean0", type=float)
+    p_sim.add_argument("--mean1", type=float)
+    p_sim.add_argument("--cycles", type=int, help="sine cycles")
     p_sim.add_argument("--replicates", type=int, default=100)
-    p_sim.add_argument("--test-replicates", type=int, default=None)
-    p_sim.add_argument("--alpha", type=float, default=None)
-    p_sim.add_argument("--level", type=float, default=None)
-    p_sim.add_argument("--grid-size", type=int, default=None)
-    p_sim.add_argument("--threshold", type=float, default=None)
-    p_sim.add_argument("--out", default=None, help="write the study CSV here")
+    p_sim.add_argument("--test-replicates", type=int)
+    p_sim.add_argument("--alpha", type=float)
+    p_sim.add_argument("--level", type=float)
+    p_sim.add_argument("--grid-size", type=int)
+    p_sim.add_argument("--threshold", type=float)
+    p_sim.add_argument("--out", help="write the study CSV here")
     _add_common_flags(p_sim, seed=True)
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -694,7 +694,10 @@ def _logistic_nll(beta: np.ndarray, design: np.ndarray, y: np.ndarray, ridge: fl
     return float(np.sum(softplus - y * eta) + 0.5 * ridge * beta @ beta)
 
 
-def _newton_logistic(design: np.ndarray, y: np.ndarray, max_iter: int, tol: float) -> np.ndarray:
+_NEWTON_MAX_ITER, _NEWTON_TOL = 100, 1e-6  # Newton step budget; gradient norm at convergence
+
+
+def _newton_logistic(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients of the ridge-penalized logistic fit of 0/1 targets ``y`` on ``design``.
 
     Damped Newton steps with a backtracking line search; the last column of
@@ -706,11 +709,11 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, max_iter: int, tol: floa
     beta = np.zeros(design.shape[1])
     value = _logistic_nll(beta, design, y, ridge)
     grad_norm = np.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         p = _sigmoid(design @ beta)
         grad = design.T @ (p - y) + ridge * beta
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= tol:
+        if grad_norm <= _NEWTON_TOL:
             break
         w = np.clip(p * (1.0 - p), 1e-12, None)
         hessian = (design * w[:, None]).T @ design + ridge * np.eye(design.shape[1])
@@ -728,7 +731,7 @@ def _newton_logistic(design: np.ndarray, y: np.ndarray, max_iter: int, tol: floa
             value = _logistic_nll(beta, design, y, ridge)
     else:
         raise EstimationError(
-            f"logistic fit did not converge in {max_iter} iterations "
+            f"logistic fit did not converge in {_NEWTON_MAX_ITER} iterations "
             f"(gradient norm {grad_norm:.3e})"
         )
     return beta
@@ -743,27 +746,27 @@ def _labeled_design(data: RawDataset) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack([x, np.ones((x.shape[0], 1))]), data.labels[labeled]
 
 
-def fit_logistic(data: RawDataset, max_iter: int = 100, tol: float = 1e-6) -> LogisticScore:
+def fit_logistic(data: RawDataset) -> LogisticScore:
     """Fit a binary logistic model on the labeled rows by damped Newton steps.
 
     A small ridge penalty (1e-6) keeps the Hessian invertible on separable
     data.  The fit is deterministic; convergence means the gradient norm of
-    the penalized likelihood dropped below ``tol``.
+    the penalized likelihood dropped below ``_NEWTON_TOL`` within ``_NEWTON_MAX_ITER`` steps.
     """
     design, labels = _labeled_design(data)
     if data.n_classes != 2:
         raise EstimationError(f"binary logistic fit needs 2 classes, found {data.n_classes}")
-    beta = _newton_logistic(design, labels.astype(float), max_iter, tol)
+    beta = _newton_logistic(design, labels.astype(float))
     return LogisticScore(coef=beta[:-1].reshape(1, -1), intercept=beta[-1:].copy())
 
 
-def fit_logistic_ovr(data: RawDataset, max_iter: int = 100, tol: float = 1e-6) -> LogisticScore:
+def fit_logistic_ovr(data: RawDataset) -> LogisticScore:
     """One-vs-rest logistic fits giving P(Y = j | x) for the first k of k+1 classes."""
     k_plus_one = data.n_classes
     if k_plus_one < 2:
         raise EstimationError("one-vs-rest fit needs at least two classes")
     design, labels = _labeled_design(data)
-    betas = [_newton_logistic(design, (labels == target).astype(float), max_iter, tol)
+    betas = [_newton_logistic(design, (labels == target).astype(float))
              for target in range(k_plus_one - 1)]
     return LogisticScore(coef=np.array([beta[:-1] for beta in betas]),
                          intercept=np.array([beta[-1] for beta in betas]))

@@ -21,6 +21,7 @@ from .core import EstimationError, ScoredDataset
 
 DEFAULT_MIN_DENOM = 1e-8
 _MAX_CONDITION = 1e8  # multiclass_ratio refuses a class-mean system worse conditioned than this
+_EM_MAX_ITER, _EM_TOL = 10000, 1e-8  # em_estimate's step budget; the step size at convergence
 
 
 def _clip01(x: float) -> float:
@@ -318,12 +319,7 @@ def multiclass_ratio(scores: ScoredDataset) -> SimplexEstimate:
     return SimplexEstimate(theta=theta, theta_raw=theta_raw, residual=residual)
 
 
-def em_estimate(
-    scores: ScoredDataset,
-    theta_train: float | None = None,
-    max_iter: int = 10000,
-    tol: float = 1e-8,
-) -> ThetaEstimate:
+def em_estimate(scores: ScoredDataset, theta_train: float | None = None) -> ThetaEstimate:
     """Maximum-likelihood prevalence via the classic EM fixed point.
 
     Requires probability scores: each unlabeled g is reweighted by the
@@ -343,14 +339,14 @@ def em_estimate(
     lift1 = g / theta_train
     lift0 = (1.0 - g) / (1.0 - theta_train)
     theta = theta_train
-    for _ in range(max_iter):
+    for _ in range(_EM_MAX_ITER):
         mass1 = theta * lift1
         posterior = mass1 / (mass1 + (1.0 - theta) * lift0)
         theta_next = float(posterior.mean())
-        if abs(theta_next - theta) <= tol:
+        if abs(theta_next - theta) <= _EM_TOL:
             return ThetaEstimate(theta=_clip01(theta_next), theta_raw=theta_next, method="em")
         theta = theta_next
-    raise EstimationError(f"EM did not converge in {max_iter} iterations")
+    raise EstimationError(f"EM did not converge in {_EM_MAX_ITER} iterations")
 
 
 @dataclass(frozen=True)

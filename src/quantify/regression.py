@@ -187,16 +187,22 @@ class RegressionCurve:
         return list(zip(self.grid.tolist(), self.values.tolist()))
 
 
-def _curve_inputs(
-    data: RawDataset, g: ScoreFunction, grid: np.ndarray, n_classes: int
-) -> tuple[np.ndarray, np.ndarray, ScoredDataset]:
-    """The checked grid, the covariate of the unlabeled rows, and the scores of those
-    rows and of labeled classes 0 .. n_classes - 1, each group scored by its own call."""
-    grid = np.asarray(grid, dtype=float).ravel()
+def _evaluation_grid(grid: np.ndarray | None) -> np.ndarray:
+    """``grid`` as a checked flat float array; None is 101 points evenly over [0, 1]."""
+    grid = np.linspace(0.0, 1.0, 101) if grid is None else np.asarray(grid, dtype=float).ravel()
     if grid.size == 0 or not np.all(np.isfinite(grid)):
         raise EstimationError("evaluation grid must be nonempty and finite")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise EstimationError("evaluation grid must be strictly increasing")
+    return grid
+
+
+def _curve_inputs(
+    data: RawDataset, g: ScoreFunction, grid: np.ndarray | None, n_classes: int
+) -> tuple[np.ndarray, np.ndarray, ScoredDataset]:
+    """The checked grid, the covariate of the unlabeled rows, and the scores of those
+    rows and of labeled classes 0 .. n_classes - 1, each group scored by its own call."""
+    grid = _evaluation_grid(grid)
     if data.covariate is None:
         raise EstimationError("regression needs a covariate column")
     idx = data.unlabeled_indices()
@@ -220,7 +226,7 @@ def _bandwidth(bandwidth: float | str | None, z: np.ndarray, values: np.ndarray)
 def ratio_regress(
     data: RawDataset,
     g: ScoreFunction,
-    grid: np.ndarray,
+    grid: np.ndarray | None = None,
     bandwidth: float | str | None = None,
     min_denom: float = DEFAULT_MIN_DENOM,
 ) -> RegressionCurve:
@@ -245,7 +251,7 @@ def ratio_regress(
 def cc_regress(
     data: RawDataset,
     g: ScoreFunction,
-    grid: np.ndarray,
+    grid: np.ndarray | None = None,
     threshold: float = 0.5,
     bandwidth: float | str | None = None,
 ) -> RegressionCurve:

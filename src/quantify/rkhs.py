@@ -49,9 +49,9 @@ def _squared_distances(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A positive-definite kernel: 'linear' or 'gaussian' with a bandwidth."""
+    """A positive-definite kernel: 'linear' or 'gaussian' (the default) with a bandwidth."""
 
-    family: str
+    family: str = "gaussian"
     bandwidth: float | None = None
 
     def __post_init__(self) -> None:
@@ -280,7 +280,7 @@ def candidate_gammas(n_spread: np.ndarray, grid=None) -> tuple[float, ...]:
 
 def select_g(
     data: RawDataset,
-    kernel: KernelSpec | None = None,
+    kernel: KernelSpec = KernelSpec(),
     gamma_grid=None,
     split_seed: int = 0,
     pilot: ScoreFunction | None = None,
@@ -307,11 +307,9 @@ def select_g(
         set_indicator=np.ones(fit_idx.size, dtype=int),
     )
 
-    if kernel is None:
-        kernel = KernelSpec(family="gaussian")
     if kernel.family == "gaussian" and kernel.bandwidth is None:
         labeled = np.concatenate([fit_idx, eval0, eval1])
-        kernel = KernelSpec(family="gaussian", bandwidth=median_bandwidth(data.features[labeled]))
+        kernel = KernelSpec(bandwidth=median_bandwidth(data.features[labeled]))
 
     if pilot is None:
         pilot = fit_logistic(fit_data)

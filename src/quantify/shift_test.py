@@ -37,7 +37,7 @@ def _ecdf_counts(
     return c0, labeled - c0, np.flatnonzero(last) + 1 - labeled
 
 
-def t_statistic(scores: ScoredDataset, grid_size: int = 1001) -> tuple[float, float]:
+def t_statistic(scores: ScoredDataset, grid_size: int) -> tuple[float, float]:
     """Best-mixture Kolmogorov distance and the mixing weight attaining it.
 
     The sup over evaluation points is taken on the pooled observed values,

@@ -47,14 +47,13 @@ from .estimators import (
     ratio_estimate,
     ratio_variance,
 )
-from .regression import cc_regress, ratio_regress
+from .regression import _evaluation_grid, cc_regress, ratio_regress
 from .shift_test import shift_test
 
 
 class _Kind(NamedTuple):
-    n_class: tuple[int, ...]  # the default labeled class sizes; their count is the kind's
     studies: tuple[str, ...]  # the studies with a truth for this kind
-    means: tuple[float, float] = (0.0, 2.0)  # the default (mean0, mean1), if the laws read them
+    fields: dict  # the ScenarioSpec fields besides n_unlabeled it reads, and their defaults
     null: float | None = None  # the class-0 law parameter gamma replaces; None: the spec's mean0
     power_offsets: tuple[float, ...] = ()  # the power study's default sweep, as gamma - null
     laws: tuple = ()  # class-0 law(rng, n, null or gamma) and class-1 law(rng, n, spec) -> n draws
@@ -62,6 +61,7 @@ class _Kind(NamedTuple):
 
 
 _SCORE_STUDIES = ("mse", "coverage", "power", "combined")
+_SCORE_FIELDS = {"n_class": (150, 150), "theta": 0.6, "gamma": None}  # gamma None: no shift
 _GAUSSIAN_LAWS = (  # N(mean0, 1) against N(mean1, 1)
     lambda rng, n, mean0: rng.normal(mean0, 1.0, n),
     lambda rng, n, spec: rng.normal(spec.mean1, 1.0, n))
@@ -71,27 +71,28 @@ _GAUSSIAN_LAWS = (  # N(mean0, 1) against N(mean1, 1)
 # stops short of the value at which the shifted class-0 law coincides with
 # the class-1 law (gaussian gamma=2, exponential gamma=5): there the
 # unlabeled sample is again an exact mixture, so the test correctly loses power.
-# The sine kind ignores theta (its unlabeled prevalence follows a curve in z)
-# and has no shift parameter, and the multiclass kind has no single class-1
+# The sine kind has no theta (its unlabeled prevalence follows a curve in z)
+# and no shift parameter, and the multiclass kind has no single class-1
 # prevalence, so each has one study.
 _KINDS = {
-    "gaussian": _Kind((150, 150), _SCORE_STUDIES, power_offsets=(-2.0, -1.0, 0.0, 1.0),
-                      laws=_GAUSSIAN_LAWS),
-    "exponential": _Kind((150, 150), _SCORE_STUDIES, null=1.0,  # rate 1 against rate 5
+    "gaussian": _Kind(_SCORE_STUDIES, {**_SCORE_FIELDS, "mean0": 0.0, "mean1": 2.0},
+                      power_offsets=(-2.0, -1.0, 0.0, 1.0), laws=_GAUSSIAN_LAWS),
+    "exponential": _Kind(_SCORE_STUDIES, _SCORE_FIELDS, null=1.0,  # rate 1 against rate 5
                          power_offsets=(-0.75, -0.5, 0.0, 1.0, 2.0), laws=(
                              lambda rng, n, rate0: rng.exponential(1.0 / rate0, n),
                              lambda rng, n, spec: rng.exponential(1.0 / 5.0, n)),
                          positive="the exponential class-0 rate"),
     "gaussian_exponential": _Kind(  # N(mean0, 1) against rate 1
-        (150, 150), _SCORE_STUDIES, means=(1.0, 2.0), power_offsets=(-2.0, -1.0, 0.0, 1.0, 2.0),
+        _SCORE_STUDIES, {**_SCORE_FIELDS, "mean0": 1.0}, power_offsets=(-2.0, -1.0, 0.0, 1.0, 2.0),
         laws=(_GAUSSIAN_LAWS[0], lambda rng, n, spec: rng.exponential(1.0, n))),
-    "beta": _Kind((150, 150), _SCORE_STUDIES, null=1.0,  # Beta(1, 1) against Beta(1, 10)
+    "beta": _Kind(_SCORE_STUDIES, _SCORE_FIELDS, null=1.0,  # Beta(1, 1) against Beta(1, 10)
                   power_offsets=(-0.75, -0.5, 0.0, 1.0, 2.0), laws=(
                       lambda rng, n, a0: rng.beta(a0, 1.0, n),
                       lambda rng, n, spec: rng.beta(1.0, 10.0, n)),
                   positive="the beta class-0 first shape parameter"),
-    "multiclass_gaussian": _Kind((20, 30, 50), ("multiclass",)),
-    "regression_sine": _Kind((150, 150), ("regression",), means=(-1.0, 1.0), laws=_GAUSSIAN_LAWS),
+    "multiclass_gaussian": _Kind(("multiclass",), {"n_class": (20, 30, 50)}),
+    "regression_sine": _Kind(("regression",), {"n_class": (150, 150), "mean0": -1.0, "mean1": 1.0,
+                                               "cycles": 1}, laws=_GAUSSIAN_LAWS),
 }
 SCENARIO_KINDS = tuple(_KINDS)
 
@@ -114,9 +115,10 @@ def check_study_kind(study: str, kind: str) -> None:
 class ScenarioSpec:
     """Parameters of one synthetic scenario.
 
-    Only the fields relevant to ``kind`` are read; ``n_class``, ``mean0`` and
-    ``mean1`` left at ``None`` take the kind's defaults.  ``gamma`` moves the
-    unlabeled class-0 law away from its labeled counterpart (location for
+    Each kind reads ``n_unlabeled`` and the fields of its ``_KINDS`` row, the
+    only fields ``meta()`` prints; a field of the row left at ``None`` takes
+    the row's default, and any other field set is refused.  ``gamma`` moves
+    the unlabeled class-0 law away from its labeled counterpart (location for
     the gaussian kinds, rate for the exponential, first shape parameter for
     the beta); ``None`` keeps the two laws equal, under which the mixture
     assumption holds exactly.  Every field is checked when the spec is built:
@@ -127,22 +129,25 @@ class ScenarioSpec:
     kind: str
     n_unlabeled: int = 300
     n_class: tuple[int, ...] | None = None
-    theta: float = 0.6
+    theta: float | None = None  # the score kinds' unlabeled class-1 prevalence
     gamma: float | None = None
     # the class locations of the gaussian kinds and the sine kind's scores
     mean0: float | None = None
     mean1: float | None = None
-    cycles: int = 1  # the sine kind's cycles of its prevalence curve over z in [0, 1]
+    cycles: int | None = None  # the sine kind's cycles of its prevalence curve over z in [0, 1]
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise EstimationError(f"unknown scenario kind {self.kind!r}")
         row = _KINDS[self.kind]
-        defaults = {"n_class": row.n_class, "mean0": row.means[0], "mean1": row.means[1]}
-        for name, default in defaults.items():  # frozen, so set through object.__setattr__
-            if getattr(self, name) is None:
+        for name, value in vars(self).items():
+            if value is not None and name not in ("kind", "n_unlabeled", *row.fields):
+                raise EstimationError(f"the {self.kind!r} scenario kind does not read {name}, "
+                                      f"only {', '.join(('n_unlabeled', *row.fields))}")
+        for name, default in row.fields.items():
+            if getattr(self, name) is None:  # frozen, so set through object.__setattr__
                 object.__setattr__(self, name, default)
-        if not 0.0 <= self.theta <= 1.0:
+        if self.theta is not None and not 0.0 <= self.theta <= 1.0:
             raise EstimationError(f"theta must be in [0, 1], got {self.theta}")
         for size in (self.n_unlabeled, *self.n_class):
             try:  # a float size would pass every check here and fail only when drawn
@@ -151,9 +156,9 @@ class ScenarioSpec:
                 raise EstimationError(f"group sizes must be whole numbers, got {size!r}") from None
         if self.n_unlabeled < 1 or any(n < 1 for n in self.n_class):
             raise EstimationError("all group sizes must be at least 1")
-        if len(self.n_class) != len(row.n_class):
-            raise EstimationError(f"kind {self.kind!r} needs {len(row.n_class)} labeled class "
-                                  f"sizes, got {len(self.n_class)}")
+        if len(self.n_class) != (count := len(row.fields["n_class"])):
+            raise EstimationError(f"kind {self.kind!r} needs {count} labeled class sizes, "
+                                  f"got {len(self.n_class)}")
         if row.positive and self.gamma is not None and self.gamma <= 0:
             raise EstimationError(
                 f"gamma replaces {row.positive} and must be positive, got {self.gamma}")
@@ -163,9 +168,8 @@ class ScenarioSpec:
                 raise EstimationError(f"scenario field {name} must be finite, got {value}")
 
     def meta(self) -> dict:
-        payload = dataclasses.asdict(self)
-        payload["n_class"] = list(self.n_class)
-        return payload
+        names = ("kind", "n_unlabeled", *_KINDS[self.kind].fields)  # n_class keeps its place
+        return {**{name: getattr(self, name) for name in names}, "n_class": list(self.n_class)}
 
 
 def null_gamma(spec: ScenarioSpec) -> float:
@@ -686,12 +690,12 @@ def run_regression_study(
 
     The scenario's score is the raw feature (column 0); the
     classify-and-count curve thresholds it at ``threshold``.  The truth is
-    the scenario's sine prevalence curve evaluated on the grid, 101 points
-    over [0, 1] unless ``grid`` is given.
+    the scenario's sine prevalence curve evaluated on the grid, the curves'
+    default grid unless ``grid`` is given.
     """
     check_study_kind("regression", spec.kind)
     _cc_indicator(np.empty((0, 1)), threshold, "cc_regress")  # refuses a NaN before any replicate
-    grid = np.linspace(0.0, 1.0, 101) if grid is None else np.asarray(grid, dtype=float)
+    grid = _evaluation_grid(grid)
     truth = _sine_prevalence(grid, spec.cycles)
     replicate = partial(_regression_replicate, grid=grid, truth=truth, threshold=threshold)
     (outcomes,) = _run_cells([spec], replicate, replicates, seed)

@@ -108,6 +108,29 @@ class TestEstimate:
         np.testing.assert_allclose(sum(payload["theta"]), 1.0, atol=1e-9)
         np.testing.assert_allclose(payload["theta"][1], 2.0 / 3.0, atol=1e-9)
 
+    def test_multiclass_without_a_score_fits_one_vs_rest_logistic_scores(self, tmp_path,
+                                                                         eight_csv, capsys):
+        """With no --score-col, three classes get one logistic score per class but the
+        last; two classes keep the binary fit."""
+        from quantify import (CsvSchema, fit_logistic, fit_logistic_ovr, load_csv,
+                              multiclass_ratio, score_dataset)
+
+        rng = rng_from(41)
+        labels = np.concatenate([np.repeat([0, 1, 2], 20), rng.choice(3, 60)])
+        x = rng.standard_normal((labels.size, 2)) + np.array([[0, 0], [3, 0], [0, 3]])[labels]
+        lines = ["s,y,x1,x2", *(f"{int(row < 60)},{label if row < 60 else ''},{x1},{x2}"
+                                for row, (label, (x1, x2)) in enumerate(zip(labels, x)))]
+        path = tmp_path / "three.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for csv_path, fit, classes in ((str(path), fit_logistic_ovr, 3),
+                                       (eight_csv, fit_logistic, 2)):
+            payload = run_json(["estimate", csv_path, "--set-col", "s", "--label-col", "y",
+                                "--method", "multiclass"], capsys)
+            data = load_csv(csv_path, CsvSchema(set_column="s", label_column="y"))
+            expected = multiclass_ratio(score_dataset(data, fit(data))).to_dict()
+            assert payload == json.loads(json.dumps(expected))
+            assert len(payload["theta"]) == classes
+
     def test_confidence_interval_and_clipping(self, eight_csv, capsys):
         payload = run_json(["estimate", eight_csv, "--set-col", "s", "--label-col", "y",
                             "--score-col", "g", "--ci", "0.95"], capsys)
@@ -649,8 +672,7 @@ def test_multiclass_scenario_meta_keeps_its_default_class_sizes(capsys):
     payload = run_json(["simulate", "--scenario", "multiclass", "--study", "multiclass",
                         "--size", "60", "--replicates", "1"], capsys)
     assert payload["meta"] == {
-        "cycles": 1, "gamma": None, "kind": "multiclass_gaussian", "mean0": 0.0, "mean1": 2.0,
-        "n_class": [20, 30, 50], "n_unlabeled": 300, "theta": 0.6,
+        "kind": "multiclass_gaussian", "n_class": [20, 30, 50], "n_unlabeled": 300,
     }
 
 
@@ -796,10 +818,16 @@ def test_every_scenario_and_study_pair_runs_or_is_refused_up_front(scenario, stu
 
 
 # Where the scenarios that read a scenario flag show it in the study's meta;
-# every other (scenario, flag) pair is refused.
+# every other (scenario, flag) pair is refused by ScenarioSpec, naming the first
+# field the flag sets that the kind does not read.
 STUDY_OF_SCENARIO = {"gaussian": "mse", "exponential": "mse", "gaussian_exponential": "mse",
                      "beta": "mse", "multiclass": "multiclass", "sine": "regression"}
 FLAG_VALUES = {"theta": "0.3", "mu": "3", "mean0": "0.5", "mean1": "4", "cycles": "2"}
+FIELDS_OF_FLAG = {"theta": ("theta",), "mu": ("mean0", "mean1"), "mean0": ("mean0",),
+                  "mean1": ("mean1",), "cycles": ("cycles",)}
+FIELDS_READ = {"gaussian": ("theta", "gamma", "mean0", "mean1"), "exponential": ("theta", "gamma"),
+               "gaussian_exponential": ("theta", "gamma", "mean0"), "beta": ("theta", "gamma"),
+               "multiclass": (), "sine": ("mean0", "mean1", "cycles")}
 SHOWN_IN_META = {
     **{(kind, "theta"): {"theta": 0.3}
        for kind in ("gaussian", "exponential", "gaussian_exponential", "beta")},
@@ -807,13 +835,26 @@ SHOWN_IN_META = {
     ("sine", "mu"): {"mean0": -3.0, "mean1": 3.0},
     ("gaussian", "mean0"): {"mean0": 0.5},
     ("gaussian_exponential", "mean0"): {"mean0": 0.5},
+    ("sine", "mean0"): {"mean0": 0.5},
     ("gaussian", "mean1"): {"mean1": 4.0},
+    ("sine", "mean1"): {"mean1": 4.0},
     ("sine", "cycles"): {"cycles": 2},
 }
+
+
+def _unread_field_refusal(scenario, flag):
+    """The spec's refusal of the first field ``flag`` sets that ``scenario`` does not read."""
+    read = FIELDS_READ[scenario]
+    field = next(name for name in FIELDS_OF_FLAG[flag] if name not in read)
+    return (f"the {KIND_OF_SCENARIO[scenario]!r} scenario kind does not read {field}, only "
+            + ", ".join(("n_unlabeled", "n_class", *read)))
+
+
 SCENARIO_FLAG_CASES = [
     *(pytest.param(scenario, STUDY_OF_SCENARIO[scenario], [f"--{flag}", value],
                    SHOWN_IN_META.get((scenario, flag)),
-                   f"--{flag} is not a parameter of the {scenario} scenario",
+                   None if (scenario, flag) in SHOWN_IN_META
+                   else _unread_field_refusal(scenario, flag),
                    id=f"{scenario}-{flag}")
       for scenario in STUDY_OF_SCENARIO for flag, value in FLAG_VALUES.items()),
     *(pytest.param("gaussian", study, ["--theta", "0.3", "--theta", "0.4"],
@@ -867,7 +908,7 @@ def test_a_scenario_without_flags_is_its_kinds_default_spec(scenario, capsys, mo
 
 
 # A value each flag of the method and study tables accepts, and the scenario
-# each study runs on; the scenario rows have their own test above.
+# each study runs on; the scenario flags have their own test above.
 READ_BY_VALUES = {"ci": "0.9", "regime": "dense", "min_denom": "1e-3", "threshold": "0.3",
                   "theta_train": "0.4", "n_unlabeled": "50", "preset": "cancer", "method": "ratio",
                   "level": "0.9", "gamma": "0", "alpha": "0.1", "test_replicates": "5",
@@ -887,8 +928,6 @@ def _unread_cases():
     for command, choosers in _READ_BY.items():
         actions = _actions_of(command)
         for choice_flag, readers in choosers.items():
-            if choice_flag == "scenario":
-                continue
             for choice in actions[choice_flag].choices:
                 for flag, readers_of_flag in readers.items():
                     if choice not in readers_of_flag:
@@ -1065,21 +1104,12 @@ SWEEP_BASES = {
     "threshold": ["--scenario", "sine", "--study", "regression", "--n-unlabeled", "20"],
     "replicates": ["--study", "mse", "--n-unlabeled", "20"],
 }
-SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300")
+SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300")
 
 
-@pytest.mark.parametrize("flag, value", [
-    pytest.param(flag, value, id=f"{flag}-{value}") for flag in SWEEP_BASES for value in SWEEP_VALUES
-])
-def test_simulate_flag_sweep_exits_0_with_strict_json_or_2_with_one_error_line(
-        flag, value, capsys, monkeypatch):
-    """Each numeric simulate flag at each hostile value, passed to a study or
-    scenario that reads it: exit 0 with strict JSON and an empty stderr, or exit 2
-    with one ``error:`` line; never a traceback or a warning.  Integer flags see
-    no large literal, which argparse refuses, so no case starts unbounded work."""
-    monkeypatch.setenv("QUANTIFY_THREADS", "1")
-    replicates = [] if flag == "replicates" else ["--replicates", "1"]
-    argv = ["simulate", *SWEEP_BASES[flag], *replicates, f"--{flag}", value]
+def _exits_0_with_strict_json_or_2_with_one_error_line(argv, capsys):
+    """``main(argv)`` with every warning an error: exit 0 with strict JSON and an empty
+    stderr, or exit 2 with one ``error:`` line (argparse's refusal included)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning fails the case as an exception
         try:
@@ -1098,3 +1128,62 @@ def test_simulate_flag_sweep_exits_0_with_strict_json_or_2_with_one_error_line(
         assert (code, captured.out) == (2, "")
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1, captured.err
+
+
+@pytest.mark.parametrize("flag, value", [
+    pytest.param(flag, value, id=f"{flag}-{value}") for flag in SWEEP_BASES for value in SWEEP_VALUES
+])
+def test_simulate_flag_sweep_exits_0_with_strict_json_or_2_with_one_error_line(
+        flag, value, capsys, monkeypatch):
+    """Each numeric simulate flag at each hostile value, passed to a study or
+    scenario that reads it: exit 0 with strict JSON and an empty stderr, or exit 2
+    with one ``error:`` line; never a traceback or a warning.  Integer flags see
+    no large literal, which argparse refuses, so no case starts unbounded work."""
+    monkeypatch.setenv("QUANTIFY_THREADS", "1")
+    replicates = [] if flag == "replicates" else ["--replicates", "1"]
+    _exits_0_with_strict_json_or_2_with_one_error_line(
+        ["simulate", *SWEEP_BASES[flag], *replicates, f"--{flag}", value], capsys)
+
+
+# A method that reads each numeric flag of the commands on data files, with a file
+# small enough that every case runs in milliseconds; the swept flag is appended
+# last, and no base gives it too.  Each --grid part is swept in turn.
+EIGHT_SCORE = ["EIGHT", "--set-col", "s", "--label-col", "y", "--score-col", "g"]
+SHIFT_BASE = ["test-shift", *EIGHT_SCORE]
+CURVE_BASE = ["regress", "CURVE", *TestRegress.BASE]
+FILE_SWEEP_BASES = {
+    "estimate-ci": ["estimate", *EIGHT_SCORE, "--ci"],
+    "estimate-min-denom": ["estimate", *EIGHT_SCORE, "--min-denom"],
+    "estimate-threshold": ["estimate", *EIGHT_SCORE, "--method", "cc", "--threshold"],
+    "estimate-theta-train": ["estimate", *EIGHT_SCORE, "--method", "em", "--theta-train"],
+    "test-shift-replicates": [*SHIFT_BASE, "--grid-size", "21", "--replicates"],
+    "test-shift-grid-size": [*SHIFT_BASE, "--replicates", "5", "--grid-size"],
+    "test-shift-seed": [*SHIFT_BASE, "--replicates", "5", "--grid-size", "21", "--seed"],
+    "select-g-bandwidth": ["select-g", "BLOBS", *TestSelectG.BASE, "--bandwidth"],
+    "select-g-gamma": ["select-g", "BLOBS", *TestSelectG.BASE, "--gamma"],
+    "select-g-min-denom": ["select-g", "BLOBS", *TestSelectG.BASE, "--min-denom"],
+    "select-g-seed": ["select-g", "BLOBS", *TestSelectG.BASE, "--seed"],
+    "regress-bandwidth": [*CURVE_BASE, "--bandwidth"],
+    "regress-min-denom": [*CURVE_BASE, "--min-denom"],
+    "regress-threshold": [*CURVE_BASE, "--method", "cc", "--threshold"],
+    "regress-grid-start": [*CURVE_BASE, "--grid", "{}:1:11"],
+    "regress-grid-stop": [*CURVE_BASE, "--grid", "0:{}:11"],
+    "regress-grid-points": [*CURVE_BASE, "--grid", "0:1:{}"],
+}
+
+
+@pytest.mark.parametrize("case, value", [
+    pytest.param(case, value, id=f"{case}-{value}")
+    for case in FILE_SWEEP_BASES for value in SWEEP_VALUES
+])
+def test_file_command_flag_sweep_exits_0_with_strict_json_or_2_with_one_error_line(
+        case, value, eight_csv, blobs_csv, curve_csv, capsys):
+    """Each numeric flag of estimate, test-shift, select-g and regress at each
+    hostile value, passed to a method that reads it: exit 0 with strict JSON and
+    an empty stderr, or exit 2 with one ``error:`` line; never a traceback or a
+    warning.  The flags left out take the values their layers state."""
+    paths = {"EIGHT": eight_csv, "BLOBS": blobs_csv, "CURVE": curve_csv}
+    *head, last = FILE_SWEEP_BASES[case]
+    argv = [paths.get(arg, arg) for arg in head]
+    argv += [last.format(value)] if "{}" in last else [last, value]
+    _exits_0_with_strict_json_or_2_with_one_error_line(argv, capsys)

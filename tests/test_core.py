@@ -1067,14 +1067,15 @@ class TestFitLogistic:
         with pytest.raises(EstimationError, match="2 classes"):
             fit_logistic(data)
 
-    def test_iteration_budget_reported(self):
+    def test_iteration_budget_reported(self, monkeypatch):
+        monkeypatch.setattr(core, "_NEWTON_MAX_ITER", 0)
         data = RawDataset(
             features=[-1.0, -0.5, 0.5, 1.0],
             labels=[0, 0, 1, 1],
             set_indicator=[1, 1, 1, 1],
         )
         with pytest.raises(EstimationError, match="0 iterations"):
-            fit_logistic(data, max_iter=0)
+            fit_logistic(data)
 
     def test_no_labeled_rows(self):
         data = RawDataset(features=[[1.0]], labels=[-1], set_indicator=[0])

@@ -633,10 +633,11 @@ class TestEmEstimate:
         with pytest.raises(EstimationError, match="training prevalence"):
             em_estimate(rows, theta_train=0.0)
 
-    def test_iteration_budget(self):
+    def test_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr("quantify.estimators._EM_MAX_ITER", 1)
         rows = scored([0.9, 0.9, 0.9, 0.1], [0.2], [0.8])
-        with pytest.raises(EstimationError, match="did not converge"):
-            em_estimate(rows, theta_train=0.5, max_iter=1)
+        with pytest.raises(EstimationError, match="did not converge in 1 iterations"):
+            em_estimate(rows, theta_train=0.5)
 
 
 class TestCombinedEstimate:

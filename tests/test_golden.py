@@ -74,11 +74,15 @@ CASES = {
                                       "--out", "regression.csv"),
     "regression-sine": ("simulate", "--scenario", "sine", "--study", "regression", "--threshold",
                         "0.1", *SMALL, "--seed", "5"),
+    "regression-sine-mean0-mean1": ("simulate", "--scenario", "sine", "--study", "regression",
+                                    "--mean0", "-0.5", "--mean1", "1.5", *SMALL),
     "refused-multiclass-two-class-sizes": (*MULTICLASS, "--n-class", "5", "--n-class", "5",
                                            "--size", "60"),
     "refused-exponential-zero-gamma": ("simulate", "--scenario", "exponential", "--study",
                                        "power", "--gamma", "0", *SMALL, *SHIFT_TEST),
     "refused-gaussian-one-class-size": ("simulate", "--study", "mse", "--n-class", "50", *SMALL),
+    "refused-exponential-mu": ("simulate", "--scenario", "exponential", "--study", "mse", "--mu",
+                               "1", *SMALL),
     "estimate-ratio": ("estimate", *SCORE),
     "estimate-ratio-ci-sparse-csv": ("estimate", *SCORE, "--ci", "0.9", "--regime", "sparse",
                                      "--output", "csv"),
@@ -88,6 +92,8 @@ CASES = {
     "estimate-weights-ci": ("estimate", *FEATURES, "--weights", "weights.json", "--ci", "0.95"),
     "estimate-multiclass": ("estimate", "three-class.csv", "--set-col", "s", "--label-col", "y",
                             "--method", "multiclass", "--score-col", "g1", "--score-col", "g2"),
+    "estimate-multiclass-logistic": ("estimate", "three-class.csv", "--set-col", "s", "--label-col",
+                                     "y", "--method", "multiclass"),
     "refused-estimate-unknown-column": ("estimate", *BINARY, "--score-col", "nope"),
     "test-shift": ("test-shift", *SCORE, "--B", "20", "--grid", "51", "--seed", "3"),
     "test-shift-csv": ("test-shift", *SCORE, "--B", "10", "--output", "csv"),
@@ -106,6 +112,7 @@ CASES = {
 # and the multiclass least squares
 SUBPROCESS_CASES = ("multiclass", "multiclass-n-class-out", "refused-multiclass-two-class-sizes",
                     "estimate-logistic-ci", "estimate-weights-ci", "estimate-multiclass",
+                    "estimate-multiclass-logistic",
                     "select-g-out", "select-g-linear-gamma", "regress-ratio", "regress-cc-cv-out",
                     "regress-ratio-cv-csv-stdout")
 

@@ -135,7 +135,7 @@ class TestTStatistic:
 
     def test_unlabeled_copy_of_class1(self):
         rows = scored([2.0, 3.0], [0.0, 1.0], [2.0, 3.0])
-        t, p_star = t_statistic(rows)
+        t, p_star = t_statistic(rows, grid_size=1001)
         assert t == 0.0
         assert p_star == 1.0
 
@@ -146,7 +146,7 @@ class TestTStatistic:
             g1 = rng.normal(1.5, 1.0, rng.integers(3, 30))
             gu = rng.normal(rng.uniform(0, 2), 1.0, rng.integers(3, 40))
             rows = scored(gu, g0, g1)
-            t, _ = t_statistic(rows)
+            t, _ = t_statistic(rows, grid_size=1001)
             points = np.unique(np.concatenate([g0, g1, gu]))
             endpoint = np.max(np.abs(ecdf_values(g0, points) - ecdf_values(gu, points)))
             assert t <= endpoint + 1e-12
@@ -195,7 +195,7 @@ class TestTStatistic:
     def test_ties_resolve_to_the_smallest_weight(self):
         """Identical class samples make every mixture equal; p_star is 0."""
         rows = scored([0.5, 1.5], [0.0, 1.0], [0.0, 1.0])
-        _, p_star = t_statistic(rows)
+        _, p_star = t_statistic(rows, grid_size=1001)
         assert p_star == 0.0
 
     def test_exact_tie_goes_to_the_smallest_weight(self):
@@ -237,13 +237,13 @@ class TestTStatistic:
         with pytest.raises(TypeError, match="integer"):
             t_statistic(rows, grid_size=4.0)
         with pytest.raises(EstimationError, match="no unlabeled"):
-            t_statistic(scored(np.empty(0), [0.0], [1.0]))
+            t_statistic(scored(np.empty(0), [0.0], [1.0]), grid_size=1001)
         with pytest.raises(EstimationError, match="class 1 has no labeled rows"):
-            t_statistic(scored([0.5], [0.0], np.empty(0)))
+            t_statistic(scored([0.5], [0.0], np.empty(0)), grid_size=1001)
         wide = ScoredDataset(unlabeled=np.zeros((2, 2)),
                              classes=(np.zeros((2, 2)), np.ones((2, 2))))
         with pytest.raises(EstimationError, match="single binary score"):
-            t_statistic(wide)
+            t_statistic(wide, grid_size=1001)
 
 
 class TestKdeFit:

@@ -102,7 +102,7 @@ class TestKindDefaults:
     def test_each_kind_has_only_the_fields_a_caller_sets(self):
         """The kinds' other law parameters are constants of their table rows."""
         assert list(ScenarioSpec(kind="beta").meta()) == [
-            "kind", "n_unlabeled", "n_class", "theta", "gamma", "mean0", "mean1", "cycles"]
+            "kind", "n_unlabeled", "n_class", "theta", "gamma"]
 
     def test_null_gamma(self):
         assert null_gamma(ScenarioSpec(kind="gaussian")) == 0.0
@@ -112,6 +112,39 @@ class TestKindDefaults:
         sine = ScenarioSpec(kind="regression_sine", n_unlabeled=10, n_class=(5, 5))
         with pytest.raises(EstimationError, match="shift parameter"):
             null_gamma(sine)
+
+
+# The fields each kind reads besides its sizes, in field order, and a value of each
+# field that differs from every kind's default (gamma from every null).
+FIELDS_READ = {
+    "gaussian": ("theta", "gamma", "mean0", "mean1"),
+    "exponential": ("theta", "gamma"),
+    "gaussian_exponential": ("theta", "gamma", "mean0"),
+    "beta": ("theta", "gamma"),
+    "multiclass_gaussian": (),
+    "regression_sine": ("mean0", "mean1", "cycles"),
+}
+OTHER_VALUE = {"theta": 0.3, "gamma": 2.5, "mean0": 0.5, "mean1": 3.0, "cycles": 2}
+
+
+@pytest.mark.parametrize("field", sorted(OTHER_VALUE))
+@pytest.mark.parametrize("kind", sorted(FIELDS_READ))
+def test_a_kind_draws_with_each_field_it_reads_and_refuses_every_other(kind, field):
+    """A field of the kind's row changes the data drawn at a fixed seed, so no row
+    lists a field its laws ignore; any other field is refused when the spec is
+    built, naming the kind, the field and the fields the kind reads."""
+    read = ("n_unlabeled", "n_class", *FIELDS_READ[kind])
+    assert list(ScenarioSpec(kind=kind).meta()) == ["kind", *read]
+    if field in read:
+        base = generate(ScenarioSpec(kind=kind), seed=0)
+        moved = generate(ScenarioSpec(kind=kind, **{field: OTHER_VALUE[field]}), seed=0)
+        assert not (np.array_equal(base.features, moved.features)
+                    and np.array_equal(base.labels, moved.labels))
+    else:
+        with pytest.raises(EstimationError) as info:
+            ScenarioSpec(kind=kind, **{field: OTHER_VALUE[field]})
+        assert str(info.value) == (f"the {kind!r} scenario kind does not read {field}, "
+                                   f"only {', '.join(read)}")
 
 
 class TestProportionalCounts:
