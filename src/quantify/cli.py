@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import inspect
 import json
 import math
 import sys
@@ -47,43 +48,21 @@ SIZE_PRESETS = {
     "bank": (10000, 300),
 }
 
-_SIZED_STUDIES = ("mse", "coverage", "power", "combined", "regression")
-
 # The simulate scenarios that are not score kinds, and their ScenarioSpec kinds.
 _SCENARIO_KINDS = {"multiclass": "multiclass_gaussian", "sine": "regression_sine"}
 
-# For each command, the flags that pick a choice (its method or study) and, for
-# each optional flag, the choices that read it; any other choice refuses it.
-# A scenario flag reaches ScenarioSpec, which refuses a field its kind does not read.
-_READ_BY = {
-    "estimate": {"method": {"ci": ("ratio",), "regime": ("ratio",), "min_denom": ("ratio",),
-                            "threshold": ("cc",), "theta_train": ("em",)}},
-    "regress": {"method": {"min_denom": ("ratio",), "threshold": ("cc",)}},
-    "simulate": {
-        # the multiclass study's --size ladder sets both of its group sizes
-        "study": {
-            "n_unlabeled": _SIZED_STUDIES, "preset": _SIZED_STUDIES, "method": ("mse",),
-            "level": ("coverage",), "gamma": ("power",), "alpha": ("power",),
-            "test_replicates": ("power",), "grid_size": ("power",),
-            "label_count": ("combined",), "size": ("multiclass",), "threshold": ("regression",),
-        },
-    },
-}
 
-
-def _refuse_unread(args) -> None:
-    """Refuse each given flag that the command's method or study does not read, that
-    another given flag overrides, or that needs a flag not given."""
-    for choice_flag, readers in _READ_BY.get(args.command, {}).items():
-        choice = getattr(args, choice_flag)
-        for flag, choices in readers.items():
-            if getattr(args, flag) is not None and choice not in choices:
-                raise EstimationError(f"--{flag.replace('_', '-')} is not a parameter "
-                                      f"of the {choice} {choice_flag}")
-    if getattr(args, "weights", None) and args.score_col:
-        raise EstimationError("--weights and --score-col both give the score; pass one")
-    if getattr(args, "regime", None) and args.ci is None:
-        raise EstimationError("--regime is read only with --ci")
+def _forward(args, choice_flag: str, steps, *flags: str, **renamed: str) -> list[dict]:
+    """For each of ``steps``, the functions the ``choice_flag`` choice calls in turn, the
+    parameters of ``_given(args, *flags, **renamed)`` its signature takes; a given flag
+    that no step takes is refused, so a choice reads each flag it is given."""
+    given = _given(args, *flags, **renamed)
+    taken = [inspect.signature(step).parameters for step in steps]
+    for param in given:
+        if not any(param in names for names in taken):
+            raise EstimationError(f"--{renamed.get(param, param).replace('_', '-')} is not a "
+                                  f"parameter of the {getattr(args, choice_flag)} {choice_flag}")
+    return [{param: value for param, value in given.items() if param in names} for names in taken]
 
 
 def _given(args, *flags: str, **renamed: str) -> dict:
@@ -138,6 +117,8 @@ def _emit_result(args, payload: dict, write, summary: dict) -> None:
 def _load_data(args) -> RawDataset:
     """The ``data`` file under the schema flags, through ``load_csv``'s parse cache:
     commands run one after another on one file parse it once."""
+    if getattr(args, "weights", None) and args.score_col:
+        raise EstimationError("--weights and --score-col both give the score; pass one")
     schema = CsvSchema(
         set_column=args.set_col,
         label_column=args.label_col,
@@ -249,15 +230,19 @@ def _cmd_estimate(args) -> None:
         ratio_variance,
     )
 
+    # each method's steps in turn; the ratio method's last two attach a variance and a CI
+    steps = {"ratio": (ratio_estimate, ratio_variance, ratio_ci), "cc": (classify_and_count,),
+             "em": (em_estimate,), "multiclass": (multiclass_ratio,)}[args.method]
+    kwargs = _forward(args, "method", steps, "regime", "min_denom", "threshold", "theta_train",
+                      level="ci")
+    if args.regime and args.ci is None:
+        raise EstimationError("--regime is read only with --ci")
     data = _load_data(args)
-    g = _resolve_score(args, data)
-    scored = score_dataset(data, g)
-    estimate = {"ratio": ratio_estimate, "cc": classify_and_count, "em": em_estimate,
-                "multiclass": multiclass_ratio}[args.method]
-    est = estimate(scored, **_given(args, "min_denom", "threshold", "theta_train"))
+    est = steps[0](score_dataset(data, _resolve_score(args, data)), **kwargs[0])
     payload = est.to_dict()
     if args.ci is not None:
-        est = ratio_ci(ratio_variance(est, **_given(args, "regime")), level=args.ci)
+        for step, step_kwargs in zip(steps[1:], kwargs[1:]):
+            est = step(est, **step_kwargs)
         lo, hi, _ = est.ci
         payload = {**est.to_dict(), "ci_clipped": {"lo": max(0.0, lo), "hi": min(1.0, hi)}}
     _emit(payload, args.output, args.quiet)
@@ -291,10 +276,10 @@ def _cmd_select_g(args) -> None:
 def _cmd_regress(args) -> None:
     from .regression import cc_regress, ratio_regress
 
+    regress = {"ratio": ratio_regress, "cc": cc_regress}[args.method]
+    (kwargs,) = _forward(args, "method", (regress,), "grid", "bandwidth", "min_denom", "threshold")
     data = _load_data(args)
-    g = _resolve_score(args, data)
-    regress = ratio_regress if args.method == "ratio" else cc_regress
-    curve = regress(data, g, **_given(args, "grid", "bandwidth", "min_denom", "threshold"))
+    curve = regress(data, _resolve_score(args, data), **kwargs)
     summary = {"method": curve.method, "bandwidth": curve.bandwidth}
     payload = {**summary, "curve": [{"z": z, "theta": value} for z, value in curve.rows()]}
     text = "z,theta\n" + "".join(f"{z},{value}\n" for z, value in curve.rows())
@@ -322,18 +307,19 @@ def _simulate_spec(args, kind: str) -> ScenarioSpec:
 def _cmd_simulate(args) -> None:
     from . import simulate
 
-    flags = _given(args, "seed", "alpha", "level", "test_replicates", "grid_size", "threshold",
-                   methods="method", gammas="gamma", label_counts="label_count", sizes="size")
-    if args.study in ("mse", "coverage"):
-        flags.update(_given(args, thetas="theta"))
-    elif args.theta and len(args.theta) > 1:
+    # looked up at call time, so that a wrapper bound on the module in its place runs
+    run_study = getattr(simulate, f"run_{args.study}_study")
+    # a study that sweeps theta takes every --theta; the spec holds the first, and any other
+    # study runs at that one
+    sweep = {"thetas": "theta"} if "thetas" in inspect.signature(run_study).parameters else {}
+    (flags,) = _forward(args, "study", (run_study,), "seed", "alpha", "level", "test_replicates",
+                        "grid_size", "threshold", methods="method", gammas="gamma",
+                        label_counts="label_count", sizes="size", **sweep)
+    if not sweep and args.theta and len(args.theta) > 1:
         raise EstimationError(f"the {args.study} study runs at one --theta, got {len(args.theta)}")
     kind = _SCENARIO_KINDS.get(args.scenario, args.scenario)
     simulate.check_study_kind(args.study, kind)
-    spec = _simulate_spec(args, kind)
-    # looked up at call time, so that a wrapper bound on the module in its place runs
-    run_study = getattr(simulate, f"run_{args.study}_study")
-    report = run_study(spec, replicates=args.replicates, **flags)
+    report = run_study(_simulate_spec(args, kind), replicates=args.replicates, **flags)
     summary = {"study": report.study, "rows": len(report.raw_rows)}
     _emit_result(args, report.to_dict(), report.to_csv, summary)
 
@@ -429,7 +415,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _refuse_unread(args)
         args.func(args)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,7 +53,7 @@ from .shift_test import shift_test
 
 class _Kind(NamedTuple):
     studies: tuple[str, ...]  # the studies with a truth for this kind
-    fields: dict  # the ScenarioSpec fields besides n_unlabeled it reads, and their defaults
+    fields: dict  # the spec fields it reads, with their defaults; every kind reads n_unlabeled
     null: float | None = None  # the class-0 law parameter gamma replaces; None: the spec's mean0
     power_offsets: tuple[float, ...] = ()  # the power study's default sweep, as gamma - null
     laws: tuple = ()  # class-0 law(rng, n, null or gamma) and class-1 law(rng, n, spec) -> n draws
@@ -61,7 +61,7 @@ class _Kind(NamedTuple):
 
 
 _SCORE_STUDIES = ("mse", "coverage", "power", "combined")
-_SCORE_FIELDS = {"n_class": (150, 150), "theta": 0.6, "gamma": None}  # gamma None: no shift
+_SCORE_FIELDS = {"n_unlabeled": 300, "n_class": (150, 150), "theta": 0.6, "gamma": None}
 _GAUSSIAN_LAWS = (  # N(mean0, 1) against N(mean1, 1)
     lambda rng, n, mean0: rng.normal(mean0, 1.0, n),
     lambda rng, n, spec: rng.normal(spec.mean1, 1.0, n))
@@ -90,9 +90,11 @@ _KINDS = {
                       lambda rng, n, a0: rng.beta(a0, 1.0, n),
                       lambda rng, n, spec: rng.beta(1.0, 10.0, n)),
                   positive="the beta class-0 first shape parameter"),
+    # no n_unlabeled default: the multiclass study sets it to each of its sizes
     "multiclass_gaussian": _Kind(("multiclass",), {"n_class": (20, 30, 50)}),
-    "regression_sine": _Kind(("regression",), {"n_class": (150, 150), "mean0": -1.0, "mean1": 1.0,
-                                               "cycles": 1}, laws=_GAUSSIAN_LAWS),
+    "regression_sine": _Kind(("regression",), {"n_unlabeled": 300, "n_class": (150, 150),
+                                               "mean0": -1.0, "mean1": 1.0, "cycles": 1},
+                             laws=_GAUSSIAN_LAWS),
 }
 SCENARIO_KINDS = tuple(_KINDS)
 
@@ -115,9 +117,9 @@ def check_study_kind(study: str, kind: str) -> None:
 class ScenarioSpec:
     """Parameters of one synthetic scenario.
 
-    Each kind reads ``n_unlabeled`` and the fields of its ``_KINDS`` row, the
-    only fields ``meta()`` prints; a field of the row left at ``None`` takes
-    the row's default, and any other field set is refused.  ``gamma`` moves
+    Each kind reads ``n_unlabeled`` and the fields of its ``_KINDS`` row; ``meta()``
+    prints the row's fields, and ``n_unlabeled`` once set.  A field left at ``None``
+    takes the row's default, and any other field set is refused.  ``gamma`` moves
     the unlabeled class-0 law away from its labeled counterpart (location for
     the gaussian kinds, rate for the exponential, first shape parameter for
     the beta); ``None`` keeps the two laws equal, under which the mixture
@@ -127,7 +129,7 @@ class ScenarioSpec:
     """
 
     kind: str
-    n_unlabeled: int = 300
+    n_unlabeled: int | None = None
     n_class: tuple[int, ...] | None = None
     theta: float | None = None  # the score kinds' unlabeled class-1 prevalence
     gamma: float | None = None
@@ -140,21 +142,23 @@ class ScenarioSpec:
         if self.kind not in _KINDS:
             raise EstimationError(f"unknown scenario kind {self.kind!r}")
         row = _KINDS[self.kind]
+        reads = dict.fromkeys(("n_unlabeled", *row.fields))
         for name, value in vars(self).items():
-            if value is not None and name not in ("kind", "n_unlabeled", *row.fields):
+            if value is not None and name not in ("kind", *reads):
                 raise EstimationError(f"the {self.kind!r} scenario kind does not read {name}, "
-                                      f"only {', '.join(('n_unlabeled', *row.fields))}")
+                                      f"only {', '.join(reads)}")
         for name, default in row.fields.items():
             if getattr(self, name) is None:  # frozen, so set through object.__setattr__
                 object.__setattr__(self, name, default)
         if self.theta is not None and not 0.0 <= self.theta <= 1.0:
             raise EstimationError(f"theta must be in [0, 1], got {self.theta}")
-        for size in (self.n_unlabeled, *self.n_class):
+        sizes = [size for size in (self.n_unlabeled, *self.n_class) if size is not None]
+        for size in sizes:
             try:  # a float size would pass every check here and fail only when drawn
                 index(size)
             except TypeError:
                 raise EstimationError(f"group sizes must be whole numbers, got {size!r}") from None
-        if self.n_unlabeled < 1 or any(n < 1 for n in self.n_class):
+        if any(size < 1 for size in sizes):
             raise EstimationError("all group sizes must be at least 1")
         if len(self.n_class) != (count := len(row.fields["n_class"])):
             raise EstimationError(f"kind {self.kind!r} needs {count} labeled class sizes, "
@@ -168,8 +172,10 @@ class ScenarioSpec:
                 raise EstimationError(f"scenario field {name} must be finite, got {value}")
 
     def meta(self) -> dict:
-        names = ("kind", "n_unlabeled", *_KINDS[self.kind].fields)  # n_class keeps its place
-        return {**{name: getattr(self, name) for name in names}, "n_class": list(self.n_class)}
+        fields = _KINDS[self.kind].fields  # an unset n_unlabeled is left out
+        meta = {name: getattr(self, name) for name in ("kind", "n_unlabeled", *fields)
+                if name in fields or getattr(self, name) is not None}
+        return {**meta, "n_class": list(self.n_class)}  # n_class keeps its place
 
 
 def null_gamma(spec: ScenarioSpec) -> float:
@@ -225,6 +231,8 @@ def generate(spec: ScenarioSpec, seed: int) -> RawDataset:
     estimators never read labels of set-0 rows; evaluation and the combined
     estimator do).  The same spec and seed give a bit-identical dataset.
     """
+    if spec.n_unlabeled is None:
+        raise EstimationError(f"a {spec.kind!r} spec needs n_unlabeled set before it is drawn")
     rng = rng_from(seed)
     if spec.kind == "multiclass_gaussian":
         means = np.asarray(_LEVELS, dtype=float)[:, None] * np.ones(_DIM)
@@ -630,6 +638,9 @@ def run_multiclass_study(
     distance to the true prior vector).
     """
     check_study_kind("multiclass", spec.kind)
+    if spec.n_unlabeled is not None:
+        raise EstimationError("the multiclass study sets n_unlabeled to each of its sizes, "
+                              f"so its spec leaves it unset, got {spec.n_unlabeled}")
     base = np.asarray(spec.n_class, dtype=float)
     priors_labeled = tuple(base / base.sum())
     truth = np.asarray(_TARGET_PRIORS, dtype=float)

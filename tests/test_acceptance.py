@@ -181,9 +181,7 @@ class TestAcceptance:
                 f"MSE ratio {share:.3f}")
 
     def test_09_simplex_projection_helps_the_multiclass_ladder(self):
-        spec = ScenarioSpec(
-            kind="multiclass_gaussian", n_unlabeled=300, n_class=(20, 30, 50)
-        )
+        spec = ScenarioSpec(kind="multiclass_gaussian", n_class=(20, 30, 50))
         report = run_multiclass_study(spec, sizes=[250, 500, 1000, 2000],
                                       replicates=100, seed=91)
         never_hurts = all(row[4] <= row[2] + 1e-12 for row in report.rows)

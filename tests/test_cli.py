@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import quantify
-from quantify import rng_from
-from quantify.cli import _READ_BY, build_parser, main
+from quantify import EstimationError, rng_from
+from quantify.cli import build_parser, main
 
 EIGHT_ROWS = """s,y,g
 1,0,0.1
@@ -671,9 +671,7 @@ def test_repeated_sweep_value_or_short_class_list_exits_2_before_any_replicate(
 def test_multiclass_scenario_meta_keeps_its_default_class_sizes(capsys):
     payload = run_json(["simulate", "--scenario", "multiclass", "--study", "multiclass",
                         "--size", "60", "--replicates", "1"], capsys)
-    assert payload["meta"] == {
-        "kind": "multiclass_gaussian", "n_class": [20, 30, 50], "n_unlabeled": 300,
-    }
+    assert payload["meta"] == {"kind": "multiclass_gaussian", "n_class": [20, 30, 50]}
 
 
 # finite cells whose sums or squares overflow, keyed by the placeholder an argv names them by
@@ -686,6 +684,7 @@ EXTREME_CSV = {
     "HUGE_COVARIATE": "s,y,g,z\n1,0,0,0\n1,1,1,0\n"
                       + "".join(f"0,,{i % 2},{(-1) ** i}e300\n" for i in range(12)),
 }
+
 SMALL_STUDY = ["simulate", "--replicates", "2", "--n-unlabeled", "100"]
 SMALL_SHIFT_TEST = ["--test-replicates", "5", "--grid-size", "21"]
 OUT_OF_RANGE_BANDWIDTH = "argument --bandwidth: must be positive and finite, got "
@@ -907,15 +906,39 @@ def test_a_scenario_without_flags_is_its_kinds_default_spec(scenario, capsys, mo
     assert {key: meta[key] for key in spec} == spec
 
 
-# A value each flag of the method and study tables accepts, and the scenario
-# each study runs on; the scenario flags have their own test above.
+# For each command whose method or study picks what runs, the flag that picks it
+# and, for each flag that only some choices read, the choices that read it; every
+# other choice refuses the flag.  The CLI derives this from the signatures of the
+# functions each choice calls, and these tests hold it to this table.
+SIZED_STUDIES = ("mse", "coverage", "power", "combined", "regression")
+READ_BY = {
+    "estimate": ("method", {"ci": ("ratio",), "regime": ("ratio",), "min_denom": ("ratio",),
+                            "threshold": ("cc",), "theta_train": ("em",)}),
+    "regress": ("method", {"min_denom": ("ratio",), "threshold": ("cc",)}),
+    "simulate": ("study", {
+        "n_unlabeled": SIZED_STUDIES, "preset": SIZED_STUDIES, "method": ("mse",),
+        "level": ("coverage",), "gamma": ("power",), "alpha": ("power",),
+        "test_replicates": ("power",), "grid_size": ("power",), "label_count": ("combined",),
+        "size": ("multiclass",), "threshold": ("regression",),
+    }),
+}
+# A value each flag of the table accepts, and the scenario each study runs on; the
+# scenario flags have their own test above.
 READ_BY_VALUES = {"ci": "0.9", "regime": "dense", "min_denom": "1e-3", "threshold": "0.3",
-                  "theta_train": "0.4", "n_unlabeled": "50", "preset": "cancer", "method": "ratio",
+                  "theta_train": "0.4", "n_unlabeled": "100", "preset": "cancer", "method": "ratio",
                   "level": "0.9", "gamma": "0", "alpha": "0.1", "test_replicates": "5",
                   "grid_size": "21", "label_count": "10", "size": "60"}
 SCENARIO_OF_STUDY = {study: scenario for scenario, (study,) in STUDIES_OF.items()}
 COMMAND_HEAD = {"estimate": ["estimate", "missing.csv", "--set-col", "s"],
                 "regress": ["regress", "missing.csv", "--set-col", "s", "--covariate-col", "z"]}
+# The multiclass study's --size ladder sets n_unlabeled, so the layers refuse the
+# two flags that set it: the study a spec with n_unlabeled, the spec preset's two
+# class sizes.
+REFUSED_BY_THE_LAYER = {
+    ("multiclass", "n_unlabeled"): "the multiclass study sets n_unlabeled to each of its sizes, "
+                                   "so its spec leaves it unset, got 100",
+    ("multiclass", "preset"): "kind 'multiclass_gaussian' needs 3 labeled class sizes, got 2",
+}
 
 
 def _actions_of(command):
@@ -924,43 +947,99 @@ def _actions_of(command):
     return {action.dest: action for action in commands.choices[command]._actions}
 
 
-def _unread_cases():
-    for command, choosers in _READ_BY.items():
-        actions = _actions_of(command)
-        for choice_flag, readers in choosers.items():
-            for choice in actions[choice_flag].choices:
-                for flag, readers_of_flag in readers.items():
-                    if choice not in readers_of_flag:
-                        yield pytest.param(command, choice_flag, choice, flag,
-                                           id=f"{command}-{choice}-{flag}")
+def _head(command, choice):
+    """The argv of ``command`` up to its choice flag: for a file command a data file
+    that does not exist, for simulate the scenario the study runs on."""
+    return COMMAND_HEAD.get(command) or [
+        "simulate", "--scenario", SCENARIO_OF_STUDY.get(choice, "gaussian"), "--replicates", "1"]
 
 
-@pytest.mark.parametrize("command, choice_flag, choice, flag", _unread_cases())
+def _read_by_cases(read: bool):
+    """Each (command, choice, flag) of the table whose choice reads the flag, or does not."""
+    for command, (choice_flag, readers) in READ_BY.items():
+        for choice in _actions_of(command)[choice_flag].choices:
+            for flag, readers_of_flag in readers.items():
+                if (choice in readers_of_flag) == read:
+                    yield pytest.param(command, choice_flag, choice, flag,
+                                       id=f"{command}-{choice}-{flag}")
+
+
+def _run_with_flag(command, choice_flag, choice, flag, capsys, monkeypatch):
+    """``main()`` on ``command`` with ``choice`` and ``flag``, with ``generate`` replaced
+    by a stub that records each draw and refuses it: the exit code, stdout, stderr and
+    the draws."""
+    from quantify import simulate
+
+    drawn = []
+
+    def refuse_to_draw(*args, **kwargs):
+        drawn.append(args)
+        raise EstimationError("drawn")
+
+    monkeypatch.setattr(simulate, "generate", refuse_to_draw)
+    monkeypatch.setenv("QUANTIFY_THREADS", "1")  # so that each draw calls the stub
+    code, stdout, err = run([*_head(command, choice), f"--{choice_flag}", choice,
+                             f"--{flag.replace('_', '-')}", READ_BY_VALUES[flag]], capsys)
+    return code, stdout, err, drawn
+
+
+@pytest.mark.parametrize("command, choice_flag, choice, flag", _read_by_cases(read=False))
 def test_a_flag_its_method_or_study_does_not_read_is_refused(command, choice_flag, choice, flag,
                                                              capsys, monkeypatch):
     """Exit 2 and one line naming the flag and the choice, before the data file
     is read or a dataset is drawn."""
-    from quantify import simulate
-
-    drawn = []
-    monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
-    head = COMMAND_HEAD.get(command) or [
-        "simulate", "--scenario", SCENARIO_OF_STUDY.get(choice, "gaussian"), "--replicates", "1"]
-    code, stdout, err = run([*head, f"--{choice_flag}", choice,
-                             f"--{flag.replace('_', '-')}", READ_BY_VALUES[flag]], capsys)
+    code, stdout, err, drawn = _run_with_flag(command, choice_flag, choice, flag, capsys,
+                                              monkeypatch)
     assert (code, stdout, drawn) == (2, "", [])
-    assert err == f"error: --{flag.replace('_', '-')} is not a parameter of the {choice} {choice_flag}\n"
+    message = REFUSED_BY_THE_LAYER.get((choice, flag)) or (
+        f"--{flag.replace('_', '-')} is not a parameter of the {choice} {choice_flag}")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, choice_flag, choice, flag", _read_by_cases(read=True))
+def test_a_flag_its_method_or_study_reads_reaches_the_data(command, choice_flag, choice, flag,
+                                                           capsys, monkeypatch):
+    """The flag passes every refusal: a file command goes on to read its data file,
+    which does not exist, and a study goes on to draw its first dataset."""
+    if flag == "regime":
+        monkeypatch.setitem(COMMAND_HEAD, command, [*COMMAND_HEAD[command], "--ci", "0.9"])
+    code, stdout, err, drawn = _run_with_flag(command, choice_flag, choice, flag, capsys,
+                                              monkeypatch)
+    if command == "simulate":
+        assert (code, err, len(drawn)) == (2, "error: drawn\n", 1)
+    else:
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: cannot read missing.csv: ")
+
+
+@pytest.mark.parametrize("command", sorted(READ_BY))
+def test_every_flag_a_command_forwards_is_a_parameter_of_one_of_its_choices(command, capsys,
+                                                                            monkeypatch):
+    """A misspelt parameter name would refuse its flag whatever the choice."""
+    from quantify import cli
+
+    forwarded, taken = set(), set()
+
+    def record(args, choice_flag, steps, *flags, **renamed):
+        forwarded.update(flags, renamed)
+        taken.update(name for step in steps for name in inspect.signature(step).parameters)
+        raise EstimationError("recorded")
+
+    monkeypatch.setattr(cli, "_forward", record)
+    choice_flag, _ = READ_BY[command]
+    for choice in _actions_of(command)[choice_flag].choices:
+        assert run([*_head(command, choice), f"--{choice_flag}", choice], capsys)[0] == 2
+    assert forwarded and forwarded <= taken, forwarded - taken
 
 
 def test_read_by_table_names_flags_and_choices_of_its_command():
-    """A misspelt flag or choice in the table would refuse nothing."""
-    for command, choosers in _READ_BY.items():
+    """A misspelt flag or choice in the table would test nothing."""
+    for command, (choice_flag, readers) in READ_BY.items():
         actions = _actions_of(command)
-        for choice_flag, readers in choosers.items():
-            assert actions[choice_flag].choices, (command, choice_flag)
-            for flag, readers_of_flag in readers.items():
-                assert flag in actions and actions[flag].default is None, (command, flag)
-                assert set(readers_of_flag) <= set(actions[choice_flag].choices), (command, flag)
+        assert actions[choice_flag].choices, (command, choice_flag)
+        for flag, readers_of_flag in readers.items():
+            assert flag in actions and actions[flag].default is None, (command, flag)
+            assert set(readers_of_flag) <= set(actions[choice_flag].choices), (command, flag)
 
 
 def test_cli_imports_no_private_name_of_another_module():

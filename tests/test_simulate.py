@@ -6,6 +6,7 @@ few standard errors wide so seeds stay interchangeable.
 
 import concurrent.futures
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,7 +135,9 @@ def test_a_kind_draws_with_each_field_it_reads_and_refuses_every_other(kind, fie
     lists a field its laws ignore; any other field is refused when the spec is
     built, naming the kind, the field and the fields the kind reads."""
     read = ("n_unlabeled", "n_class", *FIELDS_READ[kind])
-    assert list(ScenarioSpec(kind=kind).meta()) == ["kind", *read]
+    # the multiclass kind has no default n_unlabeled, and meta leaves an unset one out
+    shown = read[1:] if kind == "multiclass_gaussian" else read
+    assert list(ScenarioSpec(kind=kind).meta()) == ["kind", *shown]
     if field in read:
         base = generate(ScenarioSpec(kind=kind), seed=0)
         moved = generate(ScenarioSpec(kind=kind, **{field: OTHER_VALUE[field]}), seed=0)
@@ -393,7 +396,7 @@ SMALL_STUDIES = {
                      mean0=-1.0, mean1=1.0),
         label_counts=[0, 10, 20], replicates=3, seed=2),
     "multiclass": lambda: run_multiclass_study(
-        ScenarioSpec(kind="multiclass_gaussian", n_unlabeled=90, n_class=(30, 30, 30)),
+        ScenarioSpec(kind="multiclass_gaussian", n_class=(30, 30, 30)),
         sizes=[60, 90], replicates=2, seed=1),
     "regression": lambda: run_regression_study(
         ScenarioSpec(kind="regression_sine", n_unlabeled=200, n_class=(60, 60), mean0=-2.0,
@@ -682,7 +685,7 @@ class TestCombinedStudy:
 
 
 class TestMulticlassStudy:
-    SPEC = ScenarioSpec(kind="multiclass_gaussian", n_unlabeled=90, n_class=(30, 30, 30))
+    SPEC = ScenarioSpec(kind="multiclass_gaussian", n_class=(30, 30, 30))
 
     def test_projection_never_hurts(self):
         report = run_multiclass_study(self.SPEC, sizes=[60, 120], replicates=3, seed=1)
@@ -707,6 +710,20 @@ class TestMulticlassStudy:
     def test_empty_class_on_the_ladder(self):
         with pytest.raises(EstimationError, match="empty class"):
             run_multiclass_study(self.SPEC, sizes=[2], replicates=1, seed=0)
+
+    def test_a_spec_that_sets_n_unlabeled_is_refused_before_any_draw(self, monkeypatch):
+        """The ladder sets n_unlabeled at each size, so a given one would be ignored."""
+        drawn = []
+        monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
+        with pytest.raises(EstimationError) as info:
+            run_multiclass_study(replace(self.SPEC, n_unlabeled=90), sizes=[60], replicates=1)
+        assert str(info.value) == ("the multiclass study sets n_unlabeled to each of its sizes, "
+                                   "so its spec leaves it unset, got 90")
+        assert drawn == []
+
+    def test_a_spec_without_n_unlabeled_is_not_drawn(self):
+        with pytest.raises(EstimationError, match="needs n_unlabeled set before it is drawn"):
+            generate(self.SPEC, seed=0)
 
 
 class TestRegressionStudy:
