@@ -177,7 +177,7 @@ def ratio_variance(est: ThetaEstimate, regime: str = "auto") -> ThetaEstimate:
     class-mean fluctuations matter and the proxy is V' / n_labeled.  The
     sample sizes are the ones :func:`ratio_estimate` recorded on ``est``.
     """
-    if est.mu0 is None or est.var0 is None or est.n0 is None:
+    if not isinstance(est, ThetaEstimate) or est.mu0 is None or est.var0 is None or est.n0 is None:
         raise EstimationError("estimate lacks the group statistics the variance needs")
     if regime not in ("auto", "dense", "sparse"):
         raise EstimationError(f"unknown regime {regime!r}")

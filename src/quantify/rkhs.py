@@ -49,7 +49,7 @@ def _squared_distances(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A positive-definite kernel: 'linear' or 'gaussian' (the default) with a bandwidth."""
+    """A positive-definite kernel: 'linear', or 'gaussian' (the default) with a bandwidth."""
 
     family: str = "gaussian"
     bandwidth: float | None = None
@@ -59,6 +59,8 @@ class KernelSpec:
             raise DataError(f"unknown kernel family {self.family!r}")
         if self.bandwidth is None:
             return
+        if self.family == "linear":
+            raise EstimationError(f"the linear kernel reads no bandwidth, got {self.bandwidth}")
         if not 0.0 < self.bandwidth < np.inf:
             raise DataError("kernel bandwidth must be positive and finite")
         h = float(self.bandwidth)
@@ -104,6 +106,13 @@ def median_bandwidth(features: np.ndarray) -> float:
     x = np.atleast_2d(np.asarray(features, dtype=float))
     if x.shape[0] < 2:
         raise EstimationError("median bandwidth needs at least two points")
+    # |x_i - x_j|^2 <= 2 max_i |x_i|^2, and every partial sum of x_i . x_j is bounded alike,
+    # so a finite bound leaves no step of the distances to overflow
+    with np.errstate(over="ignore"):
+        bound = 2.0 * float(np.max(np.sum(x * x, axis=1)))
+    if not bound < np.inf:
+        raise EstimationError("the squared pairwise distances of the features overflow; "
+                              "rescale the features or pass a bandwidth")
     sq = _squared_distances(x, x)
     upper = np.concatenate([row[i + 1 :] for i, row in enumerate(sq)])
     value = float(np.mean(np.sqrt(_middle(upper))))  # sqrt is monotone and correctly rounded

@@ -311,19 +311,6 @@ class ExperimentReport:
             "meta": self.meta,
         }
 
-    def cell(self, **filters) -> tuple:
-        matches = [
-            row
-            for row in self.rows
-            if all(row[self.columns.index(k)] == v for k, v in filters.items())
-        ]
-        if len(matches) != 1:
-            raise KeyError(f"{len(matches)} rows match {filters}")
-        return matches[0]
-
-    def value(self, column: str, **filters) -> float:
-        return self.cell(**filters)[self.columns.index(column)]
-
 
 def _mean_and_halfwidth(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean())

@@ -26,6 +26,7 @@ from quantify import (
     solve_weights,
 )
 from quantify.cli import main
+from report_cells import value
 
 
 def verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -85,7 +86,7 @@ class TestAcceptance:
             )
             report = run_mse_study(spec, thetas=[0.3], methods=["ratio"],
                                    replicates=200, seed=31)
-            mses.append(report.value("mse", theta=0.3, method="ratio"))
+            mses.append(value(report, "mse", theta=0.3, method="ratio"))
         slope = float(np.polyfit(np.log(sizes), np.log(mses), 1)[0])
         elapsed = time.perf_counter() - start
         verdict(3, "1/n error rate", -1.4 <= slope <= -0.6 and elapsed < 60.0,
@@ -97,7 +98,7 @@ class TestAcceptance:
         thetas = [0.1, 0.2, 0.3, 0.4, 0.5]
         report = run_coverage_study(spec, thetas=thetas, level=0.95,
                                     replicates=500, seed=41)
-        coverages = {t: report.value("coverage", theta=t) for t in thetas}
+        coverages = {t: value(report, "coverage", theta=t) for t in thetas}
         elapsed = time.perf_counter() - start
         ok = all(c >= 0.93 for c in coverages.values()) and elapsed < 120.0
         verdict(4, "interval coverage",
@@ -161,8 +162,8 @@ class TestAcceptance:
         report = run_power_study(spec, gammas=[-2.0, 0.0], alpha=0.05,
                                  replicates=500, test_replicates=200, seed=71,
                                  grid_size=201)
-        size = report.value("rejection_rate", gamma=0.0)
-        power = report.value("rejection_rate", gamma=-2.0)
+        size = value(report, "rejection_rate", gamma=0.0)
+        power = value(report, "rejection_rate", gamma=-2.0)
         elapsed = time.perf_counter() - start
         ok = 0.01 <= size <= 0.10 and power >= 0.8 and elapsed < 600.0
         verdict(7, "shift test size and power", ok,
@@ -174,8 +175,8 @@ class TestAcceptance:
         spec = ScenarioSpec(kind="gaussian", theta=0.3, n_unlabeled=300, n_class=(150, 150),
                             mean0=-1.0, mean1=1.0)
         report = run_combined_study(spec, label_counts=[77], replicates=300, seed=10)
-        mse_ratio = report.value("mse_ratio", target_labels=77)
-        mse_combined = report.value("mse_combined", target_labels=77)
+        mse_ratio = value(report, "mse_ratio", target_labels=77)
+        mse_combined = value(report, "mse_combined", target_labels=77)
         share = mse_combined / mse_ratio
         verdict(8, "combined estimator gain", 0.4 <= share <= 0.7,
                 f"MSE ratio {share:.3f}")

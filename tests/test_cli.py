@@ -356,6 +356,8 @@ class TestSelectG:
         pytest.param(lambda sel: {**sel, "kernel": {"family": "gaussian", "bandwidth": 1e300}},
                      id="overflowing-bandwidth"),
         pytest.param(lambda sel: {**sel, "gamma": "small"}, id="non-numeric-gamma"),
+        pytest.param(lambda sel: {**sel, "kernel": {"family": "linear", "bandwidth": 3.0}},
+                     id="linear-bandwidth"),
     ])
     def test_malformed_weights_file_exits_1_naming_it(self, blobs_csv, tmp_path, capsys,
                                                      corrupt):
@@ -370,6 +372,21 @@ class TestSelectG:
                              capsys)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+    def test_the_linear_kernel_refuses_a_bandwidth(self, blobs_csv, tmp_path, capsys):
+        """The linear kernel reads no bandwidth: select-g refuses one with exit 2, and a
+        selection file that gives one is malformed, exit 1."""
+        linear = ["select-g", blobs_csv, *self.BASE, "--kernel", "linear"]
+        code, stdout, err = run([*linear, "--bandwidth", "3"], capsys)
+        assert (code, stdout, err) == (2, "", "error: the linear kernel reads no bandwidth, got 3.0\n")
+        saved = tmp_path / "linear.json"
+        run_json([*linear, "--out", str(saved)], capsys)
+        selection = json.loads(saved.read_text())
+        saved.write_text(json.dumps({**selection, "kernel": {"family": "linear", "bandwidth": 3.0}}))
+        code, stdout, err = run(["estimate", blobs_csv, *self.BASE, "--weights", str(saved)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: {saved}: malformed selection: "
+                       "the linear kernel reads no bandwidth, got 3.0\n")
 
     def test_bad_weights_file_exits_1(self, eight_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -684,6 +701,23 @@ EXTREME_CSV = {
     "HUGE_COVARIATE": "s,y,g,z\n1,0,0,0\n1,1,1,0\n"
                       + "".join(f"0,,{i % 2},{(-1) ** i}e300\n" for i in range(12)),
 }
+
+
+def test_feature_distances_that_overflow_are_refused_without_a_warning(blobs_csv, tmp_path,
+                                                                       capsys):
+    """select-g's median bandwidth over features whose squared distances overflow a
+    float: exit 2 naming the overflow, with every numpy warning raised as an error."""
+    header, *rows = Path(blobs_csv).read_text().splitlines()
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join([header, *(f"{float(x1) * 1e300!r},{rest}"
+                                         for x1, rest in (row.split(",", 1) for row in rows))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(["select-g", str(huge), *TestSelectG.BASE], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == ("error: the squared pairwise distances of the features overflow; "
+                   "rescale the features or pass a bandwidth\n")
+
 
 SMALL_STUDY = ["simulate", "--replicates", "2", "--n-unlabeled", "100"]
 SMALL_SHIFT_TEST = ["--test-replicates", "5", "--grid-size", "21"]

@@ -331,6 +331,14 @@ class TestRatioVariance:
         with pytest.raises(EstimationError, match="group statistics"):
             ratio_variance(replace(bare, n0=2, n1=2, n_unlabeled=4))
 
+    def test_refuses_a_multiclass_estimate(self):
+        """A simplex estimate has a prevalence vector and no binary group statistics."""
+        rows = ScoredDataset(unlabeled=[[0.5, 0.5]],
+                             classes=([[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]))
+        with pytest.raises(EstimationError) as info:
+            ratio_variance(multiclass_ratio(rows))
+        assert str(info.value) == "estimate lacks the group statistics the variance needs"
+
 
 class TestRatioCi:
     def test_frozen_interval(self):

@@ -1,6 +1,7 @@
 """Kernel score selection tests: Gram algebra, the rank-1 solve, gamma search."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,10 @@ class TestKernelSpec:
         z = np.array([[3.0, -1.0]])
         np.testing.assert_allclose(k.matrix(x, z), [[1.0], [-1.0]])
 
+    def test_linear_kernel_reads_no_bandwidth(self):
+        with pytest.raises(EstimationError, match="the linear kernel reads no bandwidth, got 1.0"):
+            KernelSpec(family="linear", bandwidth=1.0)
+
     def test_gaussian_kernel_hand_values(self):
         k = KernelSpec(family="gaussian", bandwidth=1.0)
         x = np.array([[0.0], [2.0]])
@@ -147,6 +152,16 @@ class TestMedianBandwidth:
     def test_needs_two_points(self):
         with pytest.raises(EstimationError, match="two points"):
             median_bandwidth([[1.0]])
+
+    @pytest.mark.parametrize("x", [[[1e300], [-1e300]], [[1e154, 1e154], [0.0, 0.0]],
+                                   [[1e308], [1e308], [0.0]]])
+    def test_overflowing_distances_are_refused_without_a_warning(self, x):
+        """Each has a squared distance or a squared row norm past the largest float."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="squared pairwise distances of the "
+                                                      "features overflow"):
+                median_bandwidth(x)
 
     @EXACTNESS
     @given(st.integers(2, 60), st.sampled_from(["normal", "ties", "wide"]), st.integers(0, 2**32 - 1))

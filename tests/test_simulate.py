@@ -34,6 +34,7 @@ from quantify import (
 from quantify import simulate
 from quantify.cli import main
 from quantify.simulate import _child_seed, _mean_and_halfwidth, _proportional_counts
+from report_cells import cell, value
 
 
 def unlabeled_labels(data: RawDataset) -> np.ndarray:
@@ -351,12 +352,12 @@ class TestExperimentReport:
 
     def test_cell_and_value(self):
         report = self.small_report()
-        assert report.cell(method="cc") == (0.3, "cc", 0.004)
-        assert report.value("mse", method="ratio") == 0.001
+        assert cell(report, method="cc") == (0.3, "cc", 0.004)
+        assert value(report, "mse", method="ratio") == 0.001
         with pytest.raises(KeyError, match="0 rows"):
-            report.cell(method="em")
+            cell(report, method="em")
         with pytest.raises(KeyError, match="2 rows"):
-            report.cell(theta=0.3)
+            cell(report, theta=0.3)
 
     def test_to_dict_payload(self):
         payload = self.small_report().to_dict()
@@ -517,7 +518,7 @@ class TestMseStudy:
         spec = ScenarioSpec(kind="gaussian")
         report = run_mse_study(spec, thetas=[0.3], methods=["ratio", "cc"],
                                replicates=60, seed=0)
-        assert report.value("mse", method="ratio") < report.value("mse", method="cc")
+        assert value(report, "mse", method="ratio") < value(report, "mse", method="cc")
 
     def test_em_runs_on_probability_scores(self):
         spec = ScenarioSpec(kind="beta", n_unlabeled=80, n_class=(40, 40))
@@ -563,7 +564,7 @@ class TestCoverageStudy:
                             mean0=-1.0, mean1=1.0)
         report = run_coverage_study(spec, thetas=[0.3], level=0.95,
                                     replicates=40, seed=3)
-        assert report.value("coverage", theta=0.3) >= 0.85
+        assert value(report, "coverage", theta=0.3) >= 0.85
         raw = report.raw_rows
         assert len(raw) == 40
         lows = [row[4] for row in raw]
@@ -581,13 +582,13 @@ class TestPowerStudy:
         assert report.columns == (
             "gamma", "replicates", "test_replicates", "rejection_rate", "is_null"
         )
-        assert report.value("is_null", gamma=0.0) == 1.0
-        assert report.value("is_null", gamma=-2.0) == 0.0
+        assert value(report, "is_null", gamma=0.0) == 1.0
+        assert value(report, "is_null", gamma=-2.0) == 0.0
         for gamma in (0.0, -2.0):
             raw = [row for row in report.raw_rows if row[1] == gamma]
             assert len(raw) == 3
             rate = np.mean([row[5] for row in raw])
-            assert rate == report.value("rejection_rate", gamma=gamma)
+            assert rate == value(report, "rejection_rate", gamma=gamma)
             assert all((row[4] <= 0.05) == bool(row[5]) for row in raw)
 
     def test_deterministic_across_runs(self):
@@ -601,7 +602,7 @@ class TestPowerStudy:
         report = run_power_study(ScenarioSpec(kind="gaussian"), gammas=[-2.0],
                                  alpha=0.05, replicates=8, test_replicates=60,
                                  seed=7, grid_size=101)
-        assert report.value("rejection_rate", gamma=-2.0) >= 0.75
+        assert value(report, "rejection_rate", gamma=-2.0) >= 0.75
 
     def test_alpha_guard(self):
         with pytest.raises(EstimationError, match="alpha"):
@@ -653,7 +654,7 @@ class TestCombinedStudy:
         spec = ScenarioSpec(kind="gaussian", theta=0.3, n_unlabeled=60, n_class=(40, 40),
                             mean0=-1.0, mean1=1.0)
         report = run_combined_study(spec, label_counts=[0, 20], replicates=6, seed=2)
-        zero = report.cell(target_labels=0)
+        zero = cell(report, target_labels=0)
         assert zero[3] is None and zero[4] is None
         assert {row[1] for row in report.raw_rows if row[2] == 0} == {"ratio"}
         assert {row[1] for row in report.raw_rows if row[2] == 20} == {
@@ -666,7 +667,7 @@ class TestCombinedStudy:
         spec = ScenarioSpec(kind="gaussian", theta=0.3, n_unlabeled=300, n_class=(50, 50),
                             mean0=-1.0, mean1=1.0)
         report = run_combined_study(spec, label_counts=[40], replicates=60, seed=3)
-        mse_labels = report.value("mse_labels", target_labels=40)
+        mse_labels = value(report, "mse_labels", target_labels=40)
         assert 0.002 <= mse_labels <= 0.011
 
     def test_count_bounds(self):
@@ -701,7 +702,7 @@ class TestMulticlassStudy:
 
     def test_ladder_splits_labeled_counts_proportionally(self):
         report = run_multiclass_study(self.SPEC, sizes=[60], replicates=1, seed=0)
-        assert report.value("replicates", size=60) == 1
+        assert value(report, "replicates", size=60) == 1
 
     def test_wrong_kind(self):
         with pytest.raises(EstimationError, match="multiclass_gaussian"):
