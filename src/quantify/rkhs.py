@@ -112,7 +112,7 @@ def median_bandwidth(features: np.ndarray) -> float:
         bound = 2.0 * float(np.max(np.sum(x * x, axis=1)))
     if not bound < np.inf:
         raise EstimationError("the squared pairwise distances of the features overflow; "
-                              "rescale the features or pass a bandwidth")
+                              "rescale the features")
     sq = _squared_distances(x, x)
     upper = np.concatenate([row[i + 1 :] for i, row in enumerate(sq)])
     value = float(np.mean(np.sqrt(_middle(upper))))  # sqrt is monotone and correctly rounded

@@ -373,20 +373,12 @@ class TestSelectG:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
-    def test_the_linear_kernel_refuses_a_bandwidth(self, blobs_csv, tmp_path, capsys):
-        """The linear kernel reads no bandwidth: select-g refuses one with exit 2, and a
-        selection file that gives one is malformed, exit 1."""
-        linear = ["select-g", blobs_csv, *self.BASE, "--kernel", "linear"]
-        code, stdout, err = run([*linear, "--bandwidth", "3"], capsys)
+    def test_the_linear_kernel_refuses_a_bandwidth(self, blobs_csv, capsys):
+        """The linear kernel reads no bandwidth; a selection file that gives one is
+        refused as malformed (the linear-bandwidth case above)."""
+        code, stdout, err = run(["select-g", blobs_csv, *self.BASE, "--kernel", "linear",
+                                 "--bandwidth", "3"], capsys)
         assert (code, stdout, err) == (2, "", "error: the linear kernel reads no bandwidth, got 3.0\n")
-        saved = tmp_path / "linear.json"
-        run_json([*linear, "--out", str(saved)], capsys)
-        selection = json.loads(saved.read_text())
-        saved.write_text(json.dumps({**selection, "kernel": {"family": "linear", "bandwidth": 3.0}}))
-        code, stdout, err = run(["estimate", blobs_csv, *self.BASE, "--weights", str(saved)], capsys)
-        assert (code, stdout) == (1, "")
-        assert err == (f"error: {saved}: malformed selection: "
-                       "the linear kernel reads no bandwidth, got 3.0\n")
 
     def test_bad_weights_file_exits_1(self, eight_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -716,7 +708,7 @@ def test_feature_distances_that_overflow_are_refused_without_a_warning(blobs_csv
         code, stdout, err = run(["select-g", str(huge), *TestSelectG.BASE], capsys)
     assert (code, stdout) == (2, "")
     assert err == ("error: the squared pairwise distances of the features overflow; "
-                   "rescale the features or pass a bandwidth\n")
+                   "rescale the features\n")
 
 
 SMALL_STUDY = ["simulate", "--replicates", "2", "--n-unlabeled", "100"]
