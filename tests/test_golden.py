@@ -90,6 +90,9 @@ CASES = {
     "estimate-em-theta-train": ("estimate", *SCORE, "--method", "em", "--theta-train", "0.4"),
     "estimate-logistic-ci": ("estimate", *FEATURES, "--ci", "0.95"),
     "estimate-weights-ci": ("estimate", *FEATURES, "--weights", "weights.json", "--ci", "0.95"),
+    # numpy's parser refuses the cell 1_0.5 that float() reads, so the file goes through
+    # the exact per-record pass
+    "estimate-logistic-underscore-cell": ("estimate", "underscore.csv", *FEATURES[1:]),
     "estimate-multiclass": ("estimate", "three-class.csv", "--set-col", "s", "--label-col", "y",
                             "--method", "multiclass", "--score-col", "g1", "--score-col", "g2"),
     "estimate-multiclass-logistic": ("estimate", "three-class.csv", "--set-col", "s", "--label-col",
@@ -102,7 +105,12 @@ CASES = {
     "select-g-linear-gamma": ("select-g", *FEATURES, "--kernel", "linear", "--gamma", "0.1",
                               "--gamma", "1"),
     "refused-select-g-csv-stdout": ("select-g", *FEATURES, "--output", "csv"),
+    "select-g-bandwidth-out": ("select-g", *FEATURES, "--bandwidth", "0.8", "--out",
+                               "selection.json"),
+    "refused-select-g-negative-bandwidth": ("select-g", *FEATURES, "--bandwidth", "-1"),
     "regress-ratio": ("regress", *CURVE),
+    "regress-ratio-bandwidth": ("regress", *CURVE, "--bandwidth", "0.3"),
+    "refused-regress-infinite-bandwidth": ("regress", *CURVE, "--bandwidth", "inf"),
     "regress-cc-cv-out": ("regress", *CURVE, "--method", "cc", "--threshold", "0.4",
                           "--bandwidth", "cv", "--out", "curve.csv"),
     "regress-ratio-cv-csv-stdout": ("regress", *CURVE, "--bandwidth", "cv", "--output", "csv"),
@@ -112,16 +120,18 @@ CASES = {
 # and the multiclass least squares
 SUBPROCESS_CASES = ("multiclass", "multiclass-n-class-out", "refused-multiclass-two-class-sizes",
                     "estimate-logistic-ci", "estimate-weights-ci", "estimate-multiclass",
-                    "estimate-multiclass-logistic",
-                    "select-g-out", "select-g-linear-gamma", "regress-ratio", "regress-cc-cv-out",
+                    "estimate-multiclass-logistic", "estimate-logistic-underscore-cell",
+                    "select-g-out", "select-g-linear-gamma", "select-g-bandwidth-out",
+                    "regress-ratio", "regress-ratio-bandwidth", "regress-cc-cv-out",
                     "regress-ratio-cv-csv-stdout")
 
 
 @functools.cache
 def inputs() -> dict[str, bytes]:
     """The files every case finds in its directory, drawn from a fixed seed: a binary
-    sample with two features, a score and a covariate; a 3-class sample with two score
-    columns; and a kernel selection over the binary sample's features."""
+    sample with two features, a score and a covariate; the same sample with its first
+    feature cell written 1_0.5; a 3-class sample with two score columns; and a kernel
+    selection over the binary sample's features."""
     rng = np.random.default_rng(20)
     n_class, n_unlabeled = 40, 120
     z = rng.random(2 * n_class + n_unlabeled)
@@ -144,7 +154,9 @@ def inputs() -> dict[str, bytes]:
     selection = {"weights": [-1.0, 0.25, 1.0], "anchors": [[-1.0, -1.0], [0.0, 0.5], [1.0, 1.0]],
                  "kernel": {"family": "gaussian", "bandwidth": 1.0},
                  "gamma": 0.1, "objective": 1.0, "theta_pilot": 0.5}
+    underscore = [binary[0], "1,0,1_0.5," + binary[1].split(",", 3)[3], *binary[2:]]
     return {"binary.csv": "\n".join(binary + [""]).encode(),
+            "underscore.csv": "\n".join(underscore + [""]).encode(),
             "three-class.csv": "\n".join(multiclass + [""]).encode(),
             "weights.json": json.dumps(selection).encode()}
 
