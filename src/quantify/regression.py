@@ -31,8 +31,8 @@ def nadaraya_watson(
     queries = np.asarray(queries, dtype=float).ravel()
     if z.size == 0 or z.size != g.size:
         raise EstimationError("need matching, nonempty covariate and score arrays")
-    if not bandwidth > 0:
-        raise EstimationError(f"bandwidth must be positive, got {bandwidth}")
+    if not 0.0 < bandwidth < math.inf:
+        raise EstimationError(f"bandwidth must be positive and finite, got {bandwidth}")
     with np.errstate(over="ignore"):  # an overflow only makes a zero weight
         weights = np.exp(-0.5 * ((queries[:, None] - z[None, :]) / bandwidth) ** 2)
     totals = weights.sum(axis=1)
@@ -60,16 +60,15 @@ def _rule_of_thumb(z: np.ndarray) -> float:
     return spread * z.size ** (-0.2)
 
 
-def cv_bandwidth(z: np.ndarray, values: np.ndarray, candidates=None) -> float:
+def cv_bandwidth(z: np.ndarray, values: np.ndarray) -> float:
     """Leave-one-out cross-validated bandwidth for the local average.
 
-    Each candidate is scored by the mean squared error of predicting every
-    point from all the others; ties go to the smallest candidate.  The
-    default candidates scale sd(z) * n^(-1/5) by powers of two.  For n points
-    and k distinct candidates it takes at most O(n^2/2 * k) time, computing
-    each symmetric kernel weight once per candidate with the smoother's bits,
-    and O(block^2 + k * n) memory, with 256 x 256 blocks of the points sorted
-    by z; block pairs more than 40 bandwidths apart (all weights 0.0) are skipped.
+    The candidates are h0 * 2**k, k = 0 .. 4, with h0 a quarter of the rule of thumb
+    sd(z) * n^(-1/5); each is scored by the mean squared error of predicting every point
+    from all the others, and ties go to the smallest.  It takes O(5 n^2 / 2) time, computing
+    each symmetric kernel weight once per candidate with the smoother's bits, and
+    O(block^2 + n) memory, with 256 x 256 blocks of the points sorted by z; block pairs
+    more than 40 bandwidths apart (all weights 0.0) are skipped.
     """
     z = np.asarray(z, dtype=float).ravel()
     values = np.asarray(values, dtype=float).ravel()
@@ -77,51 +76,41 @@ def cv_bandwidth(z: np.ndarray, values: np.ndarray, candidates=None) -> float:
         raise EstimationError("cross-validation needs at least 3 matching pairs")
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(values))):
         raise EstimationError("cross-validation needs finite covariate and values")
-    if candidates is None:
-        base = _rule_of_thumb(z)
-        candidates = [base * factor for factor in (0.25, 0.5, 1.0, 2.0, 4.0)]
-    candidates = [float(h) for h in candidates]
-    if not candidates or not all(h > 0 for h in candidates):
-        raise EstimationError("bandwidth candidates must be positive")
-    hs = sorted(set(candidates))
-    best_h, best_err = None, np.inf
-    for h, err in zip(hs, _cv_errors(z, values, hs)):
+    h0 = 0.25 * _rule_of_thumb(z)
+    best_k, best_err = None, np.inf
+    for k, err in enumerate(_cv_errors(z, values, h0)):
         if err < best_err:
-            best_h, best_err = h, err
-    if best_h is None:
+            best_k, best_err = k, err
+    if best_k is None:
         raise EstimationError("no bandwidth candidate has a finite error")
-    return best_h
+    return math.ldexp(h0, best_k)
 
 
-def _shared_bases(hs: list[float]) -> tuple[list[float], list[float]]:
-    """Per candidate, the base b and factor f of its exponent f * (d / b) ** 2: min(hs) and
-    -0.5 * 4**-k if every h is exactly min(hs) * 2**k with k <= 64, else h and -0.5."""
-    h0 = min(hs)
-    ratios = [math.ldexp(1.0, math.frexp(h / h0)[1] - 1) for h in hs]
-    if any(h0 * r != h or r > 2.0**64 for h, r in zip(hs, ratios)):
-        return list(hs), [-0.5] * len(hs)
-    return [h0] * len(hs), [-0.5 / r**2 for r in ratios]
+# -0.5 * 4**-k, the factor that turns (d / h0) ** 2 into the exponent of candidate h0 * 2**k
+_CV_FACTORS = tuple(math.ldexp(-0.5, -2 * k) for k in range(5))
 
 
-def _cv_errors(z: np.ndarray, values: np.ndarray, hs: list[float]) -> np.ndarray:
-    """Leave-one-out sum of squared errors of the local average, per bandwidth.
+def _cv_errors(z: np.ndarray, values: np.ndarray, h0: float) -> np.ndarray:
+    """Leave-one-out sum of squared errors of the local average, per bandwidth h0 * 2**k.
 
     Points are sorted by z (stably), and the sums put back in input order.
     Only block pairs (I, J >= I) are evaluated, adding rows to the sums of I
     and, off the diagonal, columns to those of J.  A candidate with (first z
     of J - last z of I) / h > 40 skips the pair (every weight 0.0), and once
-    all do, the rest of the row.  Candidates h0 * 2**k share (d / h0) ** 2 per
+    all do, the rest of the row.  The candidates share (d / h0) ** 2 per
     block, scaled by -0.5 * 4**-k, exactly: in the normal range a power of two
     commutes with each correctly rounded step; below it both arguments are
     under 2**-1021 in size and exp gives 1.0; where d / h0 or its square
-    overflows, k <= 64 keeps d / h above 40 and both weights are 0.0.
+    overflows, k <= 4 keeps d / h above 40 and both weights are 0.0.  The default h0
+    keeps every candidate normal: np.std squares z, so its finite nonzero sd lies
+    between about 1e-162 and 1e154.
     """
     n = z.size
     order = np.argsort(z, kind="stable")
     zs = z[order]
     columns = np.column_stack([values[order], np.ones(n)])  # weights @ columns: numerator, total
+    hs = [math.ldexp(h0, k) for k in range(len(_CV_FACTORS))]
     sums = np.zeros((len(hs), n, 2))
-    bases, factors = _shared_bases(hs)
     # flat buffers, so that every block view of them is contiguous, cut from one block at
     # a 64-byte boundary: unaligned, the passes below run about 10% slower
     cells = _CV_BLOCK * _CV_BLOCK
@@ -143,12 +132,9 @@ def _cv_errors(z: np.ndarray, values: np.ndarray, hs: list[float]) -> np.ndarray
             diff = np.subtract(zs[rows, None], zs[None, cols], out=diff_buf[:size].reshape(shape))
             square = square_buf[:size].reshape(shape)
             weights = weight_buf[:size].reshape(shape)
-            base = None
+            np.square(np.divide(diff, h0, out=square), out=square)
             for c in active:
-                if bases[c] != base:
-                    base = bases[c]
-                    np.square(np.divide(diff, base, out=square), out=square)
-                np.multiply(square, factors[c], out=weights)
+                np.multiply(square, _CV_FACTORS[c], out=weights)
                 np.exp(weights, out=weights)
                 if i0 == j0:
                     np.fill_diagonal(weights, 0.0)

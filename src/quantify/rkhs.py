@@ -62,7 +62,7 @@ class KernelSpec:
         if self.family == "linear":
             raise EstimationError(f"the linear kernel reads no bandwidth, got {self.bandwidth}")
         if not 0.0 < self.bandwidth < np.inf:
-            raise DataError("kernel bandwidth must be positive and finite")
+            raise EstimationError(f"kernel bandwidth must be positive and finite, got {self.bandwidth}")
         h = float(self.bandwidth)
         if not 0.0 < 2.0 * h * h < np.inf:  # matrix() divides by -2 h^2
             raise EstimationError(

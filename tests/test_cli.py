@@ -623,6 +623,9 @@ ZERO_REPLICATES = [((), "mse"), ((), "coverage"), ((), "power"), ((), "combined"
     pytest.param(["select-g", "missing.csv", *TestRegress.BASE[:4], "--output", "csv"],
                  "select-g writes its selection as JSON; pass --out with --output csv",
                  id="select-g-csv-without-out"),
+    pytest.param(["select-g", "missing.csv", *TestRegress.BASE[:4], "--bandwidth", "0"],
+                 "kernel bandwidth must be positive and finite, got 0.0",
+                 id="select-g-zero-bandwidth-without-data"),
 ])
 def test_refused_value_exits_2_with_one_error_line(argv, message, curve_csv):
     """A value a command cannot use ends the process with exit 2 and one line
@@ -713,20 +716,19 @@ def test_feature_distances_that_overflow_are_refused_without_a_warning(blobs_csv
 
 SMALL_STUDY = ["simulate", "--replicates", "2", "--n-unlabeled", "100"]
 SMALL_SHIFT_TEST = ["--test-replicates", "5", "--grid-size", "21"]
-OUT_OF_RANGE_BANDWIDTH = "argument --bandwidth: must be positive and finite, got "
 
 
 @pytest.mark.parametrize("argv, message", [
     *(pytest.param(["select-g", "BLOBS", *TestSelectG.BASE, "--bandwidth", h],
-                   OUT_OF_RANGE_BANDWIDTH + h, id=f"select-g-bandwidth-{h}")
-      for h in ("-1", "nan", "inf")),
+                   f"kernel bandwidth must be positive and finite, got {float(h)}",
+                   id=f"select-g-bandwidth-{h}") for h in ("-1", "nan", "inf")),
     *(pytest.param(["select-g", "BLOBS", *TestSelectG.BASE, "--bandwidth", h],
                    f"kernel bandwidth {float(h)} is out of range: "
                    "2 h^2 must be a positive finite float", id=f"select-g-bandwidth-{h}")
       for h in ("1e300", "1e-300")),
     *(pytest.param(["regress", "CURVE", *TestRegress.BASE, "--bandwidth", h],
-                   OUT_OF_RANGE_BANDWIDTH + h, id=f"regress-bandwidth-{h}")
-      for h in ("-1", "nan", "inf")),
+                   f"bandwidth must be positive and finite, got {float(h)}",
+                   id=f"regress-bandwidth-{h}") for h in ("-1", "nan", "inf")),
     pytest.param(["regress", "CURVE", *TestRegress.BASE, "--bandwidth", "1e-300"], None,
                  id="regress-bandwidth-1e-300"),
     pytest.param([*SMALL_STUDY, "--study", "mse", "--mu", "1e300"], None, id="mse-mu-1e300"),

@@ -22,7 +22,7 @@ from quantify import (
     rng_from,
 )
 from quantify import regression
-from quantify.regression import _cv_errors, _shared_bases
+from quantify.regression import _CV_FACTORS, _cv_errors
 
 SCORE = ExternalScore(columns=(0,))
 
@@ -56,11 +56,16 @@ def reference_cv_errors(z, values, hs) -> list[float]:
     return errors
 
 
+def family(h0: float) -> list[float]:
+    """The bandwidths h0 * 2**k whose errors ``_cv_errors`` returns, in its order."""
+    return [math.ldexp(h0, k) for k in range(len(_CV_FACTORS))]
+
+
 @st.composite
 def cv_problems(draw):
-    """(z, values, sorted distinct candidates) covering several block pairs,
-    sizes off the block size, tied z, constant values, and candidates so
-    small that every row's weights underflow."""
+    """(z, values, h0) covering several block pairs, sizes off the block size, tied z,
+    constant values, and h0 so small that every row's weights underflow; h0 is
+    cv_bandwidth's own (a quarter of the rule of thumb) at factor 1.0."""
     n = draw(st.one_of(st.integers(3, 40), st.integers(200, 1200),
                        st.sampled_from([255, 256, 257, 512, 513])))
     rng = rng_from(draw(st.integers(0, 2**32 - 1)))
@@ -80,26 +85,21 @@ def cv_problems(draw):
     z = z * draw(st.sampled_from([1.0, 1.0, 1e-150, 1e-20, 1e20, 1e150]))
     spread = float(np.std(z, ddof=1))
     base = spread * n ** (-0.2) if spread > 0 else 1.0
-    # factors 0.25 to 4.0 alone share one exponent per block; with 1e-4, 1e-3, 0.3, 1.7
-    # or 3.0 among them, each candidate takes its own
-    factors = draw(st.lists(st.sampled_from([1e-4, 1e-3, 0.25, 0.3, 0.5, 1.0, 1.7, 2.0, 3.0, 4.0]),
-                            min_size=1, max_size=5, unique=True))
-    return z, values, sorted(base * f for f in factors)
+    return z, values, 0.25 * base * draw(st.sampled_from([1.0, 1.0, 1.0, 1e-4, 1e-3, 0.3, 1.7]))
 
 
 @st.composite
 def power_of_two_families(draw):
-    """(differences, bandwidths h0 * 2**k) with |d| / h from 1e-160 to 1e3 for
-    each bandwidth, so squares reach the subnormal range, plus arbitrary
-    differences, some of them so large that d / h0 or its square overflows."""
+    """(differences, h0) with |d| / h from 1e-160 to 1e3 for each bandwidth
+    h0 * 2**k, so squares reach the subnormal range, plus arbitrary differences,
+    some of them so large that d / h0 or its square overflows."""
     h0 = draw(st.floats(1e-300, 1e280))
-    ks = draw(st.lists(st.integers(0, 64), min_size=1, max_size=6, unique=True))
-    hs = sorted(math.ldexp(h0, k) for k in ks)
+    hs = family(h0)
     quotients = draw(st.lists(st.floats(-160.0, 3.0), min_size=1, max_size=40))
     diffs = [10.0**q * h for q in quotients for h in hs]
     diffs += draw(st.lists(st.floats(0.0, 1e308), max_size=20)) + [0.0]
     signs = np.where(rng_from(draw(st.integers(0, 2**32 - 1))).random(len(diffs)) < 0.5, -1.0, 1.0)
-    return signs * np.array(diffs), hs
+    return signs * np.array(diffs), h0
 
 
 def covariate_dataset(z_u, g_u, class0=(0.0, 0.0), class1=(1.0, 1.0)) -> RawDataset:
@@ -148,8 +148,9 @@ class TestNadarayaWatson:
         assert out.max() <= g.max() + 1e-12
 
     def test_guards(self):
-        with pytest.raises(EstimationError, match="bandwidth must be positive"):
-            nadaraya_watson(np.array([0.0]), np.array([1.0]), 0.0, np.array([0.0]))
+        for h in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(EstimationError, match="bandwidth must be positive and finite"):
+                nadaraya_watson(np.array([0.0]), np.array([1.0]), h, np.array([0.0]))
         with pytest.raises(EstimationError, match="matching"):
             nadaraya_watson(np.array([0.0, 1.0]), np.array([1.0]), 0.5, np.array([0.0]))
         with pytest.raises(EstimationError, match="matching"):
@@ -167,39 +168,25 @@ class TestCvBandwidth:
         z = np.linspace(0.0, 1.0, 80)
         values = rng.standard_normal(80)
         base = float(np.std(z, ddof=1)) * 80 ** (-0.2)
-        assert cv_bandwidth(z, values, candidates=[1e-12, base]) == base
+        assert _cv_errors(z, values, base)[0] < _cv_errors(z, values, 1e-12)[0]
 
-    def test_default_candidates_scale_the_rule_of_thumb(self):
+    def test_candidates_scale_the_rule_of_thumb_by_powers_of_two(self):
         rng = rng_from(11)
         z = rng.random(60)
         values = np.sin(2 * np.pi * z) + 0.1 * rng.standard_normal(60)
-        chosen = cv_bandwidth(z, values)
         base = float(np.std(z, ddof=1)) * 60 ** (-0.2)
-        expected = {base * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)}
-        assert any(abs(chosen - e) < 1e-12 for e in expected)
-
-    def test_candidate_order_and_duplicates_do_not_matter(self):
-        rng = rng_from(13)
-        z = np.linspace(0.0, 1.0, 50)
-        values = np.cos(3 * z) + 0.1 * rng.standard_normal(50)
-        forward = cv_bandwidth(z, values, candidates=[0.05, 0.2, 0.8])
-        backward = cv_bandwidth(z, values, candidates=[0.8, 0.05, 0.2, 0.05])
-        assert forward == backward
-
-    def test_single_candidate_is_echoed(self):
-        z = np.linspace(0.0, 1.0, 10)
-        assert cv_bandwidth(z, np.full(10, 2.0), candidates=[0.7, 0.7]) == 0.7
+        assert cv_bandwidth(z, values) in {base * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)}
 
     def test_tracks_the_smoothness_of_the_signal(self):
-        """A rapidly oscillating target prefers a narrower bandwidth than a
-        constant-plus-noise target given the same candidate pair."""
+        """A rapidly oscillating target takes the narrowest candidate, and a
+        constant-plus-noise target the widest, on the same covariate."""
         rng = rng_from(12)
         z = np.linspace(0.0, 1.0, 120)
         wiggly = np.sin(8 * np.pi * z) + 0.05 * rng.standard_normal(120)
         flat = 0.5 + 0.05 * rng.standard_normal(120)
-        candidates = [0.02, 0.5]
-        assert cv_bandwidth(z, wiggly, candidates) == 0.02
-        assert cv_bandwidth(z, flat, candidates) == 0.5
+        h0 = 0.25 * float(np.std(z, ddof=1)) * 120 ** (-0.2)
+        assert cv_bandwidth(z, wiggly) == h0
+        assert cv_bandwidth(z, flat) == 16 * h0
 
     @EXACTNESS
     @given(cv_problems())
@@ -208,39 +195,37 @@ class TestCvBandwidth:
         sums differs.  Constant values make every error itself rounding noise,
         which the absolute term (n times the square of an n-term sum's
         rounding bound) covers."""
-        z, values, hs = problem
+        z, values, h0 = problem
+        hs = family(h0)
         reference = reference_cv_errors(z, values, hs)
         atol = z.size * (z.size * np.finfo(float).eps * np.max(np.abs(values))) ** 2
-        np.testing.assert_allclose(_cv_errors(z, values, hs), reference, rtol=1e-12, atol=atol)
+        np.testing.assert_allclose(_cv_errors(z, values, h0), reference, rtol=1e-12, atol=atol)
         ordered = np.sort(reference)
-        if len(hs) == 1 or ordered[1] - ordered[0] > 1e-9 * ordered[1] + 2 * atol:
-            assert cv_bandwidth(z, values, hs) == hs[int(np.argmin(reference))]
+        spread = float(np.std(z, ddof=1))
+        if (spread > 0 and h0 == 0.25 * spread * z.size ** (-0.2)
+                and ordered[1] - ordered[0] > 1e-9 * ordered[1] + 2 * atol):
+            assert cv_bandwidth(z, values) == hs[int(np.argmin(reference))]
 
     @EXACTNESS
     @given(power_of_two_families())
-    def test_shared_exponent_gives_every_weight_its_own_bits(self, family):
+    def test_shared_exponent_gives_every_weight_its_own_bits(self, problem):
         """(d / h0) ** 2 scaled by -0.5 * (h0 / h) ** 2 is exp'd to the bits of the
         candidate's own expression, the one the smoother evaluates."""
-        d, hs = family
-        bases, factors = _shared_bases(hs)
-        assert bases == [hs[0]] * len(hs)
+        d, h0 = problem
+        assert _CV_FACTORS == tuple(-0.5 / 4.0**k for k in range(5))
         with np.errstate(over="ignore"):
-            for h, base, factor in zip(hs, bases, factors):
-                shared = np.exp(factor * (d / base) ** 2)
+            for h, factor in zip(family(h0), _CV_FACTORS):
+                shared = np.exp(factor * (d / h0) ** 2)
                 own = np.exp(-0.5 * ((d / h) ** 2))
                 assert np.array_equal(shared.view(np.int64), own.view(np.int64))
-
-    def test_other_candidate_sets_keep_their_own_exponent(self):
-        assert _shared_bases([0.25, 0.5, 4.0]) == ([0.25] * 3, [-0.5, -0.125, -0.5 / 256])
-        for hs in ([1.0, 3.0], [1.0, np.nextafter(2.0, 3.0)], [1.0, 2.0**65], [0.1, 0.3]):
-            assert _shared_bases(hs) == (hs, [-0.5, -0.5])
 
     @EXACTNESS
     @given(cv_problems())
     def test_skipped_blocks_have_only_zero_weights(self, problem):
         """Every pair of a block pair that the skip rule drops for a candidate has
         weight exactly 0.0, so skipping leaves every sum's bits as they are."""
-        z, values, hs = problem
+        z, values, h0 = problem
+        hs = family(h0)
         z_sorted = np.sort(z, kind="stable")
         block, n = regression._CV_BLOCK, z.size
         for i0 in range(0, n, block):
@@ -258,10 +243,10 @@ class TestCvBandwidth:
         rng = rng_from(21)
         z = np.concatenate([rng.random(700), 50.0 + rng.random(700), rng.random(200) * 100.0])
         values = np.sin(z) + 0.1 * rng.standard_normal(z.size)
-        for candidates in ([1e-3, 0.01, 0.03, 0.5, 7.0], [1e-3 * 2.0**k for k in (0, 2, 5)]):
-            skipped = _cv_errors(z, values, candidates)
+        for h0 in (1e-3, 0.03, 0.5):
+            skipped = _cv_errors(z, values, h0)
             monkeypatch.setattr(regression, "_CV_REACH", np.inf)
-            every = _cv_errors(z, values, candidates)
+            every = _cv_errors(z, values, h0)
             monkeypatch.undo()
             assert skipped.tobytes() == every.tobytes()
 
@@ -271,15 +256,15 @@ class TestCvBandwidth:
         values = np.array([1.0, 2.0, 4.0, 8.0])
         # nearest neighbours, self excluded: 1, 0, 1, 2
         expected = (2.0 - 1.0) ** 2 + (1.0 - 2.0) ** 2 + (2.0 - 4.0) ** 2 + (4.0 - 8.0) ** 2
-        assert _cv_errors(z, values, [1e-3]).tolist() == [expected]
-        assert reference_cv_errors(z, values, [1e-3]) == [expected]
+        assert _cv_errors(z, values, 1e-3).tolist() == [expected] * 5
+        assert reference_cv_errors(z, values, family(1e-3)) == [expected] * 5
         # input order decides the tie, not sorted order: point 2 (at 0.25) has
         # neighbours 0 (at 0.5) and 1 (at 0.0), and 1 comes first once sorted
         z = np.array([0.5, 0.0, 0.25])
         values = np.array([1.0, 2.0, 4.0])
         expected = (1.0 - 4.0) ** 2 + (2.0 - 4.0) ** 2 + (4.0 - 1.0) ** 2
-        assert _cv_errors(z, values, [1e-4]).tolist() == [expected]
-        assert reference_cv_errors(z, values, [1e-4]) == [expected]
+        assert _cv_errors(z, values, 1e-4).tolist() == [expected] * 5
+        assert reference_cv_errors(z, values, family(1e-4)) == [expected] * 5
 
     def test_memory_is_linear_in_the_sample(self):
         """The chunked per-candidate loop held 512 x 5000 temporaries of 20 MiB each."""
@@ -297,10 +282,6 @@ class TestCvBandwidth:
     def test_guards(self):
         with pytest.raises(EstimationError, match="at least 3"):
             cv_bandwidth(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        with pytest.raises(EstimationError, match="positive"):
-            cv_bandwidth(np.linspace(0, 1, 5), np.zeros(5), candidates=[0.0])
-        with pytest.raises(EstimationError, match="positive"):
-            cv_bandwidth(np.linspace(0, 1, 5), np.zeros(5), candidates=[np.nan])
         with pytest.raises(EstimationError, match="no spread"):
             cv_bandwidth(np.zeros(5), np.arange(5.0))
         with pytest.raises(EstimationError, match="sd overflows"):
@@ -308,16 +289,14 @@ class TestCvBandwidth:
         with pytest.raises(EstimationError, match="no bandwidth candidate has a finite error"):
             cv_bandwidth(np.linspace(0, 1, 6), np.array([1e300, -1e300] * 3))
 
-    @pytest.mark.parametrize("candidates", [None, [0.1, 0.3]])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["z", "values"])
-    def test_non_finite_input(self, where, bad, candidates):
-        """One NaN value once ended in TypeError; a NaN covariate with explicit
-        candidates silently returned one of them."""
+    def test_non_finite_input(self, where, bad):
+        """One NaN value once ended in TypeError."""
         arrays = {"z": np.linspace(0.0, 1.0, 8), "values": np.arange(8.0)}
         arrays[where][3] = bad
         with pytest.raises(EstimationError, match="finite"):
-            cv_bandwidth(arrays["z"], arrays["values"], candidates)
+            cv_bandwidth(arrays["z"], arrays["values"])
 
 
 class TestRatioRegress:

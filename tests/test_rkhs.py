@@ -126,8 +126,10 @@ class TestKernelSpec:
             KernelSpec(family="polynomial")
 
     def test_nonpositive_bandwidth(self):
+        """A statistical refusal (exit 2), as the out-of-range 2 h^2 one; a selection
+        file that holds such a bandwidth is still malformed input (exit 1)."""
         for bandwidth in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(DataError, match="positive"):
+            with pytest.raises(EstimationError, match=f"positive and finite, got {bandwidth}"):
                 KernelSpec(family="gaussian", bandwidth=bandwidth)
 
     def test_gaussian_needs_a_resolved_bandwidth(self):
