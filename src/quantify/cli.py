@@ -39,7 +39,7 @@ from .shift_test import shift_test
 # loads only what its command calls.
 
 # (n_unlabeled, n_labeled) presets matching the benchmark corpus sizes; the
-# labeled sample is always split evenly between the classes.
+# labeled sample is split evenly between the scenario kind's classes.
 SIZE_PRESETS = {
     "cancer": (100, 300),
     "candles": (300, 300),
@@ -288,8 +288,13 @@ def _simulate_spec(args, kind: str) -> ScenarioSpec:
     if args.preset:
         if args.n_unlabeled is not None or args.n_class:
             raise EstimationError("--preset sets --n-unlabeled and --n-class; give one or the other")
+        default = ScenarioSpec(kind=kind)  # the kind's class count, and its unset n_unlabeled
+        if default.n_unlabeled is None:
+            raise EstimationError(f"--preset sets n_unlabeled, which the {kind!r} scenario kind "
+                                  "takes from its study's sizes")
         fields["n_unlabeled"], n_labeled = SIZE_PRESETS[args.preset]
-        fields["n_class"] = (n_labeled // 2, n_labeled - n_labeled // 2)
+        k = len(default.n_class)  # split evenly, the remainder to the last classes
+        fields["n_class"] = tuple(n_labeled // k + (i >= k - n_labeled % k) for i in range(k))
     if args.n_class:
         fields["n_class"] = tuple(args.n_class)
     if args.theta:

@@ -743,6 +743,13 @@ def _labeled_design(data: RawDataset) -> tuple[np.ndarray, np.ndarray]:
     if labeled.size == 0:
         raise EstimationError("no labeled rows to fit on")
     x = data.features[labeled]
+    # the Hessian's diagonal sums w x^2 over these rows (w <= 1/4): where the sum of squares
+    # overflows, the Newton products overflow with numpy warnings and the fit cannot converge
+    with np.errstate(over="ignore"):
+        bound = float(np.sum(x * x))
+    if not bound < np.inf:
+        raise EstimationError("the squared norms of the labeled features overflow in the "
+                              "logistic fit; rescale the features")
     return np.hstack([x, np.ones((x.shape[0], 1))]), data.labels[labeled]
 
 

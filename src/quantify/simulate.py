@@ -117,13 +117,13 @@ def check_study_kind(study: str, kind: str) -> None:
 class ScenarioSpec:
     """Parameters of one synthetic scenario.
 
-    Each kind reads ``n_unlabeled`` and the fields of its ``_KINDS`` row; ``meta()``
-    prints the row's fields, and ``n_unlabeled`` once set.  A field left at ``None``
-    takes the row's default, and any other field set is refused.  ``gamma`` moves
-    the unlabeled class-0 law away from its labeled counterpart (location for
-    the gaussian kinds, rate for the exponential, first shape parameter for
-    the beta); ``None`` keeps the two laws equal, under which the mixture
-    assumption holds exactly.  Every field is checked when the spec is built:
+    Each kind reads ``n_unlabeled`` and the fields of its ``_KINDS`` row; ``meta(*swept)``
+    prints the row's fields but the ``swept`` ones a study's rows show, and ``n_unlabeled``
+    once set.  A field left at ``None`` takes the row's default, and any other field
+    set is refused.  ``gamma`` moves the unlabeled class-0 law away from its labeled
+    counterpart (location for the gaussian kinds, rate for the exponential, first
+    shape parameter for the beta); ``None`` keeps the two laws equal, under which
+    the mixture assumption holds exactly.  Every field is checked when the spec is built:
     each size must be a whole number, each number finite, there must be one
     size per class of the kind, and the kind's laws must be able to draw it.
     """
@@ -171,10 +171,10 @@ class ScenarioSpec:
             if isinstance(value, float) and not math.isfinite(value):
                 raise EstimationError(f"scenario field {name} must be finite, got {value}")
 
-    def meta(self) -> dict:
+    def meta(self, *swept: str) -> dict:
         fields = _KINDS[self.kind].fields  # an unset n_unlabeled is left out
         meta = {name: getattr(self, name) for name in ("kind", "n_unlabeled", *fields)
-                if name in fields or getattr(self, name) is not None}
+                if name not in swept and (name in fields or getattr(self, name) is not None)}
         return {**meta, "n_class": list(self.n_class)}  # n_class keeps its place
 
 
@@ -441,7 +441,7 @@ def run_mse_study(
         rows=_summary_rows(raw, (2, 1), replicates,
                            (lambda row: (row[4] - row[2]) ** 2, _mean_and_halfwidth)),
         seed=seed,
-        meta=spec.meta(),
+        meta=spec.meta("theta"),
         raw_columns=("scenario", "method", "theta", "replicate", "estimate"),
         raw_rows=tuple(raw),
     )
@@ -477,7 +477,7 @@ def run_coverage_study(
         rows=_summary_rows(raw, (1,), replicates,
                            (itemgetter(6), np.mean), (lambda row: row[5] - row[4], np.mean)),
         seed=seed,
-        meta={**spec.meta(), "level": level, "regime": "auto"},  # ratio_variance's default
+        meta={**spec.meta("theta"), "level": level, "regime": "auto"},  # ratio_variance's default
         raw_columns=("scenario", "theta", "replicate", "estimate", "lower", "upper", "covered"),
         raw_rows=tuple(raw),
     )
@@ -538,7 +538,7 @@ def run_power_study(
         columns=("gamma", "replicates", "test_replicates", "rejection_rate", "is_null"),
         rows=tuple(rows),
         seed=seed,
-        meta={**spec.meta(), "alpha": alpha, "grid_size": grid_size},
+        meta={**spec.meta("gamma"), "alpha": alpha, "grid_size": grid_size},
         raw_columns=("scenario", "gamma", "replicate", "statistic", "p_value", "rejected"),
         raw_rows=tuple(raw),
     )

@@ -658,6 +658,9 @@ def test_refused_value_exits_2_with_one_error_line(argv, message, curve_csv):
     pytest.param(["--scenario", "gaussian", "--study", "multiclass", "--n-class", "5"],
                  "the multiclass study cannot run on the 'gaussian' scenario kind, "
                  "only on multiclass_gaussian", id="gaussian-multiclass-one-class-size"),
+    pytest.param(["--scenario", "multiclass", "--study", "multiclass", "--preset", "cancer"],
+                 "--preset sets n_unlabeled, which the 'multiclass_gaussian' scenario kind "
+                 "takes from its study's sizes", id="multiclass-preset"),
 ])
 def test_repeated_sweep_value_or_short_class_list_exits_2_before_any_replicate(
         argv, message, capsys, monkeypatch):
@@ -712,6 +715,31 @@ def test_feature_distances_that_overflow_are_refused_without_a_warning(blobs_csv
     assert (code, stdout) == (2, "")
     assert err == ("error: the squared pairwise distances of the features overflow; "
                    "rescale the features\n")
+
+
+@pytest.mark.parametrize("command, cell", [
+    *(pytest.param(command, cell, id=f"{command[0]}-{name}")
+      for command in (["estimate"], ["select-g", "--bandwidth", "1"])
+      for name, cell in (("x1-times-1e307", lambda row, x1: repr(float(x1) * 1e307)),
+                         ("x1-times-1e300", lambda row, x1: repr(float(x1) * 1e300)))),
+    pytest.param(["estimate"], lambda row, x1: "1e308" if row == 0 else x1,
+                 id="estimate-one-labeled-1e308"),
+])
+def test_labeled_features_that_overflow_the_logistic_fit_are_refused_without_a_warning(
+        command, cell, blobs_csv, tmp_path, capsys):
+    """The built-in logistic fit (estimate's score, select-g's pilot) over labeled
+    features whose sum of squares overflows a float: exit 2 naming the overflow, with
+    every numpy warning raised as an error, not a numpy warning and "did not converge"."""
+    header, *rows = Path(blobs_csv).read_text().splitlines()
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join([header, *(f"{cell(row, x1)},{rest}" for row, (x1, rest)
+                                         in enumerate(line.split(",", 1) for line in rows))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run([command[0], str(huge), *TestSelectG.BASE, *command[1:]], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == ("error: the squared norms of the labeled features overflow in the logistic "
+                   "fit; rescale the features\n")
 
 
 SMALL_STUDY = ["simulate", "--replicates", "2", "--n-unlabeled", "100"]
@@ -855,9 +883,10 @@ FIELDS_OF_FLAG = {"theta": ("theta",), "mu": ("mean0", "mean1"), "mean0": ("mean
 FIELDS_READ = {"gaussian": ("theta", "gamma", "mean0", "mean1"), "exponential": ("theta", "gamma"),
                "gaussian_exponential": ("theta", "gamma", "mean0"), "beta": ("theta", "gamma"),
                "multiclass": (), "sine": ("mean0", "mean1", "cycles")}
+# mse, the score kinds' study here, sweeps theta: its rows show the --theta given, its
+# meta does not
 SHOWN_IN_META = {
-    **{(kind, "theta"): {"theta": 0.3}
-       for kind in ("gaussian", "exponential", "gaussian_exponential", "beta")},
+    **{(kind, "theta"): {} for kind in ("gaussian", "exponential", "gaussian_exponential", "beta")},
     ("gaussian", "mu"): {"mean0": -3.0, "mean1": 3.0},
     ("sine", "mu"): {"mean0": -3.0, "mean1": 3.0},
     ("gaussian", "mean0"): {"mean0": 0.5},
@@ -885,7 +914,7 @@ SCENARIO_FLAG_CASES = [
                    id=f"{scenario}-{flag}")
       for scenario in STUDY_OF_SCENARIO for flag, value in FLAG_VALUES.items()),
     *(pytest.param("gaussian", study, ["--theta", "0.3", "--theta", "0.4"],
-                   {"theta": 0.3} if study in ("mse", "coverage") else None,
+                   {} if study in ("mse", "coverage") else None,
                    f"the {study} study runs at one --theta, got 2", id=f"{study}-two-thetas")
       for study in ("mse", "coverage", "power", "combined", "multiclass", "regression")),
 ]
@@ -894,8 +923,9 @@ SCENARIO_FLAG_CASES = [
 @pytest.mark.parametrize("scenario, study, flags, shown, message", SCENARIO_FLAG_CASES)
 def test_simulate_uses_each_scenario_flag_or_refuses_it(scenario, study, flags, shown, message,
                                                         capsys, monkeypatch):
-    """A scenario flag either reaches the spec, shown in meta, or ends the run
-    with exit 2 and one error line before any dataset is drawn."""
+    """A scenario flag either reaches the spec, shown in meta (a swept --theta in
+    the rows alone), or ends the run with exit 2 and one error line before any
+    dataset is drawn."""
     from quantify import simulate
 
     drawn, generate = [], simulate.generate
@@ -918,20 +948,25 @@ def test_simulate_uses_each_scenario_flag_or_refuses_it(scenario, study, flags, 
         assert code == 0, err
         meta = json.loads(stdout)["meta"]
         assert {key: meta[key] for key in shown} == shown
-        if flags.count("--theta") == 2:
-            assert sorted({row[0] for row in json.loads(stdout)["rows"]}) == [0.3, 0.4]
+        if "--theta" in flags:
+            thetas = [float(value) for flag, value in zip(flags, flags[1:]) if flag == "--theta"]
+            assert sorted({row[0] for row in json.loads(stdout)["rows"]}) == thetas
+            assert "theta" not in meta
 
 
 @pytest.mark.parametrize("scenario", sorted(STUDY_OF_SCENARIO))
 def test_a_scenario_without_flags_is_its_kinds_default_spec(scenario, capsys, monkeypatch):
-    """The CLI builds each scenario with the defaults ScenarioSpec takes for its kind."""
+    """The CLI builds each scenario with the defaults ScenarioSpec takes for its kind;
+    the mse study's meta leaves out the theta it sweeps."""
     monkeypatch.setenv("QUANTIFY_THREADS", "1")
     study = STUDY_OF_SCENARIO[scenario]
     sizes = ("--size", "60") if study == "multiclass" else ()
     meta = run_json(["simulate", "--scenario", scenario, "--study", study, "--replicates", "1",
                      *sizes], capsys)["meta"]
-    spec = quantify.ScenarioSpec(kind=KIND_OF_SCENARIO[scenario]).meta()
+    swept = ("theta",) if study == "mse" else ()
+    spec = quantify.ScenarioSpec(kind=KIND_OF_SCENARIO[scenario]).meta(*swept)
     assert {key: meta[key] for key in spec} == spec
+    assert not set(swept) & set(meta)
 
 
 # For each command whose method or study picks what runs, the flag that picks it
@@ -959,13 +994,13 @@ READ_BY_VALUES = {"ci": "0.9", "regime": "dense", "min_denom": "1e-3", "threshol
 SCENARIO_OF_STUDY = {study: scenario for scenario, (study,) in STUDIES_OF.items()}
 COMMAND_HEAD = {"estimate": ["estimate", "missing.csv", "--set-col", "s"],
                 "regress": ["regress", "missing.csv", "--set-col", "s", "--covariate-col", "z"]}
-# The multiclass study's --size ladder sets n_unlabeled, so the layers refuse the
-# two flags that set it: the study a spec with n_unlabeled, the spec preset's two
-# class sizes.
+# The multiclass study's --size ladder sets n_unlabeled, so the two flags that set it
+# are refused: --n-unlabeled by the study, --preset because its kind has no n_unlabeled.
 REFUSED_BY_THE_LAYER = {
     ("multiclass", "n_unlabeled"): "the multiclass study sets n_unlabeled to each of its sizes, "
                                    "so its spec leaves it unset, got 100",
-    ("multiclass", "preset"): "kind 'multiclass_gaussian' needs 3 labeled class sizes, got 2",
+    ("multiclass", "preset"): "--preset sets n_unlabeled, which the 'multiclass_gaussian' "
+                              "scenario kind takes from its study's sizes",
 }
 
 

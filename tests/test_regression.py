@@ -177,6 +177,12 @@ class TestCvBandwidth:
         base = float(np.std(z, ddof=1)) * 60 ** (-0.2)
         assert cv_bandwidth(z, values) in {base * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)}
 
+    def test_ties_go_to_the_smallest_candidate(self):
+        """All-zero values predict 0.0 exactly at every bandwidth: five equal errors."""
+        z = rng_from(14).random(30)
+        assert _cv_errors(z, np.zeros(30), 0.1).tolist() == [0.0] * 5
+        assert cv_bandwidth(z, np.zeros(30)) == 0.25 * regression._rule_of_thumb(z)
+
     def test_tracks_the_smoothness_of_the_signal(self):
         """A rapidly oscillating target takes the narrowest candidate, and a
         constant-plus-noise target the widest, on the same covariate."""

@@ -457,6 +457,14 @@ class TestStudyDriver:
         report = SMALL_STUDIES[study]()
         assert list(report.rows) == summary_by_hand(study, report)
 
+    @pytest.mark.parametrize("study, swept", [("mse", "theta"), ("coverage", "theta"),
+                                              ("power", "gamma")])
+    def test_meta_leaves_out_the_field_the_study_sweeps(self, study, swept):
+        """No cell ran at the spec's own value of a swept field; the rows show the values."""
+        report = SMALL_STUDIES[study]()
+        assert swept not in report.meta
+        assert report.meta["kind"] == report.raw_rows[0][0]
+
     @pytest.mark.parametrize("study", sorted(SMALL_STUDIES))
     def test_worker_count_does_not_change_results(self, monkeypatch, study):
         pools = []
