@@ -83,6 +83,7 @@ CASES = {
     "refused-gaussian-one-class-size": ("simulate", "--study", "mse", "--n-class", "50", *SMALL),
     "refused-exponential-mu": ("simulate", "--scenario", "exponential", "--study", "mse", "--mu",
                                "1", *SMALL),
+    "refused-simulate-negative-seed": ("simulate", "--study", "mse", *SMALL, "--seed", "-1"),
     "estimate-ratio": ("estimate", *SCORE),
     "estimate-ratio-ci-sparse-csv": ("estimate", *SCORE, "--ci", "0.9", "--regime", "sparse",
                                      "--output", "csv"),
@@ -98,9 +99,12 @@ CASES = {
     "estimate-multiclass-logistic": ("estimate", "three-class.csv", "--set-col", "s", "--label-col",
                                      "y", "--method", "multiclass"),
     "refused-estimate-unknown-column": ("estimate", *BINARY, "--score-col", "nope"),
+    "refused-estimate-three-class-logistic": ("estimate", "three-class.csv", "--set-col", "s",
+                                              "--label-col", "y"),
     "test-shift": ("test-shift", *SCORE, "--B", "20", "--grid", "51", "--seed", "3"),
     "test-shift-csv": ("test-shift", *SCORE, "--B", "10", "--output", "csv"),
     "refused-test-shift-no-replicates": ("test-shift", *SCORE, "--B", "0"),
+    "refused-test-shift-negative-seed": ("test-shift", *SCORE, "--seed", "-1"),
     "select-g-out": ("select-g", *FEATURES, "--seed", "2", "--out", "selection.json"),
     "select-g-linear-gamma": ("select-g", *FEATURES, "--kernel", "linear", "--gamma", "0.1",
                               "--gamma", "1"),
