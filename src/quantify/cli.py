@@ -29,7 +29,6 @@ from .core import (
     RawDataset,
     ScoreFunction,
     fit_logistic,
-    fit_logistic_ovr,
     load_csv,
     score_dataset,
 )
@@ -150,8 +149,6 @@ def _resolve_score(args, data: RawDataset) -> ScoreFunction:
         return selection.score_function()
     if args.score_col:
         return ExternalScore.from_names(args.score_col, data)
-    if getattr(args, "method", None) == "multiclass" and data.n_classes > 2:
-        return fit_logistic_ovr(data)
     return fit_logistic(data)
 
 
@@ -181,17 +178,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, seed: bool = False) -> No
     )
     parser.add_argument("--quiet", action="store_true", help="suppress stdout result")
     if seed:  # only the commands with a random step read it
-        parser.add_argument("--seed", type=_seed_arg, help="seed for any randomized step")
-
-
-def _seed_arg(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {seed}")
-    return seed
+        parser.add_argument("--seed", type=int, help="seed for any randomized step")
 
 
 def _grid_arg(text: str):

@@ -32,8 +32,9 @@ def rng_from(seed: int, *key: int) -> np.random.Generator:
     independent of (and unaffected by) every other replicate.  Seeds and keys
     must be non-negative.
     """
-    if seed < 0 or any(k < 0 for k in key):
-        raise EstimationError(f"seeds must be non-negative, got {(seed, *key) if key else seed}")
+    negative = [k for k in (seed, *key) if k < 0]
+    if negative:  # named as given, so a CLI --seed reads back as typed
+        raise EstimationError(f"seeds must be non-negative, got {negative[0]}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
@@ -754,26 +755,17 @@ def _labeled_design(data: RawDataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_logistic(data: RawDataset) -> LogisticScore:
-    """Fit a binary logistic model on the labeled rows by damped Newton steps.
+    """Logistic fits on the labeled rows, one column per target by damped Newton steps:
+    P(Y = 1 | x) for two classes, and one-vs-rest P(Y = j | x), j = 0 .. k - 1, for k + 1.
 
     A small ridge penalty (1e-6) keeps the Hessian invertible on separable
     data.  The fit is deterministic; convergence means the gradient norm of
     the penalized likelihood dropped below ``_NEWTON_TOL`` within ``_NEWTON_MAX_ITER`` steps.
     """
     design, labels = _labeled_design(data)
-    if data.n_classes != 2:
-        raise EstimationError(f"binary logistic fit needs 2 classes, found {data.n_classes}")
-    beta = _newton_logistic(design, labels.astype(float))
-    return LogisticScore(coef=beta[:-1].reshape(1, -1), intercept=beta[-1:].copy())
-
-
-def fit_logistic_ovr(data: RawDataset) -> LogisticScore:
-    """One-vs-rest logistic fits giving P(Y = j | x) for the first k of k+1 classes."""
-    k_plus_one = data.n_classes
-    if k_plus_one < 2:
-        raise EstimationError("one-vs-rest fit needs at least two classes")
-    design, labels = _labeled_design(data)
-    betas = [_newton_logistic(design, (labels == target).astype(float))
-             for target in range(k_plus_one - 1)]
+    if data.n_classes < 2:
+        raise EstimationError(f"logistic fit needs at least 2 classes, found {data.n_classes}")
+    targets = (1,) if data.n_classes == 2 else range(data.n_classes - 1)
+    betas = [_newton_logistic(design, (labels == target).astype(float)) for target in targets]
     return LogisticScore(coef=np.array([beta[:-1] for beta in betas]),
                          intercept=np.array([beta[-1] for beta in betas]))

@@ -30,10 +30,10 @@ def _clip01(x: float) -> float:
 
 def _binary_scores(scores: ScoredDataset, op: str) -> None:
     """Refuse ``scores`` unless they are one score column over two labeled classes."""
-    if scores.n_score_dims != 1:
-        raise EstimationError(f"{op} needs a single score column, got {scores.n_score_dims}")
     if len(scores.classes) != 2:
         raise EstimationError(f"{op} is binary; use multiclass_ratio for k > 1")
+    if scores.n_score_dims != 1:
+        raise EstimationError(f"{op} needs a single score column, got {scores.n_score_dims}")
 
 
 @dataclass(frozen=True)

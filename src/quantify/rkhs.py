@@ -32,17 +32,30 @@ DEFAULT_GAMMA_GRID = (1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 _GRAM_ROWS = 128  # rows per block of the in-place passes over a Gram matrix
 
 
+def _squared_norms(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The squared row norms of x and z, refused where a Gram entry could overflow:
+    |x_i . z_j| and |x_i - z_j|^2, and every partial sum on the way to them, are at most
+    (|x_i| + |z_j|)^2 <= 4 max(|x_i|^2, |z_j|^2)."""
+    with np.errstate(over="ignore"):
+        sx = np.sum(x**2, axis=1)
+        sz = np.sum(z**2, axis=1)
+        bound = 4.0 * max(np.max(sx, initial=0.0), np.max(sz, initial=0.0))
+    if not bound < np.inf:
+        raise EstimationError("the squared pairwise distances of the features overflow; "
+                              "rescale the features")
+    return sx, sz
+
+
 def _squared_distances(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """|x_i - z_j|^2 per row pair, clipped at 0; pass one array twice for numpy's symmetric x x'.
     x @ z' is made whole (BLAS bits depend on how rows are grouped), then turned into the
     result in place by blocks of rows, bit for bit."""
+    sx, sz = _squared_norms(x, z)
     out = x @ z.T
-    sx = np.sum(x**2, axis=1)[:, None]
-    sz = np.sum(z**2, axis=1)
     for start in range(0, out.shape[0], _GRAM_ROWS):
         block = out[start : start + _GRAM_ROWS]
         np.multiply(block, 2.0, out=block)
-        np.subtract(sx[start : start + _GRAM_ROWS] + sz, block, out=block)
+        np.subtract(sx[start : start + _GRAM_ROWS, None] + sz, block, out=block)
         np.clip(block, 0.0, None, out=block)
     return out
 
@@ -72,6 +85,7 @@ class KernelSpec:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if self.family == "linear":
+            _squared_norms(x, z)
             return x @ z.T
         if self.bandwidth is None:
             raise EstimationError("gaussian kernel used before its bandwidth was resolved")
@@ -106,13 +120,6 @@ def median_bandwidth(features: np.ndarray) -> float:
     x = np.atleast_2d(np.asarray(features, dtype=float))
     if x.shape[0] < 2:
         raise EstimationError("median bandwidth needs at least two points")
-    # |x_i - x_j|^2 <= 2 max_i |x_i|^2, and every partial sum of x_i . x_j is bounded alike,
-    # so a finite bound leaves no step of the distances to overflow
-    with np.errstate(over="ignore"):
-        bound = 2.0 * float(np.max(np.sum(x * x, axis=1)))
-    if not bound < np.inf:
-        raise EstimationError("the squared pairwise distances of the features overflow; "
-                              "rescale the features")
     sq = _squared_distances(x, x)
     upper = np.concatenate([row[i + 1 :] for i, row in enumerate(sq)])
     value = float(np.mean(np.sqrt(_middle(upper))))  # sqrt is monotone and correctly rounded

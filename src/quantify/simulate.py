@@ -32,7 +32,7 @@ from .core import (
     ExternalScore,
     RawDataset,
     ScoredDataset,
-    fit_logistic_ovr,
+    fit_logistic,
     rng_from,
     score_dataset,
 )
@@ -376,6 +376,7 @@ def _run_cells(cells: list[ScenarioSpec], replicate, replicates: int, seed: int)
     """
     if replicates < 1:
         raise EstimationError(f"need at least one replicate per cell, got {replicates}")
+    rng_from(seed)  # a negative seed is refused here, before any dataset is drawn
     payloads = [(cell, (seed, c, r)) for c, cell in enumerate(cells) for r in range(replicates)]
     workers = min(_threads(), len(payloads))
     if workers <= 1:
@@ -602,7 +603,7 @@ def _multiclass_replicate(
 ) -> tuple[float, float]:
     """Squared errors of the raw and the simplex-projected prior vector."""
     data = generate(cell, seed=_child_seed(*path))
-    result = multiclass_ratio(score_dataset(data, fit_logistic_ovr(data)))
+    result = multiclass_ratio(score_dataset(data, fit_logistic(data)))
     return (
         float(np.sum((result.theta_raw - truth) ** 2)),
         float(np.sum((result.theta - truth) ** 2)),

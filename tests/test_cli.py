@@ -111,9 +111,8 @@ class TestEstimate:
     def test_multiclass_without_a_score_fits_one_vs_rest_logistic_scores(self, tmp_path,
                                                                          eight_csv, capsys):
         """With no --score-col, three classes get one logistic score per class but the
-        last; two classes keep the binary fit."""
-        from quantify import (CsvSchema, fit_logistic, fit_logistic_ovr, load_csv,
-                              multiclass_ratio, score_dataset)
+        last, and two classes the one score P(Y = 1 | x): the class count picks the fit."""
+        from quantify import CsvSchema, fit_logistic, load_csv, multiclass_ratio, score_dataset
 
         rng = rng_from(41)
         labels = np.concatenate([np.repeat([0, 1, 2], 20), rng.choice(3, 60)])
@@ -122,12 +121,11 @@ class TestEstimate:
                                 for row, (label, (x1, x2)) in enumerate(zip(labels, x)))]
         path = tmp_path / "three.csv"
         path.write_text("\n".join(lines) + "\n")
-        for csv_path, fit, classes in ((str(path), fit_logistic_ovr, 3),
-                                       (eight_csv, fit_logistic, 2)):
+        for csv_path, classes in ((str(path), 3), (eight_csv, 2)):
             payload = run_json(["estimate", csv_path, "--set-col", "s", "--label-col", "y",
                                 "--method", "multiclass"], capsys)
             data = load_csv(csv_path, CsvSchema(set_column="s", label_column="y"))
-            expected = multiclass_ratio(score_dataset(data, fit(data))).to_dict()
+            expected = multiclass_ratio(score_dataset(data, fit_logistic(data))).to_dict()
             assert payload == json.loads(json.dumps(expected))
             assert len(payload["theta"]) == classes
 
@@ -596,11 +594,11 @@ ZERO_REPLICATES = [((), "mse"), ((), "coverage"), ((), "power"), ((), "combined"
                  "--grid: Number of samples, -1, must be non-negative.",
                  id="regress-negative-grid-points"),
     pytest.param(["test-shift", "CURVE", *TestRegress.BASE[:4], "--seed", "-1"],
-                 "argument --seed: seeds must be non-negative, got -1", id="test-shift-negative-seed"),
+                 "seeds must be non-negative, got -1", id="test-shift-negative-seed"),
     pytest.param(["simulate", "--study", "mse", "--seed", "-1"],
-                 "argument --seed: seeds must be non-negative, got -1", id="simulate-negative-seed"),
+                 "seeds must be non-negative, got -1", id="simulate-negative-seed"),
     pytest.param(["select-g", "CURVE", *TestRegress.BASE[:4], "--seed", "-1"],
-                 "argument --seed: seeds must be non-negative, got -1", id="select-g-negative-seed"),
+                 "seeds must be non-negative, got -1", id="select-g-negative-seed"),
     *(pytest.param([command, "CURVE", *base, "--seed", "7"],
                    "unrecognized arguments: --seed 7", id=f"{command}-seed")
       for command, base in (("estimate", TestRegress.BASE[:6]), ("regress", TestRegress.BASE))),

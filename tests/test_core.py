@@ -27,7 +27,6 @@ from quantify import (
     ScoredDataset,
     ScoreFunction,
     fit_logistic,
-    fit_logistic_ovr,
     load_csv,
     rng_from,
     score_dataset,
@@ -1060,13 +1059,6 @@ class TestFitLogistic:
         np.testing.assert_allclose(fit_p.coef[0], fit.coef[0, perm], rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(fit_p.intercept, fit.intercept, rtol=1e-6, atol=1e-8)
 
-    def test_binary_only(self):
-        data = RawDataset(
-            features=[[0.0], [1.0], [2.0]], labels=[0, 1, 2], set_indicator=[1, 1, 1]
-        )
-        with pytest.raises(EstimationError, match="2 classes"):
-            fit_logistic(data)
-
     def test_iteration_budget_reported(self, monkeypatch):
         monkeypatch.setattr(core, "_NEWTON_MAX_ITER", 0)
         data = RawDataset(
@@ -1082,9 +1074,8 @@ class TestFitLogistic:
         with pytest.raises(EstimationError, match="no labeled rows"):
             fit_logistic(data)
 
-
-class TestFitLogisticOvr:
     def test_three_class_shapes(self):
+        """k + 1 = 3 classes give one one-vs-rest column per class but the last."""
         rng = rng_from(9)
         features = np.vstack(
             [rng.standard_normal((30, 2)) + 3.0 * offset for offset in range(3)]
@@ -1094,7 +1085,7 @@ class TestFitLogisticOvr:
             labels=np.repeat([0, 1, 2], 30),
             set_indicator=np.ones(90, int),
         )
-        fit = fit_logistic_ovr(data)
+        fit = fit_logistic(data)
         assert fit.coef.shape == (2, 2)
         assert fit.intercept.shape == (2,)
         probs = fit.scores(features)
@@ -1108,10 +1099,24 @@ class TestFitLogisticOvr:
             rest = probs[truth != target, target].mean()
             assert own > rest
 
-    def test_needs_two_classes(self):
-        data = RawDataset(features=[[1.0]], labels=[0], set_indicator=[1])
-        with pytest.raises(EstimationError, match="two classes"):
-            fit_logistic_ovr(data)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(3, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_each_column_is_the_binary_fit_of_its_one_vs_rest_relabelling(
+            self, n_classes, dim, seed):
+        """Column j of a fit over k + 1 classes is, bit for bit, the two-class fit of
+        the same rows labeled 1 where Y = j and 0 elsewhere; unlabeled rows play no part."""
+        rng = np.random.default_rng(seed)
+        labels = np.concatenate([np.repeat(np.arange(n_classes), 20), np.full(15, -1)])
+        features = rng.standard_normal((labels.size, dim)) + np.maximum(labels, 0)[:, None]
+        sets = (labels >= 0).astype(int)
+        fit = fit_logistic(RawDataset(features=features, labels=labels, set_indicator=sets))
+        assert fit.coef.shape == (n_classes - 1, dim)
+        for target in range(n_classes - 1):
+            relabelled = np.where(labels >= 0, (labels == target).astype(int), -1)
+            binary = fit_logistic(RawDataset(features=features, labels=relabelled,
+                                             set_indicator=sets))
+            assert bits(fit.coef[target]) == bits(binary.coef[0])
+            assert bits(fit.intercept[target]) == bits(binary.intercept[0])
 
 
 class TestScoreFunctionSerialization:
