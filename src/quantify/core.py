@@ -24,6 +24,13 @@ class EstimationError(Exception):
     """A statistical contract was violated (degenerate groups, no convergence...)."""
 
 
+def _check_seed(*seeds: int) -> None:
+    """Refuse a negative seed or key, named as given.  Unlike :func:`rng_from`, it leaves
+    ``np.random`` (5 MiB, which numpy imports on first use) unloaded."""
+    if min(seeds) < 0:
+        raise EstimationError(f"seeds must be non-negative, got {min(seeds)}")
+
+
 def rng_from(seed: int, *key: int) -> np.random.Generator:
     """Deterministic generator for ``seed`` and an optional derivation path.
 
@@ -32,9 +39,7 @@ def rng_from(seed: int, *key: int) -> np.random.Generator:
     independent of (and unaffected by) every other replicate.  Seeds and keys
     must be non-negative.
     """
-    negative = [k for k in (seed, *key) if k < 0]
-    if negative:  # named as given, so a CLI --seed reads back as typed
-        raise EstimationError(f"seeds must be non-negative, got {negative[0]}")
+    _check_seed(seed, *key)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 

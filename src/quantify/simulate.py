@@ -32,6 +32,7 @@ from .core import (
     ExternalScore,
     RawDataset,
     ScoredDataset,
+    _check_seed,
     fit_logistic,
     rng_from,
     score_dataset,
@@ -376,7 +377,7 @@ def _run_cells(cells: list[ScenarioSpec], replicate, replicates: int, seed: int)
     """
     if replicates < 1:
         raise EstimationError(f"need at least one replicate per cell, got {replicates}")
-    rng_from(seed)  # a negative seed is refused here, before any dataset is drawn
+    _check_seed(seed)  # before any dataset is drawn or worker started
     payloads = [(cell, (seed, c, r)) for c, cell in enumerate(cells) for r in range(replicates)]
     workers = min(_threads(), len(payloads))
     if workers <= 1:
