@@ -681,7 +681,11 @@ class LogisticScore(ScoreFunction):
         features = _as_2d_float(features, "features")
         coef = np.atleast_2d(np.asarray(self.coef, dtype=float))
         intercept = np.atleast_1d(np.asarray(self.intercept, dtype=float))
-        return _sigmoid(features @ coef.T + intercept)
+        # a far-out row's predictor overflows to +-inf, whose sigmoid is exactly 1 or 0;
+        # a NaN one (inf - inf) is refused by ScoredDataset
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta = features @ coef.T + intercept
+        return _sigmoid(eta)
 
 
 def score_dataset(data: RawDataset, g: ScoreFunction) -> ScoredDataset:

@@ -20,6 +20,7 @@ import numpy as np
 from .core import EstimationError, ScoredDataset
 
 DEFAULT_MIN_DENOM = 1e-8
+DEFAULT_THRESHOLD = 0.5  # the classify-and-count cut, for the estimate and the curve
 _MAX_CONDITION = 1e8  # multiclass_ratio refuses a class-mean system worse conditioned than this
 _EM_MAX_ITER, _EM_TOL = 10000, 1e-8  # em_estimate's step budget; the step size at convergence
 
@@ -160,7 +161,7 @@ def _cc_indicator(scores: np.ndarray, threshold: float, op: str) -> np.ndarray:
     return (scores.ravel() > threshold).astype(float)
 
 
-def classify_and_count(scores: ScoredDataset, threshold: float = 0.5) -> ThetaEstimate:
+def classify_and_count(scores: ScoredDataset, threshold: float = DEFAULT_THRESHOLD) -> ThetaEstimate:
     """Fraction of unlabeled scores above ``threshold`` (no shift correction)."""
     frac = float(np.mean(_cc_indicator(scores.unlabeled, threshold, "classify_and_count")))
     return ThetaEstimate(theta=frac, theta_raw=frac, method="cc")

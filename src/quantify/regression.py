@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EstimationError, RawDataset, ScoredDataset, ScoreFunction
-from .estimators import DEFAULT_MIN_DENOM, _cc_indicator, ratio_estimate
+from .estimators import DEFAULT_MIN_DENOM, DEFAULT_THRESHOLD, _cc_indicator, ratio_estimate
 
 
 def nadaraya_watson(
@@ -238,7 +238,7 @@ def cc_regress(
     data: RawDataset,
     g: ScoreFunction,
     grid: np.ndarray | None = None,
-    threshold: float = 0.5,
+    threshold: float = DEFAULT_THRESHOLD,
     bandwidth: float | str | None = None,
 ) -> RegressionCurve:
     """Classify-and-count curve: smoothed fraction of scores above a threshold."""

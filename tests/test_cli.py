@@ -681,6 +681,26 @@ def test_repeated_sweep_value_or_short_class_list_exits_2_before_any_replicate(
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_negative_simulate_seed_exits_2_before_any_dataset_or_worker(threads, capsys,
+                                                                      monkeypatch):
+    """rng_from refuses the seed, as given, before a replicate draws a dataset and before
+    a process pool starts."""
+    import concurrent.futures
+
+    from quantify import simulate
+
+    drawn, pools = [], []
+    monkeypatch.setattr(simulate, "generate", lambda *args, **kwargs: drawn.append(args))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: pools.append(args))
+    monkeypatch.setenv("QUANTIFY_THREADS", threads)
+    code, stdout, err = run(["simulate", "--study", "mse", "--replicates", "4", "--seed", "-1"],
+                            capsys)
+    assert (code, stdout, drawn, pools) == (2, "", [], [])
+    assert err == "error: seeds must be non-negative, got -1\n"
+
+
 def test_multiclass_scenario_meta_keeps_its_default_class_sizes(capsys):
     payload = run_json(["simulate", "--scenario", "multiclass", "--study", "multiclass",
                         "--size", "60", "--replicates", "1"], capsys)
@@ -699,17 +719,41 @@ EXTREME_CSV = {
 }
 
 
-def test_feature_distances_that_overflow_are_refused_without_a_warning(blobs_csv, tmp_path,
-                                                                       capsys):
-    """select-g's median bandwidth over features whose squared distances overflow a
-    float: exit 2 naming the overflow, with every numpy warning raised as an error."""
-    header, *rows = Path(blobs_csv).read_text().splitlines()
-    huge = tmp_path / "huge.csv"
-    huge.write_text("\n".join([header, *(f"{float(x1) * 1e300!r},{rest}"
-                                         for x1, rest in (row.split(",", 1) for row in rows))]))
+def _with_cell(csv_path: str, tmp_path: Path, row: int, value: str) -> str:
+    """A copy of ``csv_path`` whose data row ``row`` has ``value`` as its first cell."""
+    header, *rows = Path(csv_path).read_text().splitlines()
+    rows[row] = f"{value},{rows[row].split(',', 1)[1]}"
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kernel, held_out", [
+    pytest.param([], False, id="median-bandwidth-x1-times-1e300"),
+    pytest.param(["--bandwidth", "1"], True, id="gaussian-held-out-1e308"),
+    pytest.param(["--kernel", "linear"], True, id="linear-held-out-1e308"),
+])
+def test_feature_distances_that_overflow_are_refused_without_a_warning(kernel, held_out, blobs_csv,
+                                                                       tmp_path, capsys):
+    """select-g over features whose kernel matrix entries could overflow a float: every
+    x1 ×1e300, which the median bandwidth reads, or one labeled x1 of 1e308 that the split
+    holds out, which only the held-out Gram matrix reads (the pilot fits the other half,
+    and a given bandwidth or the linear kernel takes no median).  Exit 2 naming the
+    overflow, with every numpy warning raised as an error."""
+    if held_out:
+        from quantify import CsvSchema, load_csv
+        from quantify.rkhs import stratified_split
+
+        data = load_csv(blobs_csv, CsvSchema(set_column="s", label_column="y"))
+        path = _with_cell(blobs_csv, tmp_path, stratified_split(data, 0)[2][0], "1e308")
+    else:
+        header, *rows = Path(blobs_csv).read_text().splitlines()
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join([header, *(f"{float(x1) * 1e300!r},{rest}"
+                                             for x1, rest in (row.split(",", 1) for row in rows))]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, stdout, err = run(["select-g", str(huge), *TestSelectG.BASE], capsys)
+        code, stdout, err = run(["select-g", str(path), *TestSelectG.BASE, *kernel], capsys)
     assert (code, stdout) == (2, "")
     assert err == ("error: the squared pairwise distances of the features overflow; "
                    "rescale the features\n")
@@ -738,6 +782,50 @@ def test_labeled_features_that_overflow_the_logistic_fit_are_refused_without_a_w
     assert (code, stdout) == (2, "")
     assert err == ("error: the squared norms of the labeled features overflow in the logistic "
                    "fit; rescale the features\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--ci", "0.95"]], ids=["point", "ci"])
+def test_a_far_out_unlabeled_row_gets_the_limit_of_its_logistic_score_without_a_warning(
+        extra, blobs_csv, tmp_path, capsys):
+    """An unlabeled x1 of -1e308 overflows the logistic predictor to -inf, whose score is
+    exactly 0: estimate exits 0 with every numpy warning raised as an error, and gives the
+    estimate of the same rows with that one score set to 0."""
+    from quantify import CsvSchema, ScoredDataset, fit_logistic, load_csv, ratio_estimate
+
+    far = -1  # the last row is unlabeled
+    path = _with_cell(blobs_csv, tmp_path, far, "-1e308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = run_json(["estimate", path, *TestSelectG.BASE, *extra], capsys)
+    data = load_csv(path, CsvSchema(set_column="s", label_column="y"))
+    fit = fit_logistic(data)
+    assert fit.coef[0, 0] > 1.0  # so that x1 * coef overflows to -inf
+    features = data.features.copy()
+    features[far, 0] = 0.0
+    scores = fit.scores(features)
+    scores[far] = 0.0
+    expected = ratio_estimate(ScoredDataset(
+        unlabeled=scores[data.unlabeled_indices()],
+        classes=tuple(scores[data.labeled_class_indices(label)] for label in (0, 1))))
+    assert (payload["theta_raw"], payload["diagnostics"]) == (expected.theta_raw,
+                                                              expected.to_dict()["diagnostics"])
+
+
+def test_a_kernel_score_whose_gram_entries_overflow_is_refused_without_a_warning(
+        blobs_csv, tmp_path, capsys):
+    """estimate --weights on an unlabeled x1 of -1e308: exit 2 naming the overflow, with
+    every numpy warning raised as an error, not a score computed from inf - inf."""
+    weights = tmp_path / "weights.json"
+    assert main(["select-g", blobs_csv, *TestSelectG.BASE, "--out", str(weights)]) == 0
+    path = _with_cell(blobs_csv, tmp_path, -1, "-1e308")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(["estimate", path, *TestSelectG.BASE, "--weights", str(weights)],
+                                capsys)
+    assert (code, stdout) == (2, "")
+    assert err == ("error: the squared pairwise distances of the features overflow; "
+                   "rescale the features\n")
 
 
 SMALL_STUDY = ["simulate", "--replicates", "2", "--n-unlabeled", "100"]

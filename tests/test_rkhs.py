@@ -156,9 +156,11 @@ class TestMedianBandwidth:
             median_bandwidth([[1.0]])
 
     @pytest.mark.parametrize("x", [[[1e300], [-1e300]], [[1e154, 1e154], [0.0, 0.0]],
-                                   [[1e308], [1e308], [0.0]]])
+                                   [[1e308], [1e308], [0.0]], [[8e153], [-8e153]]])
     def test_overflowing_distances_are_refused_without_a_warning(self, x):
-        """Each has a squared distance or a squared row norm past the largest float."""
+        """Each has a squared distance or a squared row norm past the largest float; in
+        the last, twice the largest squared norm is finite but the distance, four times
+        it, is not."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EstimationError, match="squared pairwise distances of the "
