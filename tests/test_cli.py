@@ -684,8 +684,8 @@ def test_repeated_sweep_value_or_short_class_list_exits_2_before_any_replicate(
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_a_negative_simulate_seed_exits_2_before_any_dataset_or_worker(threads, capsys,
                                                                       monkeypatch):
-    """rng_from refuses the seed, as given, before a replicate draws a dataset and before
-    a process pool starts."""
+    """The simulate layer refuses the seed, as given, before a replicate draws a dataset
+    and before a process pool starts."""
     import concurrent.futures
 
     from quantify import simulate
